@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every subcommand, exit codes, config
 merging, and byte-identical reruns."""
 
+import hashlib
 import json
 import math
 import os
@@ -421,6 +422,32 @@ def test_simulate_deterministic_outputs(tmp_path, capsys):
     out_b = capsys.readouterr().out
     assert out_a == out_b
     assert trace_a.read_bytes() == trace_b.read_bytes()
+
+
+# SHA-256 of stdout and of the --trace file, recorded before the simulator
+# loop moved onto plain floats; the kernel and the trace writer must keep
+# both byte-identical.
+_SIMULATE_GOLDEN = {
+    ("--seed", "0"): (
+        "7bb04bdfa0d012c4e811f5e1b743401b6452bda546957f85954829b63c56921b",
+        "94320505710ae28787c73526c8a2e8d744649737a0ee1ba18cdb44d5301092f1",
+    ),
+    ("--seed", "1", "--jitter", "0.05"): (
+        "bd25b90364ef961a51d8470191a8f84825d3af120281ba6b723449141515d3ba",
+        "b08963d6ec334fda1227d1b7eb51791b3281114481b4052cbbdb5f020630f0f3",
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", list(_SIMULATE_GOLDEN))
+def test_simulate_golden_digests(extra, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert run(["simulate", "--cycles", "3", *extra,
+                "--trace", str(trace)]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert (hashlib.sha256(stdout).hexdigest(),
+            hashlib.sha256(trace.read_bytes()).hexdigest()) \
+        == _SIMULATE_GOLDEN[extra]
 
 
 def test_simulate_plant_override(capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exogait.errors import TimeWentBackwards
 from exogait.phase import (
@@ -169,3 +171,31 @@ def test_state_validation():
         PhaseState(stride_buffer=(1.0, -0.5))
     with pytest.raises(ValueError):
         PhaseState(stride_buffer=(1.0, 1.0, 1.0, 1.0), buffer_size=3)
+
+
+_fsr_signals = st.one_of(
+    st.lists(st.sampled_from([0.0, 1.0]), max_size=400),
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.9]), st.floats(-0.15, 0.15)),
+        max_size=400,
+    ).map(lambda samples: [level + noise for level, noise in samples]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    signal=_fsr_signals,
+    threshold=st.floats(0.1, 0.9),
+    refractory=st.floats(0.01, 0.5),
+    debounce=st.integers(1, 5),
+)
+def test_batch_and_streaming_detectors_agree(signal, threshold, refractory,
+                                             debounce):
+    cfg = FsrConfig(threshold=threshold, refractory=refractory,
+                    debounce_samples=debounce)
+    rate = 100.0
+    detector = StrikeDetector(rate, cfg)
+    streamed = [(i - (debounce - 1)) / rate
+                for i, v in enumerate(signal) if detector.step(v)]
+    assert detect_heel_strikes(np.asarray(signal), rate, cfg).tolist() \
+        == streamed

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exogait.assist import DEFAULT_PROFILE, TensionConversion, TorqueProfile
 from exogait.errors import EmptyResult, NonFiniteState
@@ -28,6 +30,7 @@ from exogait.simulate import (
     run_simulation,
     tracking_metrics,
 )
+from sim_oracle import oracle_simulation
 
 _QUIET = replace(PlantParams(), loadcell_noise_sd=0.0)
 _CONV = TensionConversion()
@@ -431,3 +434,105 @@ def test_cycle_summaries_cover_run():
     # Cycle windows tile the run without overlap.
     for a, b in zip(res.cycles, res.cycles[1:]):
         assert b.start_time > a.end_time
+
+
+# --- kernel against the one-step API ---------------------------------------------
+
+_SERIES = ("time", "reference", "measured", "tension_true", "fsr", "gc",
+           "cycle_index")
+
+
+def _outcome(simulate, *args, **kwargs):
+    """The result, or the NonFiniteState message when the plant diverges."""
+    try:
+        return simulate(*args, **kwargs)
+    except NonFiniteState as exc:
+        return str(exc)
+
+
+def _assert_bit_identical(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in _SERIES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.rms_error.hex() == want.rms_error.hex()
+    assert got.peak_error.hex() == want.peak_error.hex()
+    assert got.cycles == want.cycles
+
+
+_plant_params = st.builds(
+    PlantParams,
+    inertia=st.floats(0.005, 0.05),
+    viscous_b=st.floats(0.001, 0.05),
+    pulley_radius=st.floats(0.02, 0.06),
+    cable_stiffness=st.floats(5e3, 5e4),
+    cable_damping=st.floats(1.0, 100.0),
+    sheath_mu=st.floats(0.0, 0.3),
+    wrap_angle=st.floats(0.5, 2.0 * math.pi),
+    loadcell_noise_sd=st.floats(0.0, 3.0),
+    torque_max=st.floats(1.0, 10.0),
+    control_rate=st.floats(200.0, 600.0),
+    pretension=st.floats(1.0, 20.0),
+)
+
+_pid_gains = st.builds(
+    PidGains,
+    kp=st.floats(0.0, 0.02),
+    ki=st.floats(0.0, 5.0),
+    kd=st.floats(0.0, 0.02),
+    ff_gain=st.floats(0.0, 0.08),
+    output_min=st.floats(-10.0, -0.5),
+    output_max=st.floats(0.5, 10.0),
+    integrator_limit=st.floats(0.0, 6.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cycles=st.integers(1, 2),
+    stride_period=st.floats(0.2, 1.0),
+    stride_jitter=st.sampled_from([0.0, 0.05]),
+    constant_reference=st.sampled_from([None, 50.0]),
+    substeps=st.integers(1, 12),
+    anchor_amplitude=st.floats(0.0, 0.005),
+    params=_plant_params,
+    gains=_pid_gains,
+)
+def test_run_simulation_matches_one_step_oracle(
+    seed, n_cycles, stride_period, stride_jitter, constant_reference,
+    substeps, anchor_amplitude, params, gains,
+):
+    args = (DEFAULT_PROFILE, _CONV, gains, params, _FSR, n_cycles, seed)
+    kwargs = dict(
+        stride_period=stride_period,
+        stride_jitter=stride_jitter,
+        constant_reference=constant_reference,
+        anchor_amplitude=anchor_amplitude,
+        substeps=substeps,
+    )
+    _assert_bit_identical(_outcome(run_simulation, *args, **kwargs),
+                          _outcome(oracle_simulation, *args, **kwargs))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stride_jitter", [0.0, 0.05])
+def test_default_run_matches_one_step_oracle(seed, stride_jitter):
+    args = (DEFAULT_PROFILE, _CONV, DEFAULT_GAINS, PlantParams(), _FSR, 2, seed)
+    _assert_bit_identical(
+        run_simulation(*args, stride_jitter=stride_jitter),
+        oracle_simulation(*args, stride_jitter=stride_jitter),
+    )
+
+
+def test_divergence_message_matches_one_step_oracle():
+    args = (DEFAULT_PROFILE, _CONV, DEFAULT_GAINS, PlantParams(inertia=1e-7),
+            _FSR, 1, 0)
+    with pytest.raises(NonFiniteState) as kernel:
+        run_simulation(*args)
+    with pytest.raises(NonFiniteState) as oracle:
+        oracle_simulation(*args)
+    assert str(kernel.value) == str(oracle.value)
