@@ -70,7 +70,6 @@ DEFAULT_PROFILE = TorqueProfile(
 @dataclass(frozen=True)
 class TensionConversion:
     moment_arm: float = DEFAULT_MOMENT_ARM  # m
-    g: float = G_STANDARD
 
     def __post_init__(self) -> None:
         if not self.moment_arm > 0:

@@ -734,16 +734,16 @@ def _cmd_simulate(values: dict) -> int:
                 "time", "fsr", "gc", "reference", "measured",
                 "tension_true", "cycle",
             ])
-            for i in range(len(result.time)):
-                writer.writerow([
-                    _fmt(result.time[i]),
-                    _fmt(result.fsr[i]),
-                    _fmt(result.gc[i]),
-                    _fmt(result.reference[i]),
-                    _fmt(result.measured[i]),
-                    _fmt(result.tension_true[i]),
-                    str(int(result.cycle_index[i])),
-                ])
+            # csv writes a float as its repr, the same text _fmt gives.
+            writer.writerows(zip(
+                result.time.tolist(),
+                result.fsr.tolist(),
+                result.gc.tolist(),
+                result.reference.tolist(),
+                result.measured.tolist(),
+                result.tension_true.tolist(),
+                result.cycle_index.tolist(),
+            ))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "n_ticks": len(result.time),

@@ -62,37 +62,8 @@ class PhaseState:
         return self.default_stride
 
 
-def detect_heel_strikes(
-    fsr: np.ndarray, rate: float, cfg: FsrConfig
-) -> np.ndarray:
-    """Heel-strike times (s) in an FSR series sampled at a fixed rate."""
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    signal = np.asarray(fsr, dtype=float)
-    events: list[float] = []
-    run_start: int | None = None
-    run_len = 0
-    decided = False
-    last_emit: float | None = None
-    for i, v in enumerate(signal):
-        if v > cfg.threshold:
-            if run_start is None:
-                run_start, run_len, decided = i, 1, False
-            else:
-                run_len += 1
-            if not decided and run_len >= cfg.debounce_samples:
-                decided = True
-                t = run_start / rate
-                if last_emit is None or t - last_emit >= cfg.refractory:
-                    events.append(t)
-                    last_emit = t
-        else:
-            run_start = None
-    return np.asarray(events)
-
-
 class StrikeDetector:
-    """Streaming version of detect_heel_strikes for sample-by-sample use.
+    """Sample-by-sample heel-strike detector (the rule in the module doc).
 
     step() returns True on the sample at which a run satisfies the debounce
     rule (so the flag lags the run start by debounce_samples - 1 samples).
@@ -130,6 +101,23 @@ class StrikeDetector:
             self._run_start = None
         self._i += 1
         return fired
+
+
+def detect_heel_strikes(
+    fsr: np.ndarray, rate: float, cfg: FsrConfig
+) -> np.ndarray:
+    """Heel-strike times (s) in an FSR series sampled at a fixed rate.
+
+    Feeds the series through StrikeDetector; each strike is timed at the
+    start of its run, debounce_samples - 1 samples before the detector
+    fires.
+    """
+    detector = StrikeDetector(rate, cfg)
+    lag = cfg.debounce_samples - 1
+    signal = np.asarray(fsr, dtype=float).tolist()
+    return np.asarray(
+        [(i - lag) / rate for i, v in enumerate(signal) if detector.step(v)]
+    )
 
 
 def update_phase(

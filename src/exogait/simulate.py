@@ -49,6 +49,9 @@ _FSR_STANCE_FRACTION = 0.15
 # Derivative low-pass alpha for a time constant of 10*dt.
 _D_FILTER_ALPHA = 1.0 / 11.0
 
+# run_simulation builds substep anchors this many ticks at a time.
+_TICK_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class PidGains:
@@ -323,6 +326,14 @@ def tracking_metrics(
     )
 
 
+def _stride_position(
+    starts: np.ndarray, durations: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle index and stride fraction u in [0, 1] at every time in t."""
+    k = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(durations) - 1)
+    return k, np.clip((t - starts[k]) / durations[k], 0.0, 1.0)
+
+
 def run_simulation(
     profile: TorqueProfile,
     conv: TensionConversion,
@@ -344,6 +355,10 @@ def run_simulation(
     one load-cell noise sample per control tick. constant_reference bypasses
     the profile with a fixed tension reference. The reference is floored at
     the plant pretension so zero-torque mode keeps the cable taut.
+
+    The tick loop runs pid_step and plant_step inlined on plain floats: the
+    same arithmetic in the same order, so every output is bit-identical to
+    stepping those functions tick by tick.
     """
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
@@ -366,56 +381,123 @@ def run_simulation(
     dt_ctrl = 1.0 / params.control_rate
     dt_sub = dt_ctrl / substeps
     n_ticks = int(round(total * params.control_rate))
+    noise = rng.normal(0.0, params.loadcell_noise_sd, n_ticks)
+    time = np.arange(n_ticks) * dt_ctrl
+    cycle_index, u = _stride_position(starts, durations, time)
+    fsr = np.where(u < _FSR_STANCE_FRACTION, 1.0, 0.0)
+    # Substep m of a tick ends at t + (m + 1) * dt_sub.
+    substep_offsets = np.arange(1, substeps + 1) * dt_sub
+    # The dt checks of pid_step and plant_step; dt_sub > 0 implies dt_ctrl > 0.
+    if not dt_sub > 0:
+        raise ValueError(f"dt must be positive, got {dt_sub}")
+    if dt_sub > dt_ctrl + 1e-12:
+        raise ValueError("plant substep must not exceed the control period")
 
-    def locate(t: float) -> tuple[int, float]:
-        k = int(np.searchsorted(starts, t, side="right")) - 1
-        k = min(max(k, 0), n_cycles - 1)
-        u = (t - starts[k]) / durations[k]
-        return k, min(max(u, 0.0), 1.0)
-
-    def anchor_at(t: float) -> float:
-        _, u = locate(t)
-        return anchor_amplitude * math.sin(math.pi * u) ** 2
+    kp, ki, kd, ff_gain = gains.kp, gains.ki, gains.kd, gains.ff_gain
+    output_min, output_max = gains.output_min, gains.output_max
+    limit = gains.integrator_limit
+    radius = params.pulley_radius
+    stiffness, damping = params.cable_stiffness, params.cable_damping
+    viscous_b, torque_max = params.viscous_b, params.torque_max
+    pretension, loadcell_max = params.pretension, params.loadcell_max
+    s0 = pretension / stiffness
+    dt_over_inertia = dt_sub / params.inertia
+    branch = params.sheath_mu * params.wrap_angle
+    sin, exp, copysign, isfinite = math.sin, math.exp, math.copysign, math.isfinite
 
     detector = StrikeDetector(params.control_rate, phase_cfg)
     phase_state = PhaseState()
-    ctrl_state = PidState()
-    plant = PlantState(
-        tension_true=params.pretension, tension_measured=params.pretension
-    )
-    time = np.empty(n_ticks)
+    integral, d_filt, prev_error = 0.0, 0.0, None
+    theta = omega = anchor_pos = exponent = 0.0
+    t_distal = measured_now = pretension
     reference = np.empty(n_ticks)
     measured = np.empty(n_ticks)
     tension_true = np.empty(n_ticks)
-    fsr = np.empty(n_ticks)
     gc_series = np.empty(n_ticks)
-    cycle_index = np.empty(n_ticks, dtype=np.int64)
-    for i in range(n_ticks):
-        t = i * dt_ctrl
-        k, u = locate(t)
-        fsr_val = 1.0 if u < _FSR_STANCE_FRACTION else 0.0
-        fired = detector.step(fsr_val)
-        phase_state, gc = update_phase(phase_state, t, fired)
-        if constant_reference is None:
-            raw_ref = reference_tension(profile, conv, gc)
-        else:
-            raw_ref = constant_reference
-        ref = max(params.pretension, raw_ref)
-        meas = plant.tension_measured
-        time[i] = t
-        reference[i] = ref
-        measured[i] = meas
-        tension_true[i] = plant.tension_true
-        fsr[i] = fsr_val
-        gc_series[i] = gc
-        cycle_index[i] = k
-        ctrl_state, command = pid_step(gains, ctrl_state, ref, meas, dt_ctrl)
-        for m in range(substeps):
-            t_sub = t + (m + 1) * dt_sub
-            sub_rng = rng if m == substeps - 1 else None
-            plant = plant_step(
-                params, plant, command, anchor_at(t_sub), dt_sub, rng=sub_rng
-            )
+    # Substep anchors are built a block of ticks at a time, so memory does
+    # not grow with the run length.
+    for lo in range(0, n_ticks, _TICK_BLOCK):
+        block = slice(lo, lo + _TICK_BLOCK)
+        _, u_sub = _stride_position(
+            starts, durations, time[block, None] + substep_offsets
+        )
+        for i, t, fsr_val, noise_val, u_row in zip(
+            range(lo, n_ticks),
+            time[block].tolist(),
+            fsr[block].tolist(),
+            noise[block].tolist(),
+            u_sub.tolist(),
+        ):
+            fired = detector.step(fsr_val)
+            phase_state, gc = update_phase(phase_state, t, fired)
+            if constant_reference is None:
+                raw_ref = reference_tension(profile, conv, gc)
+            else:
+                raw_ref = constant_reference
+            ref = max(pretension, raw_ref)
+            reference[i] = ref
+            measured[i] = measured_now
+            tension_true[i] = t_distal
+            gc_series[i] = gc
+
+            # pid_step
+            e = ref - measured_now
+            d_raw = 0.0 if prev_error is None else (e - prev_error) / dt_ctrl
+            d_filt = d_filt + _D_FILTER_ALPHA * (d_raw - d_filt)
+            integral_new = min(max(integral + ki * e * dt_ctrl, -limit), limit)
+            base = ff_gain * ref + kp * e + kd * d_filt
+            u_cmd = base + integral_new
+            if (u_cmd > output_max and e > 0) or (u_cmd < output_min and e < 0):
+                u_cmd = base + integral
+            else:
+                integral = integral_new
+            prev_error = e
+            command = min(max(u_cmd, output_min), output_max)
+            tau = min(max(command, -torque_max), torque_max)
+
+            # plant_step, once per substep. The conditional expressions are
+            # builtin max(0.0, rate) and max(t_motor, pretension), unrolled.
+            for u_m in u_row:
+                anchor = anchor_amplitude * sin(math.pi * u_m) ** 2
+                anchor_vel = (anchor - anchor_pos) / dt_sub
+                stretch = radius * theta - anchor_pos + s0
+                rate = radius * omega - anchor_vel
+                if stretch <= 0:
+                    t_motor = 0.0
+                else:
+                    t_motor = stiffness * stretch + damping * (
+                        rate if rate > 0.0 else 0.0
+                    )
+                omega = omega + dt_over_inertia * (
+                    tau - viscous_b * omega - radius * t_motor
+                )
+                theta = theta + dt_sub * omega
+                stretch = radius * theta - anchor + s0
+                rate = radius * omega - anchor_vel
+                if stretch <= 0:
+                    t_motor = 0.0
+                else:
+                    t_motor = stiffness * stretch + damping * (
+                        rate if rate > 0.0 else 0.0
+                    )
+                speed = abs(rate)
+                if not speed <= _VELOCITY_DEADBAND:
+                    arc_take_up = _WRAPPED_ARC_FRACTION * (
+                        pretension if pretension > t_motor else t_motor
+                    ) / stiffness
+                    target = -copysign(branch, rate)
+                    decay = exp(-speed * dt_sub / arc_take_up)
+                    exponent = target + (exponent - target) * decay
+                t_distal = t_motor * exp(exponent)
+                if not (isfinite(theta) and isfinite(omega) and isfinite(t_distal)):
+                    raise NonFiniteState(
+                        f"plant state diverged: theta={theta}, omega={omega}, "
+                        f"tension={t_distal}"
+                    )
+                if t_distal < 0:
+                    raise ValueError("cable tension cannot be negative")
+                anchor_pos = anchor
+            measured_now = min(max(t_distal + noise_val, 0.0), loadcell_max)
     rms, peak, rows = _metrics_from_arrays(time, reference, measured, cycle_index)
     return SimResult(
         time=time,
