@@ -66,6 +66,9 @@ from .trial import EventKind, Side, Trial
 
 SCHEMA_VERSION = 1
 
+# Ticks converted to Python numbers at a time when writing a --trace CSV.
+_TRACE_CHUNK = 512
+
 STRIDE_COLUMNS = [
     "trial_id",
     "condition",
@@ -735,15 +738,14 @@ def _cmd_simulate(values: dict) -> int:
                 "tension_true", "cycle",
             ])
             # csv writes a float as its repr, the same text _fmt gives.
-            writer.writerows(zip(
-                result.time.tolist(),
-                result.fsr.tolist(),
-                result.gc.tolist(),
-                result.reference.tolist(),
-                result.measured.tolist(),
-                result.tension_true.tolist(),
-                result.cycle_index.tolist(),
-            ))
+            columns = (
+                result.time, result.fsr, result.gc, result.reference,
+                result.measured, result.tension_true, result.cycle_index,
+            )
+            for lo in range(0, len(result.time), _TRACE_CHUNK):
+                writer.writerows(zip(
+                    *(column[lo:lo + _TRACE_CHUNK].tolist() for column in columns)
+                ))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "n_ticks": len(result.time),

@@ -62,6 +62,23 @@ class PhaseState:
         return self.default_stride
 
 
+def detect_heel_strikes(
+    fsr: np.ndarray, rate: float, cfg: FsrConfig
+) -> np.ndarray:
+    """Heel-strike times (s) in an FSR series sampled at a fixed rate.
+
+    Feeds the series through StrikeDetector; each strike is timed at the
+    start of its run, debounce_samples - 1 samples before the detector
+    fires.
+    """
+    detector = StrikeDetector(rate, cfg)
+    lag = cfg.debounce_samples - 1
+    signal = np.asarray(fsr, dtype=float).tolist()
+    return np.asarray(
+        [(i - lag) / rate for i, v in enumerate(signal) if detector.step(v)]
+    )
+
+
 class StrikeDetector:
     """Sample-by-sample heel-strike detector (the rule in the module doc).
 
@@ -101,23 +118,6 @@ class StrikeDetector:
             self._run_start = None
         self._i += 1
         return fired
-
-
-def detect_heel_strikes(
-    fsr: np.ndarray, rate: float, cfg: FsrConfig
-) -> np.ndarray:
-    """Heel-strike times (s) in an FSR series sampled at a fixed rate.
-
-    Feeds the series through StrikeDetector; each strike is timed at the
-    start of its run, debounce_samples - 1 samples before the detector
-    fires.
-    """
-    detector = StrikeDetector(rate, cfg)
-    lag = cfg.debounce_samples - 1
-    signal = np.asarray(fsr, dtype=float).tolist()
-    return np.asarray(
-        [(i - lag) / rate for i, v in enumerate(signal) if detector.step(v)]
-    )
 
 
 def update_phase(
