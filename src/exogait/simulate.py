@@ -49,7 +49,8 @@ _FSR_STANCE_FRACTION = 0.15
 # Derivative low-pass alpha for a time constant of 10*dt.
 _D_FILTER_ALPHA = 1.0 / 11.0
 
-# run_simulation builds substep anchors this many ticks at a time.
+# run_simulation builds substep anchors this many ticks at a time, so its
+# memory does not grow with the run length.
 _TICK_BLOCK = 128
 
 
@@ -414,8 +415,6 @@ def run_simulation(
     measured = np.empty(n_ticks)
     tension_true = np.empty(n_ticks)
     gc_series = np.empty(n_ticks)
-    # Substep anchors are built a block of ticks at a time, so memory does
-    # not grow with the run length.
     for lo in range(0, n_ticks, _TICK_BLOCK):
         block = slice(lo, lo + _TICK_BLOCK)
         _, u_sub = _stride_position(
