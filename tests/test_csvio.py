@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csv_oracle import oracle_read_csv_trial
+from exogait.c3d import read_c3d, write_c3d
 from exogait.csvio import read_csv_trial, read_events_csv
 from exogait.errors import (
     BadHeaderRow,
@@ -10,7 +14,7 @@ from exogait.errors import (
     RaggedRows,
     UnknownEventLabel,
 )
-from exogait.trial import EventKind, Side
+from exogait.trial import EventKind, MarkerTrajectory, Side, Trial
 
 _BASIC = """time,HEE.x,HEE.y,HEE.z,analog:angle
 0.00,1.0,2.0,3.0,10.0
@@ -142,3 +146,158 @@ def test_events_bad_header():
         read_events_csv("time,context,label\n0.0,Left,Jump\n")
     with pytest.raises(NonNumericCell):
         read_events_csv("time,context,label\nx,Left,Foot Strike\n")
+
+
+# --- column reader against the per-cell oracle --------------------------------
+
+_PAD = st.sampled_from(["", "", "", " ", "\t", "  ", "\u00a0", "\u2003"])
+_BLANK = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0 "])
+_NUMBER = st.one_of(
+    st.floats(width=64).map(repr),
+    st.floats(-2000.0, 2000.0).map(lambda v: f"{v:.4f}"),
+    st.sampled_from([
+        "1e3", "+1.5", "-0", ".5", "5.", "1_000.25", "inf", "-Infinity",
+        "nan", "\u0661\u0662",
+    ]),
+)
+_CELL = st.tuples(_PAD, _NUMBER, _PAD).map("".join)
+_BAD = st.sampled_from(["", " ", "x", "1.2.3", "--1", "0x1F", "1e", "1 2"])
+
+
+@st.composite
+def _trial_table(draw):
+    """(header, rows) of a valid trial; columns interleave markers, analogs."""
+    n_markers = draw(st.integers(0, 3))
+    n_analogs = draw(st.integers(0, 2))
+    kinds = draw(st.permutations(["m"] * n_markers + ["a"] * n_analogs))
+    header = ["time"]
+    for k, kind in enumerate(kinds):
+        if kind == "m":
+            header += [f"M{k}.x", f"M{k}.y", f"M{k}.z"]
+        else:
+            header.append(f"analog:A{k}")
+    header = [draw(_PAD) + h + draw(_PAD) for h in header]
+    rate = draw(st.sampled_from([50.0, 100.0, 120.0, 1000.0]))
+    k0 = draw(st.integers(0, 40))
+    rows = []
+    for i in range(draw(st.integers(2, 12))):
+        row = [draw(_PAD) + repr((k0 + i) / rate) + draw(_PAD)]
+        for kind in kinds:
+            if kind == "a":
+                row.append(draw(_CELL))
+            elif draw(st.integers(0, 3)) == 0:
+                row += [draw(_BLANK) for _ in range(3)]  # gap frame
+            else:
+                row += [draw(_CELL) for _ in range(3)]
+        rows.append(row)
+    return header, rows
+
+
+def _text(header, rows, blank_after=()):
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        lines.append(",".join(row))
+        if i in blank_after:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(reader, text):
+    """Exception type and message, or every array of the Trial as bytes."""
+    try:
+        trial = reader(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        float(trial.point_rate).hex(),
+        trial.first_frame,
+        trial.last_frame,
+        [(m.label, m.coords.tobytes(), m.valid.tobytes())
+         for m in trial.markers],
+        [(a.label, a.samples.tobytes(), float(a.rate).hex())
+         for a in trial.analogs],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_trial_table(), blank_after=st.sets(st.integers(0, 12)))
+def test_reader_matches_oracle_on_valid_trials(table, blank_after):
+    text = _text(*table, blank_after=blank_after)
+    expected = _outcome(oracle_read_csv_trial, text)
+    assert not isinstance(expected[0], type)
+    assert _outcome(read_csv_trial, text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_trial_table(), data=st.data())
+def test_reader_matches_oracle_on_corrupted_trials(table, data):
+    header, rows = table
+    for _ in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(0, len(header) - 1))
+        rows[r][c] = data.draw(_BAD)
+    if data.draw(st.booleans()):
+        r = data.draw(st.integers(0, len(rows) - 1))
+        if data.draw(st.booleans()) or len(rows[r]) == 1:
+            rows[r].append(data.draw(_CELL))
+        else:
+            rows[r].pop()
+    text = _text(header, rows)
+    assert _outcome(read_csv_trial, text) == _outcome(
+        oracle_read_csv_trial, text
+    )
+
+
+# --- CSV route against the C3D route ------------------------------------------
+
+
+def _csv_text(trial):
+    header = ["time"]
+    for m in trial.markers:
+        header += [f"{m.label}.x", f"{m.label}.y", f"{m.label}.z"]
+    lines = [",".join(header)]
+    for i in range(trial.n_frames):
+        cells = [repr((trial.first_frame - 1 + i) / trial.point_rate)]
+        for m in trial.markers:
+            if m.valid[i]:
+                cells += [repr(v) for v in m.coords[i].tolist()]
+            else:
+                cells += ["", "", ""]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_markers=st.integers(1, 4),
+    n_frames=st.integers(2, 60),
+    rate=st.sampled_from([50.0, 100.0, 120.0, 200.0]),
+    first_frame=st.integers(1, 500),
+)
+def test_csv_and_c3d_routes_agree(seed, n_markers, n_frames, rate,
+                                  first_frame):
+    rng = np.random.default_rng(seed)
+    markers = [
+        MarkerTrajectory(
+            label=f"M{k}",
+            coords=rng.uniform(-2000.0, 2000.0, (n_frames, 3)),
+            valid=rng.random(n_frames) > 0.2,
+        )
+        for k in range(n_markers)
+    ]
+    trial = Trial(markers=markers, analogs=[], events=[], point_rate=rate,
+                  analog_rate=rate, first_frame=first_frame,
+                  last_frame=first_frame + n_frames - 1)
+    from_csv = read_csv_trial(_csv_text(trial))
+    from_c3d = read_c3d(write_c3d(trial))
+    assert from_csv.first_frame == from_c3d.first_frame == first_frame
+    assert from_csv.last_frame == from_c3d.last_frame
+    assert from_csv.point_rate == pytest.approx(from_c3d.point_rate, rel=1e-9)
+    for a, b in zip(from_csv.markers, from_c3d.markers, strict=True):
+        assert a.label == b.label
+        assert a.valid.tolist() == b.valid.tolist()
+        np.testing.assert_allclose(
+            a.coords[a.valid], b.coords[b.valid],
+            rtol=np.finfo(np.float32).eps, atol=0.0,
+        )
