@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import compress
 
 import numpy as np
 
@@ -34,6 +35,69 @@ def _cell_float(cell: str, row_no: int, col: str) -> float:
         raise NonNumericCell(
             f"row {row_no}, column {col}: cannot parse {cell!r}"
         ) from None
+
+
+def _convert(columns, marker_cols, analog_cols):
+    """Arrays of every column; raises ValueError on any unparseable cell.
+
+    A marker frame whose x, y and z cells are all empty is a gap: its
+    coordinates stay NaN and only the other frames are converted.
+    """
+    n = len(columns[0])
+    times = np.array(list(map(float, columns[0])))
+    coords = {}
+    valid = {}
+    for lab, c in marker_cols:
+        triple = columns[c : c + 3]
+        keep = list(map(any, zip(*triple)))
+        mask = np.array(keep, dtype=bool)
+        xyz = np.full((n, 3), np.nan)
+        for axis, col in enumerate(triple):
+            xyz[mask, axis] = list(map(float, compress(col, keep)))
+        coords[lab] = xyz
+        valid[lab] = mask
+    analog = {
+        lab: np.array(list(map(float, columns[c]))) for lab, c in analog_cols
+    }
+    return times, coords, valid, analog
+
+
+def _parse_columns(data_rows, width, marker_cols, analog_cols):
+    """Convert the data rows column by column.
+
+    Cells are read as ``float(cell.strip())`` with whitespace-only marker
+    triples as gaps. On a bad cell or a ragged row, the rows are walked in
+    reading order (width, time, each marker triple, each analog cell) to
+    raise the first error.
+    """
+    if all(len(row) == width for row in data_rows):
+        columns = list(zip(*data_rows))
+        try:
+            return _convert(columns, marker_cols, analog_cols)
+        except ValueError:
+            pass
+        # float() accepts what strip() would remove except the separators
+        # \x1c-\x1f, and a whitespace-only triple is a gap once stripped.
+        try:
+            return _convert(
+                [list(map(str.strip, col)) for col in columns],
+                marker_cols,
+                analog_cols,
+            )
+        except ValueError:
+            pass
+    for r, row in enumerate(data_rows, start=2):
+        if len(row) != width:
+            raise RaggedRows(f"row {r} has {len(row)} cells, header has {width}")
+        _cell_float(row[0].strip(), r, "time")
+        for lab, c in marker_cols:
+            cells = [row[c].strip(), row[c + 1].strip(), row[c + 2].strip()]
+            if any(cells):
+                for cell, ax in zip(cells, "xyz"):
+                    _cell_float(cell, r, f"{lab}.{ax}")
+        for lab, c in analog_cols:
+            _cell_float(row[c].strip(), r, f"analog:{lab}")
+    raise AssertionError("column conversion failed on a well-formed table")
 
 
 def read_csv_trial(text: str) -> Trial:
@@ -80,31 +144,9 @@ def read_csv_trial(text: str) -> Trial:
             "need at least 2 data rows to infer the sampling rate"
         )
     n = len(data_rows)
-
-    times = np.empty(n)
-    coords = {lab: np.full((n, 3), np.nan) for lab, _ in marker_cols}
-    valid = {lab: np.zeros(n, dtype=bool) for lab, _ in marker_cols}
-    analog = {lab: np.empty(n) for lab, _ in analog_cols}
-
-    for r, row in enumerate(data_rows, start=2):
-        if len(row) != len(header):
-            raise RaggedRows(
-                f"row {r} has {len(row)} cells, header has {len(header)}"
-            )
-        times[r - 2] = _cell_float(row[0].strip(), r, "time")
-        for lab, c in marker_cols:
-            cells = [row[c].strip(), row[c + 1].strip(), row[c + 2].strip()]
-            if all(cell == "" for cell in cells):
-                continue  # gap frame
-            coords[lab][r - 2] = [
-                _cell_float(cell, r, f"{lab}.{ax}")
-                for cell, ax in zip(cells, "xyz")
-            ]
-            valid[lab][r - 2] = True
-        for lab, c in analog_cols:
-            analog[lab][r - 2] = _cell_float(
-                row[c].strip(), r, f"analog:{lab}"
-            )
+    times, coords, valid, analog = _parse_columns(
+        data_rows, len(header), marker_cols, analog_cols
+    )
 
     dt = times[1] - times[0]
     if not dt > 0:
