@@ -6,6 +6,10 @@ runs equivalence statistics (random-intercept model by REML, TOST with a
 Welch standard error), generates assistance torque profiles, estimates
 gait phase from FSR heel strikes, and closes a PID + feedforward tension
 loop around a simulated Bowden-cable plant.
+
+The command line lives in ``exogait.cli`` (also ``python -m exogait``). The
+package does not import it, so ``python -m exogait.cli`` runs that module
+once, as ``__main__``, without runpy's double-import warning.
 """
 
 from . import errors
@@ -21,7 +25,6 @@ from .assist import (
     torque_to_tension,
 )
 from .c3d import map_event, read_c3d, write_c3d
-from .cli import ComplexityInputs, RunConfig, complexity_index, main, run
 from .csvio import read_csv_trial, read_events_csv
 from .cycles import (
     N_SAMPLES,
@@ -71,7 +74,6 @@ from .stats import (
     StrideObservation,
     TostResult,
     fit_lme,
-    lme_oracle,
     tost_welch,
     trial_means,
     wald_p,
@@ -83,14 +85,12 @@ from .trial import (
     MarkerTrajectory,
     Side,
     Trial,
-    extract_events,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalogChannel",
-    "ComplexityInputs",
     "CycleFeatures",
     "CycleSummary",
     "DEFAULT_GAINS",
@@ -112,7 +112,6 @@ __all__ = [
     "PidState",
     "PlantParams",
     "PlantState",
-    "RunConfig",
     "SimResult",
     "Side",
     "SmoothingSpec",
@@ -125,16 +124,12 @@ __all__ = [
     "TorqueProfile",
     "TostResult",
     "Trial",
-    "complexity_index",
     "cycle_features",
     "detect_heel_strikes",
     "ensemble",
     "errors",
-    "extract_events",
     "fill_gaps",
     "fit_lme",
-    "lme_oracle",
-    "main",
     "map_event",
     "normalize_cycle",
     "pid_step",
@@ -144,7 +139,6 @@ __all__ = [
     "read_events_csv",
     "reference_tension",
     "roughness",
-    "run",
     "run_simulation",
     "segment_strides",
     "smooth_to_mse",

@@ -11,7 +11,7 @@ default before any stride has been measured).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,17 +133,25 @@ def update_phase(
         raise TimeWentBackwards(
             f"time stepped from {state.last_time} back to {now}"
         )
+    # PhaseState is built positionally: dataclasses.replace or keyword
+    # arguments cost about twice as much, and this runs once per tick.
     if heel_strike:
         buffer = state.stride_buffer
         if state.last_hs_time is not None:
             duration = now - state.last_hs_time
             if duration > 0:
                 buffer = (buffer + (duration,))[-state.buffer_size :]
-        new = replace(
-            state, last_hs_time=now, stride_buffer=buffer, last_time=now
+        new = PhaseState(
+            now, buffer, state.buffer_size, state.default_stride, now
         )
         return new, 0.0
-    new = replace(state, last_time=now)
+    new = PhaseState(
+        state.last_hs_time,
+        state.stride_buffer,
+        state.buffer_size,
+        state.default_stride,
+        now,
+    )
     if state.last_hs_time is None:
         return new, 0.0
     gc = 100.0 * (now - state.last_hs_time) / state.expected_stride

@@ -5,13 +5,13 @@ random intercept b_j per trial, fitted by REML. For a fixed variance ratio
 lam = sigma_b^2 / sigma_e^2 the per-trial covariance is compound symmetric,
 so everything reduces to per-trial sums via the Sherman-Morrison identity
 (I + lam*J)^-1 = I - lam/(1 + n*lam) * J, and REML becomes a 1-D search
-over log lam. `lme_oracle` re-derives the same criterion from dense
-matrices (explicit H, log-determinants, linear solves) so tests can check
-the closed-form path against an independent route.
+over log lam. The tests re-derive the same criterion from dense matrices
+(explicit H, log-determinants, linear solves) to check the closed-form
+path against an independent route.
 
 The REML criterion here drops additive constants that do not depend on
-lam; the oracle drops the identical constants, so criterion values are
-directly comparable between the two.
+lam; the tests' dense oracle drops the identical constants, so criterion
+values are directly comparable between the two.
 """
 
 from __future__ import annotations
@@ -215,84 +215,6 @@ def fit_lme(observations: list[StrideObservation]) -> LmeFit:
     if crit0 >= best_crit:
         lam = 0.0
     return _fit_from(trials, lam, converged=True)
-
-
-def lme_oracle(
-    observations: list[StrideObservation], lambda_grid
-) -> LmeFit:
-    """Exhaustive REML grid evaluation with dense linear algebra.
-
-    Every quantity is recomputed from the explicit n-by-n covariance
-    (log-determinants via slogdet, GLS via dense solves), sharing no code
-    with the closed-form path. Returns the fit at the best grid point.
-    Intended for tests.
-    """
-    grid = [float(g) for g in lambda_grid]
-    if not grid or any(not math.isfinite(g) or g < 0 for g in grid):
-        raise ValueError("lambda_grid must be finite and nonnegative")
-    if 0.0 not in grid:
-        raise ValueError("lambda_grid must include 0")
-    if not observations:
-        raise SingularDesign("no observations")
-    trial_ids: list[str] = []
-    cond_of: dict[str, int] = {}
-    for obs in observations:
-        if obs.trial_id not in cond_of:
-            trial_ids.append(obs.trial_id)
-            cond_of[obs.trial_id] = obs.condition
-        elif cond_of[obs.trial_id] != obs.condition:
-            raise ValueError(
-                f"trial {obs.trial_id!r} appears under both conditions"
-            )
-    if {c for c in cond_of.values()} != {0, 1}:
-        raise SingularDesign("a condition has no trials")
-
-    y = np.array([o.value for o in observations])
-    x = np.column_stack(
-        [np.ones(len(observations)),
-         np.array([float(o.condition) for o in observations])]
-    )
-    z = np.zeros((len(observations), len(trial_ids)))
-    index = {t: j for j, t in enumerate(trial_ids)}
-    for i, obs in enumerate(observations):
-        z[i, index[obs.trial_id]] = 1.0
-    n = y.size
-
-    best = None
-    for lam in grid:
-        h = np.eye(n) + lam * (z @ z.T)
-        sign, logdet_h = np.linalg.slogdet(h)
-        hi_x = np.linalg.solve(h, x)
-        hi_y = np.linalg.solve(h, y)
-        xtx = x.T @ hi_x
-        beta = np.linalg.solve(xtx, x.T @ hi_y)
-        r = y - x @ beta
-        r_h_r = float(r @ np.linalg.solve(h, r))
-        sign_a, logdet_a = np.linalg.slogdet(xtx)
-        if sign <= 0 or sign_a <= 0:
-            raise SingularDesign("covariance not positive definite on grid")
-        if r_h_r <= 1e-14 * max(float(y @ y), 1.0):
-            crit = math.inf
-        else:
-            crit = -0.5 * (logdet_h + logdet_a + (n - 2) * math.log(r_h_r))
-        if best is None or crit > best[0]:
-            inv11 = float(np.linalg.inv(xtx)[1, 1])
-            sigma_e2 = max(r_h_r, 0.0) / (n - 2)
-            best = (crit, lam, float(beta[0]), float(beta[1]), sigma_e2, inv11)
-
-    crit, lam, beta0, beta1, sigma_e2, inv11 = best
-    se = math.sqrt(sigma_e2 * inv11)
-    p = wald_p(beta1, se) if se > 0 else (1.0 if beta1 == 0 else 0.0)
-    return LmeFit(
-        beta0=beta0,
-        beta1=beta1,
-        sigma_b2=lam * sigma_e2,
-        sigma_e2=sigma_e2,
-        se_beta1=se,
-        p_wald=p,
-        converged=True,
-        log_reml=crit,
-    )
 
 
 def trial_means(

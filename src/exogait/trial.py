@@ -182,12 +182,3 @@ class Trial:
                 return ch
         raise KeyError(f"no analog channel {label!r} in trial")
 
-
-def extract_events(trial: Trial) -> list[GaitEvent]:
-    """Events of a trial, sorted ascending by time.
-
-    Side and kind are already mapped from the source file's context/label
-    strings at parse time (the mapping table lives with the readers); this
-    accessor just guarantees ordering regardless of stored order.
-    """
-    return sorted(trial.events)

@@ -30,7 +30,6 @@ from exogait.simulate import DEFAULT_GAINS, PlantParams, run_simulation
 from exogait.stats import (
     StrideObservation,
     fit_lme,
-    lme_oracle,
     tost_welch,
     trial_means,
 )
@@ -42,6 +41,7 @@ from exogait.trial import (
     Side,
     Trial,
 )
+from stats_oracle import lme_oracle
 
 
 @contextmanager

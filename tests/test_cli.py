@@ -133,6 +133,16 @@ def _check_launcher(command, **kwargs):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+def _child_env():
+    """Environment for a child interpreter that imports the same exogait
+    package as this test process."""
+    package_root = str(Path(exogait.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_installed(tmp_path):
     """The `exogait` target declared in pyproject.toml, run the way pip's
     generated launcher runs it, in a child interpreter that imports the same
@@ -144,12 +154,16 @@ def test_console_script_installed(tmp_path):
     module, _, attr = target.partition(":")
     launcher = (f"import sys; from {module} import {attr}; "
                 f"sys.exit({attr}())")
+    _check_launcher([sys.executable, "-c", launcher], env=_child_env(),
+                    cwd=tmp_path)
 
-    package_root = str(Path(exogait.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
-    _check_launcher([sys.executable, "-c", launcher], env=env, cwd=tmp_path)
+
+@pytest.mark.parametrize("module", ["exogait", "exogait.cli"])
+def test_python_m_entry_points(tmp_path, module):
+    """`python -m exogait` and `python -m exogait.cli` run the command line
+    (stdout, exit code and a single stderr line, so no runpy warning)."""
+    _check_launcher([sys.executable, "-m", module], env=_child_env(),
+                    cwd=tmp_path)
 
 
 @pytest.mark.skipif(shutil.which("exogait") is None,

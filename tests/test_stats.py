@@ -16,11 +16,11 @@ from exogait.errors import SingularDesign
 from exogait.stats import (
     StrideObservation,
     fit_lme,
-    lme_oracle,
     tost_welch,
     trial_means,
     wald_p,
 )
+from stats_oracle import lme_oracle
 
 
 def _obs(values_by_trial):
