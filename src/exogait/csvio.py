@@ -76,8 +76,10 @@ def _parse_columns(data_rows, width, marker_cols, analog_cols):
             return _convert(columns, marker_cols, analog_cols)
         except ValueError:
             pass
-        # float() accepts what strip() would remove except the separators
-        # \x1c-\x1f, and a whitespace-only triple is a gap once stripped.
+        # The raw pass is exact whenever it succeeds, but it can fail where a
+        # stripped read succeeds: float() keeps the separators \x1c-\x1f
+        # that str.strip() removes, and a whitespace-only triple is a gap
+        # only once stripped.
         try:
             return _convert(
                 [list(map(str.strip, col)) for col in columns],
@@ -88,7 +90,9 @@ def _parse_columns(data_rows, width, marker_cols, analog_cols):
             pass
     for r, row in enumerate(data_rows, start=2):
         if len(row) != width:
-            raise RaggedRows(f"row {r} has {len(row)} cells, header has {width}")
+            raise RaggedRows(
+                f"row {r} has {len(row)} cells, header has {width}"
+            )
         _cell_float(row[0].strip(), r, "time")
         for lab, c in marker_cols:
             cells = [row[c].strip(), row[c + 1].strip(), row[c + 2].strip()]
