@@ -150,7 +150,10 @@ def test_events_bad_header():
 
 # --- column reader against the per-cell oracle --------------------------------
 
-_PAD = st.sampled_from(["", "", "", " ", "\t", "  ", "\u00a0", "\u2003"])
+# str.strip() removes all of these; float() ignores all but \x1f.
+_PAD = st.sampled_from(
+    ["", "", "", " ", "\t", "  ", "\u00a0", "\u2003", "\x1f"]
+)
 _BLANK = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0 "])
 _NUMBER = st.one_of(
     st.floats(width=64).map(repr),
