@@ -1,18 +1,28 @@
 """End-to-end command-line tests: every subcommand, exit codes, config
 merging, and byte-identical reruns."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exogait
+from compare_oracle import oracle_cmd_compare
+from exogait import cli
 from exogait.cli import STRIDE_COLUMNS, ComplexityInputs, complexity_index, run
 
 
@@ -400,6 +410,140 @@ def test_compare_missing_columns(tmp_path, capsys):
     code = run(["compare", str(a), "--features", "rom"])
     assert code == 2
     _error_line(capsys)
+
+
+_TRIAL_CONDITION = {"t1": "NoExo", "t2": "NoExo", "t3": "NoExo",
+                    "t4": "ExoOff", "t5": "ExoOff", "t6": "ExoOff"}
+
+
+@st.composite
+def _feature_cell(draw, dirty):
+    kinds = ["num"] * 12 + ["big", "empty", "space", "padded", "spelled"]
+    if dirty:
+        kinds += ["bad", "odd"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "num":
+        return repr(draw(st.floats(-60.0, 60.0, allow_subnormal=False)))
+    if kind == "big":
+        return repr(draw(st.sampled_from([1e200, -1e200, 1e308, 1e-300])))
+    if kind == "empty":
+        return ""
+    if kind == "space":
+        return draw(st.sampled_from([" ", "\t", "  \x1f"]))
+    if kind == "padded":
+        return f" \x1c{draw(st.integers(-20, 20))}.5\n"
+    if kind == "spelled":
+        return draw(st.sampled_from(["1_000", "-0.0", "\u0661\u0662"]))
+    if kind == "bad":
+        return draw(st.sampled_from(["abc", "1.2.3", "--", "1,5"]))
+    return draw(st.sampled_from(["inf", "-inf", "nan"]))
+
+
+@st.composite
+def _strides_file(draw):
+    """One strides CSV as text: shuffled, repeated or missing columns, short
+    and long rows, blank lines, unknown labels and unparseable cells."""
+    header = draw(st.permutations(
+        ["trial_id", "condition", "rom", "cycle_duration", "side"]))
+    header = list(header)
+    if draw(st.integers(0, 3)) == 1:
+        header.remove(draw(st.sampled_from(["rom", "cycle_duration"])))
+    for _ in range(draw(st.integers(0, 2))):
+        header.insert(draw(st.integers(0, len(header))),
+                      draw(st.sampled_from(header)))
+    if draw(st.integers(0, 39)) == 20:
+        header.remove(draw(st.sampled_from(["trial_id", "condition"])))
+    lines = [header]
+    trials = draw(st.lists(st.sampled_from(sorted(_TRIAL_CONDITION)),
+                           min_size=3, max_size=6, unique=True))
+    dirty = draw(st.integers(0, 3)) == 2
+    n_rows = draw(st.integers(0, 40))
+    flipped = draw(st.integers(0, 9 * n_rows))  # a trial's condition flips
+    for r in range(n_rows):
+        trial_id = draw(st.sampled_from(trials))
+        condition = _TRIAL_CONDITION[trial_id]
+        if r == flipped:
+            condition = "ExoOff" if condition == "NoExo" else "NoExo"
+        elif draw(st.integers(0, 29)) == 15:
+            condition = draw(st.sampled_from(["Other", "", " NoExo"]))
+        row = []
+        for name in header:
+            if name == "trial_id":
+                row.append(trial_id)
+            elif name == "condition":
+                row.append(condition)
+            elif name == "side":
+                row.append(draw(st.sampled_from(["left", "right"])))
+            else:
+                row.append(draw(_feature_cell(dirty)))
+        cut = draw(st.integers(0, 24))
+        if cut == 12:
+            row = row[: draw(st.integers(0, len(row)))]
+        elif cut == 13:
+            row += ["9.5"] * draw(st.integers(1, 2))
+        lines.append(row)
+        if draw(st.integers(0, 9)) == 5:
+            lines.append([])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in lines:
+        if row:
+            writer.writerow(row)
+        else:
+            out.write("\n")
+    return out.getvalue()
+
+
+def _run_captured(argv):
+    """Exit code, stdout, stderr and warnings of one cli.run call. An
+    exception that escapes run() stands in for the exit code, so a defect
+    the two paths share (two strides in all make the fit divide by zero)
+    still compares equal."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = run(argv)
+        except ZeroDivisionError as exc:
+            code = repr(exc)
+    return code, out.getvalue(), err.getvalue(), \
+        [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    files=st.lists(_strides_file(), min_size=1, max_size=3),
+    features=st.lists(
+        st.sampled_from(["rom"] * 5 + ["cycle_duration"] * 4
+                        + ["condition", "wobble"]),
+        min_size=1, max_size=3),
+    bound=st.sampled_from([None, None, "1.5"]),
+    labels=st.sampled_from([(), (), ("--baseline", "ExoOff",
+                                     "--treatment", "NoExo"),
+                            ("--treatment", "Other")]),
+    to_stdout=st.booleans(),
+)
+def test_compare_matches_oracle(files, features, bound, labels, to_stdout):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, text in enumerate(files):
+            path = Path(tmp) / f"strides{k}.csv"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        argv = ["compare", *paths, "--features", ",".join(features), *labels]
+        if bound is not None:
+            argv += ["--bound", bound]
+        results = []
+        for name, command in (("cli", cli._cmd_compare),
+                              ("oracle", oracle_cmd_compare)):
+            out = Path(tmp) / f"{name}.json"
+            extra = [] if to_stdout else ["--out", str(out)]
+            with mock.patch.dict(cli._DISPATCH, {"compare": command}):
+                result = _run_captured(argv + extra)
+            written = out.read_bytes() if out.exists() else None
+            results.append((result, written))
+    assert results[0] == results[1]
 
 
 # --- simulate --------------------------------------------------------------------
