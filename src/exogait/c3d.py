@@ -14,6 +14,7 @@ ends the section.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -135,6 +136,12 @@ class _Param:
             raise MalformedHeader(f"parameter {self.name} is not a 16-bit int")
         return np.frombuffer(self.data, dtype="<u2").astype(int)
 
+    def scalar_uint16(self) -> int:
+        vals = self.uint16s()
+        if vals.size < 1:
+            raise MalformedHeader(f"parameter {self.name} is empty")
+        return int(vals[0])
+
     def scalar_float(self) -> float:
         vals = self.floats()
         if vals.size < 1:
@@ -248,10 +255,12 @@ def _read_events(params) -> list[GaitEvent]:
     times = times_p.floats()
     if len(contexts) < used or len(labels) < used or times.size < 2 * used:
         raise MalformedHeader("EVENT:USED exceeds the stored event arrays")
-    pairs = times.reshape(-1, 2)  # row j = (minutes, seconds) of event j
+    pairs = times[: 2 * used].reshape(used, 2)  # (minutes, seconds) of event j
     events = []
     for j in range(used):
         t = 60.0 * float(pairs[j, 0]) + float(pairs[j, 1])
+        if not t >= 0:
+            raise MalformedHeader(f"event {j + 1} has time {t!r}, not >= 0")
         events.append(map_event(contexts[j], labels[j], t))
     return sorted(events)
 
@@ -297,11 +306,13 @@ def read_c3d(data: bytes) -> Trial:
     params = _parse_params(data, param_start, n_param_blocks)
 
     used_p = _get(params, "POINT", "USED")
-    n_points = int(used_p.uint16s()[0]) if used_p else hdr_points
+    n_points = used_p.scalar_uint16() if used_p else hdr_points
     rate_p = _get(params, "POINT", "RATE")
     point_rate = rate_p.scalar_float() if rate_p else float(hdr_rate)
-    if not point_rate > 0:
-        raise MalformedHeader(f"point rate {point_rate} is not positive")
+    if not 0 < point_rate < math.inf:
+        raise MalformedHeader(
+            f"point rate {point_rate} is not positive and finite"
+        )
     if last_frame < first_frame:
         raise MalformedHeader(
             f"frame range {first_frame}..{last_frame} is empty"
@@ -314,14 +325,14 @@ def read_c3d(data: bytes) -> Trial:
     float_storage = scale < 0 or n_points == 0
 
     ds_p = _get(params, "POINT", "DATA_START")
-    data_block = int(ds_p.uint16s()[0]) if ds_p else hdr_data_block
+    data_block = ds_p.scalar_uint16() if ds_p else hdr_data_block
     if data_block < 1:
         raise MalformedHeader("data section pointer is zero")
 
     used_a = _get(params, "ANALOG", "USED")
     arate_p = _get(params, "ANALOG", "RATE")
     if used_a is not None:
-        n_channels = int(used_a.uint16s()[0])
+        n_channels = used_a.scalar_uint16()
     elif hdr_spf > 0:
         n_channels = hdr_analog_per_frame // hdr_spf
     else:
@@ -332,7 +343,8 @@ def read_c3d(data: bytes) -> Trial:
         analog_rate = point_rate * hdr_spf
     else:
         analog_rate = point_rate
-    spf = round(analog_rate / point_rate) if n_channels else 0
+    ratio = analog_rate / point_rate
+    spf = round(ratio) if n_channels and math.isfinite(ratio) else 0
     if n_channels and (spf < 1 or abs(analog_rate - spf * point_rate) > 1e-6):
         raise MalformedHeader(
             f"analog rate {analog_rate} is not an integer multiple of the "

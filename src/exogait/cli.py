@@ -23,6 +23,8 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,7 @@ from .errors import (
     EmptyResult,
     ExogaitError,
     InvalidProfile,
+    MalformedCsv,
     MissingFootOff,
     NonNumericCell,
     BadHeaderRow,
@@ -61,13 +64,15 @@ from .simulate import (
     PlantParams,
     run_simulation,
 )
-from .stats import StatConfig, StrideObservation, fit_lme, tost_welch, trial_means
+from .stats import StatConfig, compare_trials, tost_welch
 from .trial import EventKind, Side, Trial
 
 SCHEMA_VERSION = 1
 
 # Ticks converted to Python numbers at a time when writing a --trace CSV.
 _TRACE_CHUNK = 512
+# Strides CSV rows tokenized at a time by compare.
+_ROW_CHUNK = 4096
 
 STRIDE_COLUMNS = [
     "trial_id",
@@ -124,33 +129,6 @@ def complexity_index(inputs: ComplexityInputs) -> float:
         raise AllWeightsZero("all four complexity weights are zero")
     counts = (inputs.limbs, inputs.dof, inputs.sensors, inputs.actuators)
     return float(sum(w * c for w, c in zip(weights, counts)))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one CLI invocation."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    events_path: str | None = None
-    baseline: str = "NoExo"
-    treatment: str = "ExoOff"
-    stat: StatConfig = StatConfig()
-    smoothing: SmoothingSpec | None = SmoothingSpec()
-    gap_fill: GapFillSpec = GapFillSpec()
-    profile: TorqueProfile = DEFAULT_PROFILE
-    gains: PidGains = DEFAULT_GAINS
-    plant: PlantParams = PlantParams()
-    conversion: TensionConversion = TensionConversion()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.command not in (
-            "inspect", "analyze", "compare", "simulate", "complexity"
-        ):
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.baseline == self.treatment:
-            raise ValueError("condition labels must be distinct")
 
 
 def _as_str(name, value) -> str:
@@ -424,10 +402,8 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def _cmd_inspect(values: dict) -> int:
-    cfg = RunConfig(command="inspect", inputs=(values["input"],),
-                    events_path=values["events"])
-    trial, events = _load_trial(cfg.inputs[0], cfg.events_path)
-    print(f"file: {cfg.inputs[0]}")
+    trial, events = _load_trial(values["input"], values["events"])
+    print(f"file: {values['input']}")
     print(
         f"frames: {trial.first_frame}..{trial.last_frame} "
         f"({trial.n_frames} at {_fmt(trial.point_rate)} Hz, "
@@ -480,35 +456,28 @@ def _cmd_analyze(values: dict) -> int:
         raise _UsageError("--target-mse must be >= 0")
     if values["max_gap"] < 1:
         raise _UsageError("--max-gap must be >= 1")
-    cfg = RunConfig(
-        command="analyze",
-        inputs=(values["input"],),
-        events_path=values["events"],
-        gap_fill=GapFillSpec(max_gap=values["max_gap"]),
-        smoothing=(
-            SmoothingSpec(target_mse=values["target_mse"])
-            if values["target_mse"] > 0 else None
-        ),
-    )
-    trial, events = _load_trial(cfg.inputs[0], cfg.events_path)
+    gap_fill = GapFillSpec(max_gap=values["max_gap"])
+    trial, events = _load_trial(values["input"], values["events"])
     if not events:
         raise EmptyResult("trial has no gait events; nothing to segment")
     trial_id = values["trial_id"]
     if trial_id is None:
-        trial_id = Path(cfg.inputs[0]).stem
+        trial_id = Path(values["input"]).stem
 
     samples, rate, validity = _resolve_series(
-        trial, values["signal"], cfg.gap_fill
+        trial, values["signal"], gap_fill
     )
     origin = (trial.first_frame - 1) / trial.point_rate
-    if cfg.smoothing is not None:
-        samples, achieved, met = smooth_to_mse(samples, rate, cfg.smoothing)
+    if values["target_mse"] > 0:
+        samples, achieved, met = smooth_to_mse(
+            samples, rate, SmoothingSpec(target_mse=values["target_mse"])
+        )
         state = "met" if met else "not met"
         print(f"smoothing: residual MSE {_fmt(achieved)} (target {state})")
     moment = None
     if values["moment"] is not None:
         m_samples, m_rate, m_valid = _resolve_series(
-            trial, values["moment"], cfg.gap_fill
+            trial, values["moment"], gap_fill
         )
         moment = (m_samples, m_rate, m_valid)
 
@@ -599,19 +568,71 @@ def _cmd_analyze(values: dict) -> int:
     return 0
 
 
-def _read_strides_csv(paths) -> list[dict]:
-    rows: list[dict] = []
+def _read_strides_csv(paths, names) -> dict[str, list]:
+    """The named columns of every strides CSV, in file order.
+
+    Rows read as csv.DictReader reads them: blank lines are skipped, a
+    repeated header name reads its last column, and a cell past the end of
+    a short row, or in a column the file lacks, is None. Rows are read
+    _ROW_CHUNK at a time, so only the named columns are held whole.
+    """
+    columns: dict[str, list] = {name: [] for name in names}
     for path in paths:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or \
-                    "trial_id" not in reader.fieldnames or \
-                    "condition" not in reader.fieldnames:
-                raise BadHeaderRow(
-                    f"{path}: strides CSV needs trial_id and condition columns"
-                )
-            rows.extend(reader)
-    return rows
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+                if header is None or "trial_id" not in header or \
+                        "condition" not in header:
+                    raise BadHeaderRow(
+                        f"{path}: strides CSV needs trial_id and condition "
+                        "columns"
+                    )
+                where = {name: j for j, name in enumerate(header)}
+                while chunk := list(islice(reader, _ROW_CHUNK)):
+                    _extend_columns(
+                        columns, where, [row for row in chunk if row]
+                    )
+            except csv.Error as exc:
+                raise MalformedCsv(
+                    f"{path}: line {reader.line_num}: {exc}"
+                ) from None
+    return columns
+
+
+def _extend_columns(columns, where, rows) -> None:
+    width = min(map(len, rows), default=0)
+    for name, column in columns.items():
+        j = where.get(name)
+        if j is None:
+            column.extend([None] * len(rows))
+        elif j < width:
+            column.extend(map(itemgetter(j), rows))
+        else:
+            column.extend([row[j] if j < len(row) else None for row in rows])
+
+
+def _feature_values(feature: str, cells: list):
+    """(values, keep): the cells that are not empty once stripped, as
+    floats, and a mask of which cells they are."""
+    if None in cells:
+        cells = [cell or "" for cell in cells]
+    stripped = list(map(str.strip, cells))
+    keep = list(map(bool, stripped))
+    kept = list(compress(stripped, keep))
+    try:
+        values = np.fromiter(map(float, kept), float, len(kept))
+        return values, np.array(keep, dtype=bool)
+    except ValueError:
+        pass
+    for cell in kept:
+        try:
+            float(cell)
+        except ValueError:
+            raise NonNumericCell(
+                f"feature {feature!r}: cannot parse {cell!r}"
+            ) from None
+    raise AssertionError("float() failed on the column but on no cell")
 
 
 def _cmd_compare(values: dict) -> int:
@@ -620,19 +641,26 @@ def _cmd_compare(values: dict) -> int:
         angle_bound=values["angle_bound"],
         duration_bound=values["duration_bound"],
     )
-    cfg = RunConfig(
-        command="compare",
-        inputs=tuple(values["inputs"]),
-        baseline=values["baseline"],
-        treatment=values["treatment"],
-        stat=stat,
+    baseline, treatment = values["baseline"], values["treatment"]
+    if baseline == treatment:
+        raise ValueError("condition labels must be distinct")
+    columns = _read_strides_csv(
+        values["inputs"], ("trial_id", "condition", *values["features"])
     )
-    rows = _read_strides_csv(cfg.inputs)
-    cond_code = {cfg.baseline: 0, cfg.treatment: 1}
+    coded = list(map({baseline: 0, treatment: 1}.get, columns["condition"]))
+    labelled = [code is not None for code in coded]
+    conditions = np.array(list(compress(coded, labelled)), dtype=np.intp)
+    trial_ids = list(compress(columns["trial_id"], labelled))
+    if None in trial_ids:  # str() of a missing cell, as DictReader gave it
+        trial_ids = ["None" if t is None else t for t in trial_ids]
+    trial_names = list(dict.fromkeys(trial_ids))
+    index = {name: code for code, name in enumerate(trial_names)}
+    trial_codes = np.fromiter(map(index.__getitem__, trial_ids), np.intp,
+                              len(trial_ids))
     report = {
         "schema_version": SCHEMA_VERSION,
-        "baseline": cfg.baseline,
-        "treatment": cfg.treatment,
+        "baseline": baseline,
+        "treatment": treatment,
         "alpha": stat.alpha,
         "features": [],
     }
@@ -647,34 +675,19 @@ def _cmd_compare(values: dict) -> int:
             raise _UsageError(
                 f"feature {feature!r} has no default bound; pass --bound"
             )
-        observations = []
-        for row in rows:
-            condition = row.get("condition")
-            if condition not in cond_code:
-                continue
-            cell = (row.get(feature) or "").strip()
-            if cell == "":
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericCell(
-                    f"feature {feature!r}: cannot parse {cell!r}"
-                ) from None
-            observations.append(StrideObservation(
-                value=value,
-                condition=cond_code[condition],
-                trial_id=str(row["trial_id"]),
-            ))
-        fit = fit_lme(observations)
-        means_a, means_b = trial_means(observations)
+        strides, keep = _feature_values(
+            feature, list(compress(columns[feature], labelled))
+        )
+        kept_conditions = conditions[keep]
+        fit, means_a, means_b = compare_trials(
+            strides, kept_conditions, trial_codes[keep], trial_names
+        )
         tost = tost_welch(means_a, means_b, bound, alpha=stat.alpha)
-        n0 = sum(1 for o in observations if o.condition == 0)
+        n0 = int(np.count_nonzero(kept_conditions == 0))
         report["features"].append({
             "feature": feature,
             "bound": bound,
-            "n_strides": {"baseline": n0,
-                          "treatment": len(observations) - n0},
+            "n_strides": {"baseline": n0, "treatment": len(strides) - n0},
             "n_trials": {"baseline": len(means_a),
                          "treatment": len(means_b)},
             "lme": dataclasses.asdict(fit),
@@ -711,22 +724,14 @@ def _cmd_simulate(values: dict) -> int:
         raise _UsageError(str(exc)) from None
     if not 0 <= values["jitter"] < 1:
         raise _UsageError("--jitter must be in [0, 1)")
-    cfg = RunConfig(
-        command="simulate",
-        profile=profile,
-        gains=gains,
-        plant=plant,
-        conversion=conversion,
-        seed=values["seed"],
-    )
     result = run_simulation(
-        cfg.profile,
-        cfg.conversion,
-        cfg.gains,
-        cfg.plant,
+        profile,
+        conversion,
+        gains,
+        plant,
         FsrConfig(),
         values["cycles"],
-        cfg.seed,
+        values["seed"],
         stride_jitter=values["jitter"],
         constant_reference=values["constant_reference"],
     )
@@ -759,7 +764,6 @@ def _cmd_simulate(values: dict) -> int:
 
 def _cmd_complexity(values: dict) -> int:
     _require(values, "limbs", "dof", "sensors", "actuators", "weights")
-    RunConfig(command="complexity")
     weights = values["weights"]
     try:
         inputs = ComplexityInputs(

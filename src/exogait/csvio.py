@@ -8,7 +8,8 @@ Marker columns come in x/y/z triples sharing a label; analog columns are
 single ``analog:<name>`` columns. An empty x,y,z triple marks a gap frame;
 analog cells must always be numeric. The time column fixes the sampling
 rate (first two rows) and the clock origin (first value, rounded to the
-frame grid with frame 1 at t = 0) and is otherwise nominal.
+frame grid with frame 1 at t = 0) and is otherwise nominal, but every time
+must be finite.
 
 Events travel in a separate sidecar CSV (CSV trials have nowhere to put
 them): header ``time,context,label``, one event per row, using the same
@@ -23,9 +24,18 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import BadHeaderRow, NonNumericCell, RaggedRows
+from .errors import BadHeaderRow, MalformedCsv, NonNumericCell, RaggedRows
 from .trial import AnalogChannel, GaitEvent, MarkerTrajectory, Trial
 from .c3d import map_event
+
+
+def _rows(text: str) -> list[list[str]]:
+    """The CSV rows of text that hold a non-empty cell."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return [r for r in reader if r and any(r)]
+    except csv.Error as exc:
+        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
 
 
 def _cell_float(cell: str, row_no: int, col: str) -> float:
@@ -106,7 +116,7 @@ def _parse_columns(data_rows, width, marker_cols, analog_cols):
 
 def read_csv_trial(text: str) -> Trial:
     """Parse the documented CSV trial grammar into a Trial."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(r)]
+    rows = _rows(text)
     if not rows:
         raise BadHeaderRow("empty input")
     header = [c.strip() for c in rows[0]]
@@ -152,6 +162,12 @@ def read_csv_trial(text: str) -> Trial:
         data_rows, len(header), marker_cols, analog_cols
     )
 
+    infinite = ~np.isfinite(times)
+    if infinite.any():
+        r = int(np.argmax(infinite))
+        raise NonNumericCell(
+            f"row {r + 2}, column time: {float(times[r])} is not finite"
+        )
     dt = times[1] - times[0]
     if not dt > 0:
         raise BadHeaderRow("time column must be strictly increasing")
@@ -183,7 +199,7 @@ def read_csv_trial(text: str) -> Trial:
 
 def read_events_csv(text: str) -> list[GaitEvent]:
     """Parse the events sidecar (``time,context,label``), sorted by time."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(r)]
+    rows = _rows(text)
     if not rows:
         raise BadHeaderRow("empty events file")
     header = [c.strip() for c in rows[0]]

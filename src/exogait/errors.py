@@ -35,6 +35,10 @@ class EmptyTrial(ExogaitError):
     """Trial contains neither point nor analog data."""
 
 
+class MalformedCsv(ExogaitError):
+    """CSV text the csv module cannot tokenize, such as an oversized field."""
+
+
 class BadHeaderRow(ExogaitError):
     """CSV header row does not match the documented column grammar."""
 

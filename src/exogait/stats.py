@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import stdtr
@@ -81,57 +83,81 @@ class StatConfig:
             raise ValueError("StatConfig fields must be positive")
 
 
-@dataclass
-class _TrialSummary:
-    condition: int
-    n: int = 0
-    s: float = 0.0  # sum of values
-    ss: float = 0.0  # sum of squares
+class _Trials(NamedTuple):
+    """Per-trial sums, trials in the order of their first stride."""
+
+    condition: list[int]
+    n: list[int]
+    s: list[float]  # sum of values
+    ss: list[float]  # sum of squares
+    values: np.ndarray  # every stride's value, trial by trial
 
 
-def _summarize(observations: list[StrideObservation]) -> list[_TrialSummary]:
-    by_trial: dict[str, _TrialSummary] = {}
-    for obs in observations:
-        t = by_trial.get(obs.trial_id)
-        if t is None:
-            t = by_trial[obs.trial_id] = _TrialSummary(condition=obs.condition)
-        elif t.condition != obs.condition:
-            raise ValueError(
-                f"trial {obs.trial_id!r} appears under both conditions"
-            )
-        t.n += 1
-        t.s += obs.value
-        t.ss += obs.value * obs.value
-    trials = list(by_trial.values())
-    have = {t.condition for t in trials}
-    if have != {0, 1}:
-        missing = ({0, 1} - have) or {0, 1}
-        raise SingularDesign(
-            f"condition(s) {sorted(missing)} have no trials; the fixed-effect "
-            "design is rank deficient"
-        )
-    return trials
+def _group(values, conditions, trial_codes, trial_names) -> _Trials:
+    """Group strides by trial: the one grouping behind every fit and mean.
+
+    Stride i has value values[i], condition conditions[i] and trial id
+    trial_names[trial_codes[i]]. np.bincount adds the weights one stride at
+    a time in stride order, so n, s and ss hold the bits of a running sum
+    over the strides; ``values`` keeps stride order within each trial.
+    """
+    _, first, index = np.unique(
+        trial_codes, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    trial = rank[index]  # each stride's trial, numbered by first stride
+    condition = conditions[first[order]]
+    mixed = conditions != condition[trial]
+    if mixed.any():
+        name = trial_names[trial_codes[int(np.argmax(mixed))]]
+        raise ValueError(f"trial {name!r} appears under both conditions")
+    # Python floats overflow to inf silently; keep numpy as quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = values * values
+    k = order.size
+    return _Trials(
+        condition=condition.tolist(),
+        n=np.bincount(trial, minlength=k).tolist(),
+        s=np.bincount(trial, weights=values, minlength=k).tolist(),
+        ss=np.bincount(trial, weights=squares, minlength=k).tolist(),
+        values=values[np.argsort(trial, kind="stable")],
+    )
 
 
-def _profiled_criterion(trials: list[_TrialSummary], lam: float):
+def _group_observations(observations: list[StrideObservation]) -> _Trials:
+    index: dict[str, int] = {}
+    codes = [index.setdefault(o.trial_id, len(index)) for o in observations]
+    return _group(
+        np.array([o.value for o in observations], dtype=float),
+        np.array([o.condition for o in observations], dtype=np.intp),
+        np.array(codes, dtype=np.intp),
+        list(index),
+    )
+
+
+def _profiled_criterion(trials: _Trials, lam: float):
     """REML criterion and GLS quantities at a fixed variance ratio.
 
     Returns (criterion, beta0, beta1, r_h_r, inv11) where inv11 is the
     (1,1) element of (X' H^-1 X)^-1, the unscaled variance of beta1.
     """
-    n = sum(t.n for t in trials)
+    n = sum(trials.n)
     a11 = a12 = b0 = b1 = 0.0
     y_h_y = 0.0
     logdet_h = 0.0
-    for t in trials:
-        w = 1.0 / (1.0 + t.n * lam)
-        a11 += t.n * w
-        b0 += t.s * w
-        if t.condition == 1:
-            a12 += t.n * w
-            b1 += t.s * w
-        y_h_y += t.ss - lam * w * t.s * t.s
-        logdet_h += math.log1p(t.n * lam)
+    for condition, n_t, s_t, ss_t in zip(
+        trials.condition, trials.n, trials.s, trials.ss
+    ):
+        w = 1.0 / (1.0 + n_t * lam)
+        a11 += n_t * w
+        b0 += s_t * w
+        if condition == 1:
+            a12 += n_t * w
+            b1 += s_t * w
+        y_h_y += ss_t - lam * w * s_t * s_t
+        logdet_h += math.log1p(n_t * lam)
     a22 = a12
     det = a11 * a22 - a12 * a12
     if det <= 0:
@@ -147,8 +173,8 @@ def _profiled_criterion(trials: list[_TrialSummary], lam: float):
     return crit, beta0, beta1, r_h_r, a11 / det
 
 
-def _fit_from(trials: list[_TrialSummary], lam: float, converged: bool) -> LmeFit:
-    n = sum(t.n for t in trials)
+def _fit_from(trials: _Trials, lam: float, converged: bool) -> LmeFit:
+    n = sum(trials.n)
     crit, beta0, beta1, r_h_r, inv11 = _profiled_criterion(trials, lam)
     sigma_e2 = r_h_r / (n - 2)
     sigma_b2 = lam * sigma_e2
@@ -170,17 +196,14 @@ def _fit_from(trials: list[_TrialSummary], lam: float, converged: bool) -> LmeFi
     )
 
 
-def fit_lme(observations: list[StrideObservation]) -> LmeFit:
-    """REML fit of the random-intercept model by profiling the ratio.
-
-    A golden-section search maximizes the profiled criterion over natural
-    log lam in [-12, 12]; the lam = 0 boundary (no between-trial variance)
-    is compared explicitly so the boundary optimum is exact rather than
-    approached asymptotically.
-    """
-    if not observations:
-        raise SingularDesign("no observations")
-    trials = _summarize(observations)
+def _fit(trials: _Trials) -> LmeFit:
+    have = set(trials.condition)
+    if have != {0, 1}:
+        missing = ({0, 1} - have) or {0, 1}
+        raise SingularDesign(
+            f"condition(s) {sorted(missing)} have no trials; the fixed-effect "
+            "design is rank deficient"
+        )
 
     def crit(log_lam: float) -> float:
         return _profiled_criterion(trials, math.exp(log_lam))[0]
@@ -217,6 +240,30 @@ def fit_lme(observations: list[StrideObservation]) -> LmeFit:
     return _fit_from(trials, lam, converged=True)
 
 
+def _trial_means(trials: _Trials) -> tuple[list[float], list[float]]:
+    ends = list(accumulate(trials.n))
+    means = [
+        float(np.mean(trials.values[end - n_t : end]))
+        for n_t, end in zip(trials.n, ends)
+    ]
+    means_a = [m for m, c in zip(means, trials.condition) if c == 0]
+    means_b = [m for m, c in zip(means, trials.condition) if c == 1]
+    return means_a, means_b
+
+
+def fit_lme(observations: list[StrideObservation]) -> LmeFit:
+    """REML fit of the random-intercept model by profiling the ratio.
+
+    A golden-section search maximizes the profiled criterion over natural
+    log lam in [-12, 12]; the lam = 0 boundary (no between-trial variance)
+    is compared explicitly so the boundary optimum is exact rather than
+    approached asymptotically.
+    """
+    if not observations:
+        raise SingularDesign("no observations")
+    return _fit(_group_observations(observations))
+
+
 def trial_means(
     observations: list[StrideObservation],
 ) -> tuple[list[float], list[float]]:
@@ -224,22 +271,26 @@ def trial_means(
 
     Trials keep their first-appearance order within each condition.
     """
-    order: list[str] = []
-    sums: dict[str, list[float]] = {}
-    cond: dict[str, int] = {}
-    for obs in observations:
-        if obs.trial_id not in sums:
-            order.append(obs.trial_id)
-            sums[obs.trial_id] = []
-            cond[obs.trial_id] = obs.condition
-        elif cond[obs.trial_id] != obs.condition:
-            raise ValueError(
-                f"trial {obs.trial_id!r} appears under both conditions"
-            )
-        sums[obs.trial_id].append(obs.value)
-    means_a = [float(np.mean(sums[t])) for t in order if cond[t] == 0]
-    means_b = [float(np.mean(sums[t])) for t in order if cond[t] == 1]
-    return means_a, means_b
+    return _trial_means(_group_observations(observations))
+
+
+def compare_trials(
+    values: np.ndarray,
+    conditions: np.ndarray,
+    trial_codes: np.ndarray,
+    trial_names: list[str],
+) -> tuple[LmeFit, list[float], list[float]]:
+    """fit_lme and trial_means over stride columns, grouping trials once.
+
+    Stride i has value values[i], condition conditions[i] (0 or 1) and
+    trial id trial_names[trial_codes[i]]. Returns (fit, means_a, means_b),
+    the results of fit_lme and trial_means on the same strides as
+    StrideObservations, and raises what fit_lme raises.
+    """
+    if len(values) == 0:
+        raise SingularDesign("no observations")
+    trials = _group(values, conditions, trial_codes, trial_names)
+    return (_fit(trials), *_trial_means(trials))
 
 
 def _degenerate_p(t_num: float) -> tuple[float, float]:

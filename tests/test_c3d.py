@@ -9,10 +9,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exogait.c3d import map_event, read_c3d, write_c3d
 from exogait.errors import (
     EmptyTrial,
+    ExogaitError,
     MalformedHeader,
     TooManyMarkers,
     TruncatedData,
@@ -282,3 +285,93 @@ def test_header_fields():
     assert (first, last) == (1, 50)
     assert data[0] == 2  # parameter section pointer
     assert data[1] == 0x50
+
+
+def _param_fields(data):
+    """{"GROUP:NAME": (ndims offset, payload offset, payload length)} for
+    every parameter record in a file write_c3d wrote."""
+    pos = 512 * (data[0] - 1) + 4
+    groups = {}
+    fields = {}
+    while True:
+        name_len, group_id = struct.unpack_from("<bb", data, pos)
+        if name_len == 0 or group_id == 0:
+            return fields
+        name = data[pos + 2 : pos + 2 + abs(name_len)].decode("latin-1")
+        after_name = pos + 2 + abs(name_len)
+        offset = struct.unpack_from("<h", data, after_name)[0]
+        if group_id < 0:
+            groups[-group_id] = name
+        else:
+            dtype, ndims = struct.unpack_from("<bB", data, after_name + 2)
+            payload = after_name + 4 + ndims
+            count = int(np.prod(list(data[after_name + 4 : payload])))
+            fields[f"{groups[group_id]}:{name}"] = (
+                after_name + 3, payload,
+                count * (1 if dtype == -1 else abs(dtype)))
+        if offset == 0:
+            return fields
+        pos = after_name + 2 + offset
+
+
+@pytest.mark.parametrize("name",
+                         ["POINT:USED", "POINT:DATA_START", "ANALOG:USED"])
+def test_empty_count_parameter_is_malformed(name):
+    data = bytearray(write_c3d(_random_trial(np.random.default_rng(37),
+                                             n_channels=1)))
+    ndims, _, _ = _param_fields(data)[name]
+    data[ndims] = 2  # dims [low byte, 0]: no elements
+    with pytest.raises(MalformedHeader, match="is empty"):
+        read_c3d(bytes(data))
+
+
+def test_negative_event_time_is_malformed():
+    data = bytearray(write_c3d(_random_trial(np.random.default_rng(41),
+                                             n_events=3)))
+    _, times, _ = _param_fields(data)["EVENT:TIMES"]
+    data[times + 4 : times + 8] = struct.pack("<f", -0.5)  # event 1 seconds
+    with pytest.raises(MalformedHeader, match="event 1 has time -0.5"):
+        read_c3d(bytes(data))
+
+
+@st.composite
+def _corrupted_c3d(draw):
+    """A small written trial, truncated, with bits flipped (mostly in the
+    header and parameter sections), with one parameter's shape or payload
+    replaced, or random bytes behind a valid magic byte."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = bytearray(write_c3d(_random_trial(
+        rng, n_frames=int(rng.integers(5, 20)), n_events=int(rng.integers(0, 4))
+    )))
+    mode = draw(st.sampled_from(
+        ["truncate", "flip", "shape", "payload", "random"]))
+    if mode == "truncate":
+        return bytes(data[: draw(st.integers(0, len(data) - 1))])
+    if mode == "random":
+        head = bytes([draw(st.integers(0, 3)), 0x50])
+        return head + draw(st.binary(min_size=0, max_size=3 * 512))
+    if mode in ("shape", "payload"):
+        ndims, start, size = draw(
+            st.sampled_from(list(_param_fields(data).values())))
+        if mode == "shape":
+            data[ndims] = draw(st.integers(0, 3))
+        else:
+            data[start : start + size] = draw(
+                st.binary(min_size=size, max_size=size))
+        return bytes(data)
+    params = 512 * (data[0] - 1)
+    regions = [(0, 512), (params, params + 512 * data[params + 2]),
+               (0, len(data))]
+    for _ in range(draw(st.integers(1, 4))):
+        lo, hi = draw(st.sampled_from(regions))
+        data[draw(st.integers(lo, hi - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=_corrupted_c3d())
+def test_corrupted_bytes_raise_only_toolkit_errors(data):
+    try:
+        read_c3d(data)
+    except ExogaitError:
+        pass

@@ -205,6 +205,24 @@ def test_inspect_missing_file(tmp_path, capsys):
     _error_line(capsys)
 
 
+@pytest.mark.parametrize("rows", [
+    "-inf,1\n0.0,2\n",
+    "0.0,1\n0.01," + "1" * (csv.field_size_limit() + 1) + "\n",
+], ids=["non_finite_time", "oversized_field"])
+def test_inspect_malformed_csv_prints_one_line(tmp_path, rows):
+    """A child process, so that a numpy warning or a traceback would show
+    on stderr."""
+    trial = tmp_path / "walk.csv"
+    trial.write_text("time,analog:a\n" + rows, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "exogait", "inspect", str(trial)],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("exogait: error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 # --- analyze ---------------------------------------------------------------------
 
 
@@ -412,8 +430,28 @@ def test_compare_missing_columns(tmp_path, capsys):
     _error_line(capsys)
 
 
-_TRIAL_CONDITION = {"t1": "NoExo", "t2": "NoExo", "t3": "NoExo",
-                    "t4": "ExoOff", "t5": "ExoOff", "t6": "ExoOff"}
+def test_compare_condition_labels_must_differ(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    _write_strides(a, [("t1", "X", 10.0), ("t2", "X", 10.1)])
+    code = run(["compare", str(a), "--baseline", "X", "--treatment", "X"])
+    assert code == 2
+    assert "condition labels must be distinct" in _error_line(capsys)
+
+
+def test_compare_oversized_field(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    big = "1" * (csv.field_size_limit() + 1)
+    a.write_text(f"trial_id,condition,rom\nt1,NoExo,{big}\n",
+                 encoding="utf-8")
+    code = run(["compare", str(a), "--features", "rom"])
+    assert code == 2
+    assert "line 2: field larger than field limit" in _error_line(capsys)
+
+
+# "None" is also the trial of a row too short to hold its trial_id.
+_TRIAL_CONDITION = {"t1": "NoExo", "t2": "NoExo", "t3": "NoExo", "": "NoExo",
+                    "t4": "ExoOff", "t5": "ExoOff", "t6": "ExoOff",
+                    "None": "ExoOff"}
 
 
 @st.composite
@@ -521,7 +559,7 @@ def _run_captured(argv):
     bound=st.sampled_from([None, None, "1.5"]),
     labels=st.sampled_from([(), (), ("--baseline", "ExoOff",
                                      "--treatment", "NoExo"),
-                            ("--treatment", "Other")]),
+                            ("--treatment", "Other"), ("--treatment", "")]),
     to_stdout=st.booleans(),
 )
 def test_compare_matches_oracle(files, features, bound, labels, to_stdout):

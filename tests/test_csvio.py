@@ -1,5 +1,7 @@
 """Tests for the CSV trial grammar and the events sidecar."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from exogait.c3d import read_c3d, write_c3d
 from exogait.csvio import read_csv_trial, read_events_csv
 from exogait.errors import (
     BadHeaderRow,
+    MalformedCsv,
     NonNumericCell,
     RaggedRows,
     UnknownEventLabel,
@@ -146,6 +149,27 @@ def test_events_bad_header():
         read_events_csv("time,context,label\n0.0,Left,Jump\n")
     with pytest.raises(NonNumericCell):
         read_events_csv("time,context,label\nx,Left,Foot Strike\n")
+
+
+@pytest.mark.parametrize("reader, header", [
+    (read_csv_trial, "time,analog:a"),
+    (read_events_csv, "time,context,label"),
+])
+def test_oversized_field_is_malformed_csv(reader, header):
+    big = "1" * (csv.field_size_limit() + 1)
+    with pytest.raises(MalformedCsv,
+                       match="line 3: field larger than field limit"):
+        reader(f"{header}\n0.0,1\n0.01,{big}\n")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("-inf,1\n0.0,2\n", "row 2, column time: -inf is not finite"),
+    ("0.0,1\ninf,2\n", "row 3, column time: inf is not finite"),
+    ("0.0,1\n0.01,2\n\nnan,3\n", "row 4, column time: nan is not finite"),
+])
+def test_non_finite_time_rejected(rows, message):
+    with pytest.raises(NonNumericCell, match=message):
+        read_csv_trial("time,analog:a\n" + rows)
 
 
 # --- column reader against the per-cell oracle --------------------------------
