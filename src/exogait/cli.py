@@ -612,7 +612,9 @@ def _extend_columns(columns, where, rows) -> None:
             column.extend([row[j] if j < len(row) else None for row in rows])
 
 
-def _feature_values(feature: str, cells: list):
+def _feature_values(
+    feature: str, cells: list
+) -> tuple[np.ndarray, np.ndarray]:
     """(values, keep): the cells that are not empty once stripped, as
     floats, and a mask of which cells they are."""
     if None in cells:
@@ -622,17 +624,16 @@ def _feature_values(feature: str, cells: list):
     kept = list(compress(stripped, keep))
     try:
         values = np.fromiter(map(float, kept), float, len(kept))
-        return values, np.array(keep, dtype=bool)
     except ValueError:
-        pass
-    for cell in kept:
-        try:
-            float(cell)
-        except ValueError:
-            raise NonNumericCell(
-                f"feature {feature!r}: cannot parse {cell!r}"
-            ) from None
-    raise AssertionError("float() failed on the column but on no cell")
+        for cell in kept:
+            try:
+                float(cell)
+            except ValueError:
+                raise NonNumericCell(
+                    f"feature {feature!r}: cannot parse {cell!r}"
+                ) from None
+        raise
+    return values, np.array(keep, dtype=bool)
 
 
 def _cmd_compare(values: dict) -> int:

@@ -162,9 +162,9 @@ def read_csv_trial(text: str) -> Trial:
         data_rows, len(header), marker_cols, analog_cols
     )
 
-    infinite = ~np.isfinite(times)
-    if infinite.any():
-        r = int(np.argmax(infinite))
+    not_finite = ~np.isfinite(times)
+    if not_finite.any():
+        r = int(np.argmax(not_finite))
         raise NonNumericCell(
             f"row {r + 2}, column time: {float(times[r])} is not finite"
         )
