@@ -20,7 +20,6 @@ from .assist import (
     TensionConversion,
     TorqueProfile,
     reference_tension,
-    tension_to_torque,
     torque_at,
     torque_to_tension,
 )
@@ -51,7 +50,6 @@ from .preprocess import (
     GapFillSpec,
     SmoothingSpec,
     fill_gaps,
-    roughness,
     smooth_to_mse,
     smooth_with_lambda,
 )
@@ -59,14 +57,9 @@ from .simulate import (
     DEFAULT_GAINS,
     CycleSummary,
     PidGains,
-    PidState,
     PlantParams,
-    PlantState,
     SimResult,
-    pid_step,
-    plant_step,
     run_simulation,
-    tracking_metrics,
 )
 from .stats import (
     LmeFit,
@@ -109,9 +102,7 @@ __all__ = [
     "NormalizedCycle",
     "PhaseState",
     "PidGains",
-    "PidState",
     "PlantParams",
-    "PlantState",
     "SimResult",
     "Side",
     "SmoothingSpec",
@@ -132,23 +123,18 @@ __all__ = [
     "fit_lme",
     "map_event",
     "normalize_cycle",
-    "pid_step",
-    "plant_step",
     "read_c3d",
     "read_csv_trial",
     "read_events_csv",
     "reference_tension",
-    "roughness",
     "run_simulation",
     "segment_strides",
     "smooth_to_mse",
     "smooth_with_lambda",
     "temporal_params",
-    "tension_to_torque",
     "torque_at",
     "torque_to_tension",
     "tost_welch",
-    "tracking_metrics",
     "trial_means",
     "update_phase",
     "wald_p",

@@ -44,23 +44,6 @@ class TorqueProfile:
                 f"peak_torque must be >= 0, got {self.peak_torque}"
             )
 
-    @classmethod
-    def from_durations(
-        cls, rise: float, peak_gc: float, fall: float, peak_torque: float
-    ) -> "TorqueProfile":
-        """Build from rise/fall durations around the peak timing.
-
-        Some controllers specify the trajectory as (rise time, peak time,
-        fall time); this converts to the absolute form used here:
-        onset = peak - rise, end = peak + fall.
-        """
-        return cls(
-            onset_gc=peak_gc - rise,
-            peak_gc=peak_gc,
-            end_gc=peak_gc + fall,
-            peak_torque=peak_torque,
-        )
-
 
 DEFAULT_PROFILE = TorqueProfile(
     onset_gc=23.2, peak_gc=50.4, end_gc=62.7, peak_torque=10.0
@@ -105,13 +88,6 @@ def torque_to_tension(torque: float, conv: TensionConversion) -> float:
     if torque < 0:
         raise ValueError(f"torque must be >= 0, got {torque}")
     return torque / conv.moment_arm
-
-
-def tension_to_torque(tension: float, conv: TensionConversion) -> float:
-    """Cable tension (N) to ankle torque (Nm)."""
-    if tension < 0:
-        raise ValueError(f"tension must be >= 0, got {tension}")
-    return tension * conv.moment_arm
 
 
 def reference_tension(

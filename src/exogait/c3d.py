@@ -370,16 +370,10 @@ def read_c3d(data: bytes) -> Trial:
     if n_points:
         labels = _read_chunked_strings(params, "POINT", "LABELS")
         pts = frames[:, : 4 * n_points].reshape(n_frames, n_points, 4)
-        if float_storage:
-            coords = pts[:, :, :3].astype(float)
-            w = pts[:, :, 3].astype(float)
-            valid = w >= 0
-            residuals = np.where(valid, w, -1.0)
-        else:
-            coords = pts[:, :, :3].astype(float) * abs(scale)
-            w = pts[:, :, 3].astype(np.int16)
-            valid = w >= 0
-            residuals = np.where(valid, (w & 0xFF) * abs(scale), -1.0)
+        coords = pts[:, :, :3].astype(float)
+        if not float_storage:
+            coords *= abs(scale)
+        valid = pts[:, :, 3] >= 0
         seen: set[str] = set()
         for i in range(n_points):
             label = labels[i] if i < len(labels) and labels[i] else f"P{i + 1}"
@@ -391,7 +385,6 @@ def read_c3d(data: bytes) -> Trial:
                     label=label,
                     coords=coords[:, i, :].copy(),
                     valid=valid[:, i].copy(),
-                    residuals=residuals[:, i].astype(float),
                 )
             )
 

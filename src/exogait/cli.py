@@ -322,6 +322,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once: parse_args leaves the parser unchanged, and building it costs
+# milliseconds on every run() call.
+_PARSER = _build_parser()
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge CLI flags over --config values over defaults."""
     table = _OPTION_TABLE[args.command]
@@ -795,7 +800,7 @@ _DISPATCH = {
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and execute; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"exogait: error: {exc}", file=sys.stderr)
         return 1

@@ -50,13 +50,10 @@ class SmoothingSpec:
 @dataclass(frozen=True)
 class GapFillSpec:
     max_gap: int = 10
-    method: str = "cubic-spline"
 
     def __post_init__(self) -> None:
         if self.max_gap < 1:
             raise ValueError(f"max_gap must be >= 1, got {self.max_gap}")
-        if self.method != "cubic-spline":
-            raise ValueError(f"unknown gap-fill method {self.method!r}")
 
 
 def fill_gaps(series: MarkerTrajectory, spec: GapFillSpec) -> MarkerTrajectory:
@@ -82,12 +79,7 @@ def fill_gaps(series: MarkerTrajectory, spec: GapFillSpec) -> MarkerTrajectory:
             idx = np.arange(a + 1, b)
             coords[idx, :] = spline(idx)
             valid[idx] = True
-    residuals = None
-    if series.residuals is not None:
-        residuals = series.residuals.copy()
-    return MarkerTrajectory(
-        label=series.label, coords=coords, valid=valid, residuals=residuals
-    )
+    return MarkerTrajectory(label=series.label, coords=coords, valid=valid)
 
 
 # Autocorrelation of the third-difference stencil [-1, 3, -3, 1]: the
@@ -138,16 +130,6 @@ def _quadratic_limit(y: np.ndarray) -> np.ndarray:
     v = np.column_stack([np.ones(n), t, t * t])
     coef, *_ = np.linalg.lstsq(v, y, rcond=None)
     return v @ coef
-
-
-def roughness(samples: np.ndarray, rate: float) -> float:
-    """The penalty value P(f) = h * sum((d3 f / h^3)^2)."""
-    y = np.asarray(samples, dtype=float)
-    if y.size < 4:
-        return 0.0
-    h = 1.0 / rate
-    d3 = np.diff(y, n=3)
-    return float(h**-5 * np.sum(d3 * d3))
 
 
 def _check_series(samples, rate, times) -> np.ndarray:

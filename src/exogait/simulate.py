@@ -16,6 +16,12 @@ dissipates. The load cell reads the distal tension plus Gaussian noise,
 clamped to its 0-500 N range. Integration is semi-implicit Euler with the
 commanded torque held over each substep.
 
+The controller adds feedforward to PID on the tension error. The integral
+term accumulates in command units, is clamped at +/-integrator_limit, and
+drops its increment while the output saturates in the direction of the
+error (anti-windup). The derivative acts on a low-pass-filtered error
+difference (time constant 10*dt).
+
 run_simulation drives a synthetic gait: each stride the anchor follows
 amplitude*sin(pi*u)^2 over the stride fraction u, a synthetic FSR is high
 for the first 15 % of the stride, heel strikes detected from that signal
@@ -27,12 +33,12 @@ taut in zero-torque mode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assist import TensionConversion, TorqueProfile, reference_tension
-from .errors import EmptyResult, NonFiniteState
+from .errors import NonFiniteState
 from .phase import FsrConfig, PhaseState, StrikeDetector, update_phase
 
 # Stand-in for stiction: below this cable speed the sheath exponent holds.
@@ -73,13 +79,6 @@ class PidGains:
 
 
 @dataclass(frozen=True)
-class PidState:
-    integral: float = 0.0  # integral contribution, command units
-    d_filt: float = 0.0  # filtered error derivative, N/s
-    prev_error: float | None = None
-
-
-@dataclass(frozen=True)
 class PlantParams:
     inertia: float = 0.02  # kg*m^2
     viscous_b: float = 0.01  # Nm*s
@@ -95,8 +94,8 @@ class PlantParams:
     pretension: float = 5.0  # N
 
     def __post_init__(self) -> None:
-        if self.sheath_mu < 0:
-            raise ValueError("sheath_mu must be nonnegative")
+        if not 0 <= self.sheath_mu < math.inf:
+            raise ValueError("sheath_mu must be nonnegative and finite")
         for name in (
             "inertia",
             "viscous_b",
@@ -108,26 +107,12 @@ class PlantParams:
             "control_rate",
             "pretension",
         ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.loadcell_noise_sd < 0:
-            raise ValueError("loadcell_noise_sd must be nonnegative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.loadcell_noise_sd < math.inf:
+            raise ValueError("loadcell_noise_sd must be nonnegative and finite")
         if self.loadcell_max != 500.0:
             raise ValueError("loadcell_max is fixed at 500 N by the sensor")
-
-
-@dataclass(frozen=True)
-class PlantState:
-    theta: float = 0.0  # rad
-    omega: float = 0.0  # rad/s
-    anchor_pos: float = 0.0  # m
-    tension_true: float = 0.0  # N, distal side
-    tension_measured: float = 0.0  # N
-    sheath_exponent: float = 0.0  # log of the capstan factor, friction memory
-
-    def __post_init__(self) -> None:
-        if self.tension_true < 0 or self.tension_measured < 0:
-            raise ValueError("cable tension cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -168,122 +153,6 @@ class SimResult:
 DEFAULT_GAINS = PidGains(kp=0.005, ki=2.0, kd=0.005, ff_gain=0.04)
 
 
-def pid_step(
-    gains: PidGains, ctrl_state: PidState, ref: float, meas: float, dt: float
-) -> tuple[PidState, float]:
-    """One controller update; returns (new state, torque command in Nm).
-
-    The integral term accumulates in command units and is clamped at
-    +/-integrator_limit; while the output saturates in the direction of the
-    current error the increment is discarded (anti-windup). The derivative
-    acts on a low-pass-filtered error difference (time constant 10*dt).
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    e = ref - meas
-    if ctrl_state.prev_error is None:
-        d_raw = 0.0
-    else:
-        d_raw = (e - ctrl_state.prev_error) / dt
-    d = ctrl_state.d_filt + _D_FILTER_ALPHA * (d_raw - ctrl_state.d_filt)
-    limit = gains.integrator_limit
-    integral = ctrl_state.integral + gains.ki * e * dt
-    integral = min(max(integral, -limit), limit)
-    base = gains.ff_gain * ref + gains.kp * e + gains.kd * d
-    u = base + integral
-    if (u > gains.output_max and e > 0) or (u < gains.output_min and e < 0):
-        integral = ctrl_state.integral
-        u = base + integral
-    command = min(max(u, gains.output_min), gains.output_max)
-    new = replace(ctrl_state, integral=integral, d_filt=d, prev_error=e)
-    return new, command
-
-
-def _motor_tension(params: PlantParams, stretch: float, stretch_rate: float) -> float:
-    if stretch <= 0:
-        return 0.0
-    return params.cable_stiffness * stretch + params.cable_damping * max(
-        0.0, stretch_rate
-    )
-
-
-def _sheath_exponent_step(
-    params: PlantParams,
-    exponent: float,
-    stretch_rate: float,
-    tension: float,
-    dt: float,
-) -> float:
-    # Presliding friction memory: inside the stiction deadband the exponent
-    # holds; while sliding it relaxes toward the branch for that direction
-    # over the elastic take-up of the wrapped arc, so the factor never jumps
-    # at a velocity reversal and equals each branch value in steady sliding.
-    if abs(stretch_rate) <= _VELOCITY_DEADBAND:
-        return exponent
-    arc_take_up = (
-        _WRAPPED_ARC_FRACTION
-        * max(tension, params.pretension)
-        / params.cable_stiffness
-    )
-    target = -math.copysign(params.sheath_mu * params.wrap_angle, stretch_rate)
-    decay = math.exp(-abs(stretch_rate) * dt / arc_take_up)
-    return target + (exponent - target) * decay
-
-
-def plant_step(
-    params: PlantParams,
-    state: PlantState,
-    command: float,
-    anchor_pos: float,
-    dt: float,
-    rng: np.random.Generator | None = None,
-) -> PlantState:
-    """Advance the plant by one substep under a held torque command.
-
-    anchor_pos is the prescribed heel-anchor displacement at the end of the
-    substep; its velocity is taken by finite difference from the previous
-    state. Passing an rng adds load-cell noise to the measurement; None
-    reads the true tension exactly.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt > 1.0 / params.control_rate + 1e-12:
-        raise ValueError("plant substep must not exceed the control period")
-    tau = min(max(command, -params.torque_max), params.torque_max)
-    s0 = params.pretension / params.cable_stiffness
-    anchor_vel = (anchor_pos - state.anchor_pos) / dt
-    stretch = params.pulley_radius * state.theta - state.anchor_pos + s0
-    stretch_rate = params.pulley_radius * state.omega - anchor_vel
-    t_motor = _motor_tension(params, stretch, stretch_rate)
-    omega = state.omega + dt / params.inertia * (
-        tau - params.viscous_b * state.omega - params.pulley_radius * t_motor
-    )
-    theta = state.theta + dt * omega
-    stretch_new = params.pulley_radius * theta - anchor_pos + s0
-    rate_new = params.pulley_radius * omega - anchor_vel
-    t_motor_new = _motor_tension(params, stretch_new, rate_new)
-    exponent = _sheath_exponent_step(
-        params, state.sheath_exponent, rate_new, t_motor_new, dt
-    )
-    t_distal = t_motor_new * math.exp(exponent)
-    if not (math.isfinite(theta) and math.isfinite(omega) and math.isfinite(t_distal)):
-        raise NonFiniteState(
-            f"plant state diverged: theta={theta}, omega={omega}, tension={t_distal}"
-        )
-    noise = 0.0
-    if rng is not None:
-        noise = float(rng.normal(0.0, params.loadcell_noise_sd))
-    measured = min(max(t_distal + noise, 0.0), params.loadcell_max)
-    return PlantState(
-        theta=theta,
-        omega=omega,
-        anchor_pos=anchor_pos,
-        tension_true=t_distal,
-        tension_measured=measured,
-        sheath_exponent=exponent,
-    )
-
-
 def _metrics_from_arrays(
     time: np.ndarray,
     reference: np.ndarray,
@@ -310,21 +179,6 @@ def _metrics_from_arrays(
             )
         )
     return rms, peak, rows
-
-
-def tracking_metrics(
-    result: SimResult,
-) -> tuple[float, float, list[CycleSummary]]:
-    """RMS and peak of |measured - reference| over steady cycles.
-
-    Steady means the second cycle onward; a result that never reaches a
-    second cycle is scored over all ticks.
-    """
-    if len(result.time) == 0:
-        raise EmptyResult("simulation result has no ticks")
-    return _metrics_from_arrays(
-        result.time, result.reference, result.measured, result.cycle_index
-    )
 
 
 def _stride_position(
@@ -357,9 +211,10 @@ def run_simulation(
     the profile with a fixed tension reference. The reference is floored at
     the plant pretension so zero-torque mode keeps the cable taut.
 
-    The tick loop runs pid_step and plant_step inlined on plain floats: the
-    same arithmetic in the same order, so every output is bit-identical to
-    stepping those functions tick by tick.
+    The tick loop runs the controller and the plant inlined on plain
+    floats. tests/sim_oracle.py keeps the same physics as one-step
+    functions (pid_step, plant_step) driven tick by tick, and the kernel
+    must match it bit for bit.
     """
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
@@ -381,14 +236,21 @@ def run_simulation(
     total = float(starts[-1])
     dt_ctrl = 1.0 / params.control_rate
     dt_sub = dt_ctrl / substeps
-    n_ticks = int(round(total * params.control_rate))
+    ticks = total * params.control_rate
+    if not (math.isfinite(ticks) and round(ticks) >= 1):
+        raise ValueError(
+            f"a {total!r} s run at {params.control_rate!r} Hz is {ticks!r} "
+            "control ticks; need a finite count of at least 1"
+        )
+    n_ticks = int(round(ticks))
     noise = rng.normal(0.0, params.loadcell_noise_sd, n_ticks)
     time = np.arange(n_ticks) * dt_ctrl
     cycle_index, u = _stride_position(starts, durations, time)
     fsr = np.where(u < _FSR_STANCE_FRACTION, 1.0, 0.0)
     # Substep m of a tick ends at t + (m + 1) * dt_sub.
     substep_offsets = np.arange(1, substeps + 1) * dt_sub
-    # The dt checks of pid_step and plant_step; dt_sub > 0 implies dt_ctrl > 0.
+    # The oracle's pid_step and plant_step check dt the same way; dt_sub > 0
+    # implies dt_ctrl > 0.
     if not dt_sub > 0:
         raise ValueError(f"dt must be positive, got {dt_sub}")
     if dt_sub > dt_ctrl + 1e-12:
@@ -439,7 +301,7 @@ def run_simulation(
             tension_true[i] = t_distal
             gc_series[i] = gc
 
-            # pid_step
+            # The oracle's pid_step.
             e = ref - measured_now
             d_raw = 0.0 if prev_error is None else (e - prev_error) / dt_ctrl
             d_filt = d_filt + _D_FILTER_ALPHA * (d_raw - d_filt)
@@ -454,8 +316,9 @@ def run_simulation(
             command = min(max(u_cmd, output_min), output_max)
             tau = min(max(command, -torque_max), torque_max)
 
-            # plant_step, once per substep. The conditional expressions are
-            # builtin max(0.0, rate) and max(t_motor, pretension), unrolled.
+            # The oracle's plant_step, once per substep. The conditional
+            # expressions are builtin max(0.0, rate) and
+            # max(t_motor, pretension), unrolled.
             for u_m in u_row:
                 anchor = anchor_amplitude * sin(math.pi * u_m) ** 2
                 anchor_vel = (anchor - anchor_pos) / dt_sub

@@ -204,6 +204,11 @@ def _fit(trials: _Trials) -> LmeFit:
             f"condition(s) {sorted(missing)} have no trials; the fixed-effect "
             "design is rank deficient"
         )
+    n = sum(trials.n)
+    if n < 3:
+        raise SingularDesign(
+            f"{n} strides cannot estimate the residual variance; need at least 3"
+        )
 
     def crit(log_lam: float) -> float:
         return _profiled_criterion(trials, math.exp(log_lam))[0]

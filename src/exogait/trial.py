@@ -36,15 +36,11 @@ class MarkerTrajectory:
         source put there and carry no coordinate meaning.
     valid : ndarray of bool, shape (n_frames,)
         False marks gaps (occlusions, dropouts).
-    residuals : ndarray, shape (n_frames,), optional
-        Source-file residual word, when the source had one. The pipeline
-        does not consume it; it is carried for provenance only.
     """
 
     label: str
     coords: np.ndarray
     valid: np.ndarray
-    residuals: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -55,10 +51,6 @@ class MarkerTrajectory:
             raise ValueError(f"coords must be (n, 3), got {self.coords.shape}")
         if self.valid.shape != (self.coords.shape[0],):
             raise ValueError("valid mask length must match frame count")
-        if self.residuals is not None:
-            self.residuals = np.asarray(self.residuals, dtype=float)
-            if self.residuals.shape != self.valid.shape:
-                raise ValueError("residuals length must match frame count")
 
     @property
     def n_frames(self) -> int:

@@ -71,6 +71,11 @@ def _summarize(observations):
             f"condition(s) {sorted(missing)} have no trials; the fixed-effect "
             "design is rank deficient"
         )
+    n = sum(t.n for t in trials)
+    if n < 3:
+        raise SingularDesign(
+            f"{n} strides cannot estimate the residual variance; need at least 3"
+        )
     return trials
 
 

@@ -1,28 +1,185 @@
 """Reference closed loop for the simulator tests.
 
 run_simulation steps the plant and the controller on plain floats inside
-one tick loop. This module keeps the straightforward form of that loop:
-every tick locates the stride with a scalar search, calls pid_step once
-and plant_step once per substep through the public one-step API, and draws
-the load-cell noise inside the last substep. The kernel must reproduce it
-bit for bit.
+one tick loop. This module keeps the same physics in its straightforward
+form: a one-step controller (pid_step) and a one-step plant (plant_step)
+on frozen state records, and a loop that locates the stride with a scalar
+search every tick, calls pid_step once and plant_step once per substep,
+and draws the load-cell noise inside the last substep. The kernel must
+reproduce it bit for bit.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from exogait.assist import reference_tension
+from exogait.errors import EmptyResult, NonFiniteState
 from exogait.phase import PhaseState, StrikeDetector, update_phase
 from exogait.simulate import (
-    PidState,
-    PlantState,
+    _D_FILTER_ALPHA,
+    _VELOCITY_DEADBAND,
+    _WRAPPED_ARC_FRACTION,
+    CycleSummary,
+    PidGains,
+    PlantParams,
     SimResult,
-    pid_step,
-    plant_step,
-    tracking_metrics,
+    _metrics_from_arrays,
 )
+
+
+@dataclass(frozen=True)
+class PidState:
+    integral: float = 0.0  # integral contribution, command units
+    d_filt: float = 0.0  # filtered error derivative, N/s
+    prev_error: float | None = None
+
+
+@dataclass(frozen=True)
+class PlantState:
+    theta: float = 0.0  # rad
+    omega: float = 0.0  # rad/s
+    anchor_pos: float = 0.0  # m
+    tension_true: float = 0.0  # N, distal side
+    tension_measured: float = 0.0  # N
+    sheath_exponent: float = 0.0  # log of the capstan factor, friction memory
+
+    def __post_init__(self) -> None:
+        if self.tension_true < 0 or self.tension_measured < 0:
+            raise ValueError("cable tension cannot be negative")
+
+
+def pid_step(
+    gains: PidGains, ctrl_state: PidState, ref: float, meas: float, dt: float
+) -> tuple[PidState, float]:
+    """One controller update; returns (new state, torque command in Nm).
+
+    The integral term accumulates in command units and is clamped at
+    +/-integrator_limit; while the output saturates in the direction of the
+    current error the increment is discarded (anti-windup). The derivative
+    acts on a low-pass-filtered error difference (time constant 10*dt).
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    e = ref - meas
+    if ctrl_state.prev_error is None:
+        d_raw = 0.0
+    else:
+        d_raw = (e - ctrl_state.prev_error) / dt
+    d = ctrl_state.d_filt + _D_FILTER_ALPHA * (d_raw - ctrl_state.d_filt)
+    limit = gains.integrator_limit
+    integral = ctrl_state.integral + gains.ki * e * dt
+    integral = min(max(integral, -limit), limit)
+    base = gains.ff_gain * ref + gains.kp * e + gains.kd * d
+    u = base + integral
+    if (u > gains.output_max and e > 0) or (u < gains.output_min and e < 0):
+        integral = ctrl_state.integral
+        u = base + integral
+    command = min(max(u, gains.output_min), gains.output_max)
+    new = replace(ctrl_state, integral=integral, d_filt=d, prev_error=e)
+    return new, command
+
+
+def _motor_tension(params: PlantParams, stretch: float, stretch_rate: float) -> float:
+    if stretch <= 0:
+        return 0.0
+    return params.cable_stiffness * stretch + params.cable_damping * max(
+        0.0, stretch_rate
+    )
+
+
+def _sheath_exponent_step(
+    params: PlantParams,
+    exponent: float,
+    stretch_rate: float,
+    tension: float,
+    dt: float,
+) -> float:
+    # Presliding friction memory: inside the stiction deadband the exponent
+    # holds; while sliding it relaxes toward the branch for that direction
+    # over the elastic take-up of the wrapped arc, so the factor never jumps
+    # at a velocity reversal and equals each branch value in steady sliding.
+    if abs(stretch_rate) <= _VELOCITY_DEADBAND:
+        return exponent
+    arc_take_up = (
+        _WRAPPED_ARC_FRACTION
+        * max(tension, params.pretension)
+        / params.cable_stiffness
+    )
+    target = -math.copysign(params.sheath_mu * params.wrap_angle, stretch_rate)
+    decay = math.exp(-abs(stretch_rate) * dt / arc_take_up)
+    return target + (exponent - target) * decay
+
+
+def plant_step(
+    params: PlantParams,
+    state: PlantState,
+    command: float,
+    anchor_pos: float,
+    dt: float,
+    rng: np.random.Generator | None = None,
+) -> PlantState:
+    """Advance the plant by one substep under a held torque command.
+
+    anchor_pos is the prescribed heel-anchor displacement at the end of the
+    substep; its velocity is taken by finite difference from the previous
+    state. Passing an rng adds load-cell noise to the measurement; None
+    reads the true tension exactly.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if dt > 1.0 / params.control_rate + 1e-12:
+        raise ValueError("plant substep must not exceed the control period")
+    tau = min(max(command, -params.torque_max), params.torque_max)
+    s0 = params.pretension / params.cable_stiffness
+    anchor_vel = (anchor_pos - state.anchor_pos) / dt
+    stretch = params.pulley_radius * state.theta - state.anchor_pos + s0
+    stretch_rate = params.pulley_radius * state.omega - anchor_vel
+    t_motor = _motor_tension(params, stretch, stretch_rate)
+    omega = state.omega + dt / params.inertia * (
+        tau - params.viscous_b * state.omega - params.pulley_radius * t_motor
+    )
+    theta = state.theta + dt * omega
+    stretch_new = params.pulley_radius * theta - anchor_pos + s0
+    rate_new = params.pulley_radius * omega - anchor_vel
+    t_motor_new = _motor_tension(params, stretch_new, rate_new)
+    exponent = _sheath_exponent_step(
+        params, state.sheath_exponent, rate_new, t_motor_new, dt
+    )
+    t_distal = t_motor_new * math.exp(exponent)
+    if not (math.isfinite(theta) and math.isfinite(omega) and math.isfinite(t_distal)):
+        raise NonFiniteState(
+            f"plant state diverged: theta={theta}, omega={omega}, tension={t_distal}"
+        )
+    noise = 0.0
+    if rng is not None:
+        noise = float(rng.normal(0.0, params.loadcell_noise_sd))
+    measured = min(max(t_distal + noise, 0.0), params.loadcell_max)
+    return PlantState(
+        theta=theta,
+        omega=omega,
+        anchor_pos=anchor_pos,
+        tension_true=t_distal,
+        tension_measured=measured,
+        sheath_exponent=exponent,
+    )
+
+
+def tracking_metrics(
+    result: SimResult,
+) -> tuple[float, float, list[CycleSummary]]:
+    """RMS and peak of |measured - reference| over steady cycles.
+
+    Steady means the second cycle onward; a result that never reaches a
+    second cycle is scored over all ticks.
+    """
+    if len(result.time) == 0:
+        raise EmptyResult("simulation result has no ticks")
+    return _metrics_from_arrays(
+        result.time, result.reference, result.measured, result.cycle_index
+    )
+
 
 _FSR_STANCE_FRACTION = 0.15
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exogait
@@ -66,6 +66,9 @@ def _write_strides(path, rows):
     for trial_id, condition, rom in rows:
         lines.append(f"{trial_id},{condition},{rom!r},1.0")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_TWO_STRIDES = "trial_id,condition,rom\nt1,NoExo,10.0\nt2,ExoOff,11.0\n"
 
 
 def _error_line(capsys) -> str:
@@ -533,18 +536,12 @@ def _strides_file(draw):
 
 
 def _run_captured(argv):
-    """Exit code, stdout, stderr and warnings of one cli.run call. An
-    exception that escapes run() stands in for the exit code, so a defect
-    the two paths share (two strides in all make the fit divide by zero)
-    still compares equal."""
+    """Exit code, stdout, stderr and warnings of one cli.run call."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        try:
-            code = run(argv)
-        except ZeroDivisionError as exc:
-            code = repr(exc)
+        code = run(argv)
     return code, out.getvalue(), err.getvalue(), \
         [(w.category, str(w.message)) for w in caught]
 
@@ -562,6 +559,9 @@ def _run_captured(argv):
                             ("--treatment", "Other"), ("--treatment", "")]),
     to_stdout=st.booleans(),
 )
+# Two strides in all: the fit has no residual degree of freedom.
+@example(files=[_TWO_STRIDES], features=["rom"], bound=None, labels=(),
+         to_stdout=True)
 def test_compare_matches_oracle(files, features, bound, labels, to_stdout):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -676,6 +676,21 @@ def test_simulate_rejects_bad_cycles_and_jitter(capsys):
     assert run(["simulate", "--cycles", "0"]) == 1
     _error_line(capsys)
     assert run(["simulate", "--jitter", "1.5"]) == 1
+    _error_line(capsys)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--cycles", "1", "--plant", "control_rate=inf"], 1),
+    (["simulate", "--cycles", "1", "--plant", "control_rate=0.5"], 2),
+    (["compare", "two_strides.csv", "--features", "rom"], 2),
+], ids=["control_rate_inf", "zero_ticks", "two_strides"])
+def test_degenerate_run_is_one_error_line(argv, code, tmp_path, monkeypatch,
+                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("two_strides.csv").write_text(_TWO_STRIDES, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == code
     _error_line(capsys)
 
 

@@ -1,9 +1,12 @@
 """Tests for the PID controller, cable plant, and closed-loop simulation.
 
-The plant checks pin the unilateral-cable rule, the static torque balance
-(6.6684 Nm over a 0.04 m pulley holds 166.71 N), measurement clamping, and
-the energy inequality: the anchor can never receive more work than the
-motor puts in, friction and damping only ever drain the difference.
+The controller and plant checks step the one-step functions of
+sim_oracle, which run_simulation must match bit for bit (the properties at
+the end), so they hold for the kernel too. They pin the unilateral-cable
+rule, the static torque balance (6.6684 Nm over a 0.04 m pulley holds
+166.71 N), measurement clamping, and the energy inequality: the anchor can
+never receive more work than the motor puts in, friction and damping only
+ever drain the difference.
 """
 
 import math
@@ -21,16 +24,18 @@ from exogait.simulate import (
     DEFAULT_GAINS,
     CycleSummary,
     PidGains,
-    PidState,
     PlantParams,
-    PlantState,
     SimResult,
+    run_simulation,
+)
+from sim_oracle import (
+    PidState,
+    PlantState,
+    oracle_simulation,
     pid_step,
     plant_step,
-    run_simulation,
     tracking_metrics,
 )
-from sim_oracle import oracle_simulation
 
 _QUIET = replace(PlantParams(), loadcell_noise_sd=0.0)
 _CONV = TensionConversion()
@@ -227,6 +232,11 @@ def test_plant_params_validation():
         PlantParams(inertia=0.0)
     with pytest.raises(ValueError):
         PlantParams(sheath_mu=-0.1)
+    for name in ("control_rate", "inertia", "sheath_mu", "loadcell_noise_sd"):
+        with pytest.raises(ValueError):
+            PlantParams(**{name: math.inf})
+        with pytest.raises(ValueError):
+            PlantParams(**{name: math.nan})
     with pytest.raises(ValueError):
         PlantParams(loadcell_max=400.0)
     with pytest.raises(ValueError):
@@ -347,6 +357,8 @@ def test_run_validation():
         _run(anchor_amplitude=-0.001)
     with pytest.raises(ValueError):
         _run(substeps=0)
+    with pytest.raises(ValueError, match="control ticks"):
+        _run(n_cycles=1, params=replace(_QUIET, control_rate=0.5))
 
 
 # --- metrics -------------------------------------------------------------------
@@ -436,7 +448,7 @@ def test_cycle_summaries_cover_run():
         assert b.start_time > a.end_time
 
 
-# --- kernel against the one-step API ---------------------------------------------
+# --- kernel against the one-step oracle ------------------------------------------
 
 _SERIES = ("time", "reference", "measured", "tension_true", "fsr", "gc",
            "cycle_index")

@@ -15,6 +15,7 @@ from scipy.special import stdtr
 from exogait.errors import SingularDesign
 from exogait.stats import (
     StrideObservation,
+    compare_trials,
     fit_lme,
     tost_welch,
     trial_means,
@@ -152,6 +153,14 @@ def test_missing_condition_rejected():
         fit_lme(obs)
     with pytest.raises(SingularDesign):
         fit_lme([])
+    # Both conditions present, but two strides leave no residual degree of
+    # freedom.
+    two = _obs([("t1", 0, [10.0]), ("t2", 1, [11.0])])
+    with pytest.raises(SingularDesign, match="need at least 3"):
+        fit_lme(two)
+    with pytest.raises(SingularDesign, match="need at least 3"):
+        compare_trials(np.array([10.0, 11.0]), np.array([0, 1]),
+                       np.array([0, 1]), ["t1", "t2"])
 
 
 def test_trial_under_both_conditions_rejected():
