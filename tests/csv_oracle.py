@@ -1,9 +1,9 @@
 """Reference CSV trial reader for the csvio tests.
 
-read_csv_trial converts whole columns at a time. This module keeps the
+read_csv_trial converts whole tables or columns at a time. This module keeps the
 straightforward form of the same grammar: one float() call per cell, in
 row-major order (time, then every marker triple in header order, then every
-analog column), raising at the first bad cell. The column reader must return
+analog column), raising at the first bad cell. The library reader must return
 bit-identical arrays and raise the same exception with the same message.
 """
 
@@ -12,7 +12,12 @@ import io
 
 import numpy as np
 
-from exogait.errors import BadHeaderRow, NonNumericCell, RaggedRows
+from exogait.errors import (
+    BadHeaderRow,
+    MalformedCsv,
+    NonNumericCell,
+    RaggedRows,
+)
 from exogait.trial import AnalogChannel, MarkerTrajectory, Trial
 
 
@@ -27,7 +32,11 @@ def _cell_float(cell, row_no, col):
 
 def oracle_read_csv_trial(text):
     """Same argument, result and errors as read_csv_trial."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(r)]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [r for r in reader if r and any(r)]
+    except csv.Error as exc:
+        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise BadHeaderRow("empty input")
     header = [c.strip() for c in rows[0]]

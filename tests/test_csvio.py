@@ -278,6 +278,95 @@ def test_reader_matches_oracle_on_corrupted_trials(table, data):
     )
 
 
+# --- plain text against the per-cell oracle -----------------------------------
+
+# Bodies of only digits, '.', 'e', 'E', '+', '-', ',' and newlines.
+_PLAIN_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-2000.0, 2000.0).map(lambda v: f"{v:.4f}"),
+    st.sampled_from([
+        "1e999", "-1e999", "1e-400", "1E5", "2.5e+3", "+1.5", "-0", ".5",
+        "5.", "0001",
+    ]),
+)
+_NEAR_MISSES = [
+    "blank line", "leading blank line", "comma row", "partial triple",
+    "empty time", "empty analog", "extra cell", "missing cell", "long field",
+]
+
+
+@st.composite
+def _plain_trial(draw):
+    """Rows (header first) of a trial that a plain-text parse can read."""
+    n_markers = draw(st.integers(0, 3))
+    n_analogs = draw(st.integers(0, 2))
+    kinds = draw(st.permutations(["m"] * n_markers + ["a"] * n_analogs))
+    header = ["time"]
+    for k, kind in enumerate(kinds):
+        if kind == "m":
+            header += [f"M{k}.x", f"M{k}.y", f"M{k}.z"]
+        else:
+            header.append(f"analog:A{k}")
+    rate = draw(st.sampled_from([50.0, 100.0, 120.0, 1000.0]))
+    k0 = draw(st.integers(0, 40))
+    rows = [header]
+    for i in range(draw(st.integers(2, 12))):
+        row = [repr((k0 + i) / rate)]
+        for kind in kinds:
+            if kind == "a":
+                row.append(draw(_PLAIN_NUMBER))
+            elif draw(st.integers(0, 3)) == 0:
+                row += ["", "", ""]  # gap frame
+            else:
+                row += [draw(_PLAIN_NUMBER) for _ in range(3)]
+        rows.append(row)
+    return rows
+
+
+def _near_miss(rows, kind, data):
+    """Apply one edit that a plain-text parse must leave to the column reader."""
+    width = len(rows[0])
+    r = data.draw(st.integers(1, len(rows) - 1))
+    cols = range(width)
+    markers = [c for c in cols if rows[0][c].endswith(".x")]
+    analogs = [c for c in cols if rows[0][c].startswith("analog:")]
+    if kind == "blank line":
+        rows.insert(r, [""])
+    elif kind == "leading blank line":
+        rows.insert(0, [""])
+    elif kind == "comma row":
+        rows.insert(r, [""] * max(width, 2))
+    elif kind == "partial triple" and markers:
+        c = data.draw(st.sampled_from(markers))
+        for ax in data.draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)):
+            rows[r][c + ax] = ""
+    elif kind == "empty time":
+        rows[r][0] = ""
+    elif kind == "empty analog" and analogs:
+        rows[r][data.draw(st.sampled_from(analogs))] = ""
+    elif kind == "extra cell":
+        rows[r].append(data.draw(_PLAIN_NUMBER))
+    elif kind == "missing cell" and len(rows[r]) > 1:
+        rows[r].pop()
+    elif kind == "long field":
+        limit = csv.field_size_limit()
+        c = data.draw(st.integers(0, len(rows[r]) - 1))
+        rows[r][c] = "1" * data.draw(st.sampled_from([limit, limit + 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_plain_trial(), data=st.data())
+def test_reader_matches_oracle_on_plain_text(rows, data):
+    for kind in data.draw(st.lists(st.sampled_from(_NEAR_MISSES), max_size=2)):
+        _near_miss(rows, kind, data)
+    text = "\n".join(",".join(row) for row in rows)
+    if data.draw(st.booleans()):
+        text += "\n"
+    assert _outcome(read_csv_trial, text) == _outcome(
+        oracle_read_csv_trial, text
+    )
+
+
 # --- CSV route against the C3D route ------------------------------------------
 
 
