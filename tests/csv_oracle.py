@@ -9,6 +9,7 @@ bit-identical arrays and raise the same exception with the same message.
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -103,6 +104,9 @@ def oracle_read_csv_trial(text):
                 row[c].strip(), r, f"analog:{lab}"
             )
 
+    for r, t in enumerate(times.tolist(), start=2):
+        if not math.isfinite(t):
+            raise NonNumericCell(f"row {r}, column time: {t} is not finite")
     dt = times[1] - times[0]
     if not dt > 0:
         raise BadHeaderRow("time column must be strictly increasing")
