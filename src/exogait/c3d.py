@@ -101,6 +101,13 @@ class _Cursor:
         return struct.unpack("<h", self.take(2))[0]
 
 
+def _widen(words: np.ndarray) -> np.ndarray:
+    """float64 copy of float32 or int16 words; a signaling NaN becomes a
+    quiet NaN without numpy's invalid-cast warning."""
+    with np.errstate(invalid="ignore"):
+        return words.astype(float)
+
+
 @dataclass
 class _Param:
     """One decoded parameter record (still in raw bytes)."""
@@ -120,7 +127,7 @@ class _Param:
     def floats(self) -> np.ndarray:
         if self.dtype != 4:
             raise MalformedHeader(f"parameter {self.name} is not float")
-        return np.frombuffer(self.data, dtype="<f4").astype(float)
+        return _widen(np.frombuffer(self.data, dtype="<f4"))
 
     def ints(self) -> np.ndarray:
         if self.dtype == 2:
@@ -370,7 +377,7 @@ def read_c3d(data: bytes) -> Trial:
     if n_points:
         labels = _read_chunked_strings(params, "POINT", "LABELS")
         pts = frames[:, : 4 * n_points].reshape(n_frames, n_points, 4)
-        coords = pts[:, :, :3].astype(float)
+        coords = _widen(pts[:, :, :3])
         if not float_storage:
             coords *= abs(scale)
         valid = pts[:, :, 3] >= 0
@@ -401,7 +408,7 @@ def read_c3d(data: bytes) -> Trial:
         if ch_scale.size < n_channels or ch_off.size < n_channels:
             raise MalformedHeader("ANALOG scale/offset shorter than ANALOG:USED")
         block = frames[:, 4 * n_points :].reshape(n_frames, spf, n_channels)
-        series = block.reshape(n_frames * spf, n_channels).astype(float)
+        series = _widen(block.reshape(n_frames * spf, n_channels))
         seen = set()
         for c in range(n_channels):
             label = (

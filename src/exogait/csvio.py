@@ -11,6 +11,11 @@ rate (first two rows) and the clock origin (first value, rounded to the
 frame grid with frame 1 at t = 0) and is otherwise nominal, but every time
 must be finite.
 
+Plain numeric text (see _parse_plain) is read by one np.loadtxt call; any
+other text, or plain text that call cannot take as it is, goes through
+csv.reader and a column-by-column conversion. Both give the arrays and the
+errors of a cell-by-cell read.
+
 Events travel in a separate sidecar CSV (CSV trials have nowhere to put
 them): header ``time,context,label``, one event per row, using the same
 context/label vocabulary as the binary reader.
@@ -114,16 +119,12 @@ def _parse_columns(data_rows, width, marker_cols, analog_cols):
     raise AssertionError("column conversion failed on a well-formed table")
 
 
-def read_csv_trial(text: str) -> Trial:
-    """Parse the documented CSV trial grammar into a Trial."""
-    rows = _rows(text)
-    if not rows:
-        raise BadHeaderRow("empty input")
-    header = [c.strip() for c in rows[0]]
+def _plan(row: list[str]):
+    """Width and (label, first column) lists of a header row's columns."""
+    header = [c.strip() for c in row]
     if not header or header[0] != "time":
         raise BadHeaderRow(f"first column must be 'time', got {header[:1]!r}")
 
-    # Column plan: (kind, label, first column index).
     marker_cols: list[tuple[str, int]] = []
     analog_cols: list[tuple[str, int]] = []
     i = 1
@@ -151,16 +152,108 @@ def read_csv_trial(text: str) -> Trial:
             )
         marker_cols.append((label, i))
         i += 3
+    return len(header), marker_cols, analog_cols
 
+
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
+
+
+def _parse_plain(text: str):
+    """Plan and arrays of a plain numeric table, or None.
+
+    The table is plain when its first line is the header, with no quote or
+    carriage return, and the body holds only digits, '.', 'e', 'E', '+',
+    '-', commas and newlines, with no line starting with a comma or longer
+    than the csv field limit. csv.reader then splits each line at its
+    commas, and numpy's tokenizer reads each cell with the same strtod as
+    float(), so one np.loadtxt call over the body, with empty cells written
+    as 'nan', gives the column reader's arrays. Whatever it cannot take as
+    is (an unparseable cell, a ragged row, fewer than two rows, an empty
+    time or analog cell, a partly empty triple) returns None, so every
+    error comes from the column reader.
+    """
+    head, newline, body = text.partition("\n")
+    if not newline or '"' in head or "\r" in head or not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        width, marker_cols, analog_cols = _plan(next(csv.reader([head])))
+    except (csv.Error, BadHeaderRow):
+        return None
+
+    buf = np.frombuffer(raw, np.uint8)
+    is_newline = buf == ord("\n")
+    is_comma = buf == ord(",")
+    edges = np.concatenate(([-1], np.flatnonzero(is_newline), [buf.size]))
+    lengths = np.diff(edges) - 1
+    starts = edges[:-1][lengths > 0] + 1
+    n = starts.size
+    limit = csv.field_size_limit()
+    if n < 2 or len(head) > limit or lengths.max() > limit or \
+            is_comma[starts].any():
+        return None
+    # An empty cell follows a comma that meets a comma, a newline or the end.
+    ends_cell = np.append(is_comma[1:] | is_newline[1:], True)
+    holes = (np.flatnonzero(is_comma & ends_cell) + 1).tolist()
+    if holes:
+        view = memoryview(raw)
+        cuts = [0, *holes, buf.size]
+        raw = b"nan".join([view[i:j] for i, j in zip(cuts, cuts[1:])])
+    try:
+        data = np.loadtxt(
+            io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
+            encoding="ascii",
+        )
+    except ValueError:
+        return None
+    if data.shape != (n, width):
+        return None
+
+    # No cell can spell nan, so a NaN is an empty cell.
+    empty = np.isnan(data)
+    if empty[:, 0].any():
+        return None
+    coords = {}
+    valid = {}
+    for lab, c in marker_cols:
+        gap = empty[:, c]
+        if (empty[:, c + 1 : c + 3] != gap[:, None]).any():
+            return None
+        coords[lab] = data[:, c : c + 3].copy()
+        valid[lab] = ~gap
+    analog = {}
+    for lab, c in analog_cols:
+        if empty[:, c].any():
+            return None
+        analog[lab] = data[:, c].copy()
+    return marker_cols, analog_cols, data[:, 0].copy(), coords, valid, analog
+
+
+def _parse_rows(text: str):
+    """Plan and arrays of any table, by csv.reader and the column reader."""
+    rows = _rows(text)
+    if not rows:
+        raise BadHeaderRow("empty input")
+    width, marker_cols, analog_cols = _plan(rows[0])
     data_rows = rows[1:]
     if len(data_rows) < 2:
         raise BadHeaderRow(
             "need at least 2 data rows to infer the sampling rate"
         )
-    n = len(data_rows)
-    times, coords, valid, analog = _parse_columns(
-        data_rows, len(header), marker_cols, analog_cols
+    return marker_cols, analog_cols, *_parse_columns(
+        data_rows, width, marker_cols, analog_cols
     )
+
+
+def read_csv_trial(text: str) -> Trial:
+    """Parse the documented CSV trial grammar into a Trial."""
+    parsed = _parse_plain(text)
+    if parsed is None:
+        parsed = _parse_rows(text)
+    marker_cols, analog_cols, times, coords, valid, analog = parsed
+    n = len(times)
 
     not_finite = ~np.isfinite(times)
     if not_finite.any():

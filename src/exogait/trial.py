@@ -161,16 +161,3 @@ class Trial:
     def duration(self) -> float:
         """Trial length in seconds (frame count over point rate)."""
         return self.n_frames / self.point_rate
-
-    def marker(self, label: str) -> MarkerTrajectory:
-        for traj in self.markers:
-            if traj.label == label:
-                return traj
-        raise KeyError(f"no marker {label!r} in trial")
-
-    def analog(self, label: str) -> AnalogChannel:
-        for ch in self.analogs:
-            if ch.label == label:
-                return ch
-        raise KeyError(f"no analog channel {label!r} in trial")
-

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,10 @@ from hypothesis import strategies as st
 import exogait
 from compare_oracle import oracle_cmd_compare
 from exogait import cli
+from exogait.c3d import write_c3d
 from exogait.cli import STRIDE_COLUMNS, ComplexityInputs, complexity_index, run
+from exogait.trial import MarkerTrajectory, Trial
+from test_c3d import _param_fields
 
 
 # --- fixtures -------------------------------------------------------------------
@@ -224,6 +229,34 @@ def test_inspect_malformed_csv_prints_one_line(tmp_path, rows):
     assert proc.stdout == ""
     assert proc.stderr.startswith("exogait: error: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("word, code, lines", [
+    ("POINT:RATE", 2, 1),
+    ("POINT:DATA_START", 0, 0),
+], ids=["point_rate", "coordinate"])
+def test_inspect_signaling_nan_c3d(tmp_path, word, code, lines):
+    """A signaling NaN in a float parameter or in the point data: at most
+    one `exogait: error:` line and no numpy cast warning, in a child
+    process so that the warning would show on stderr."""
+    trial = Trial(markers=[MarkerTrajectory("ANK", np.ones((3, 3)),
+                                            np.ones(3, bool))],
+                  analogs=[], events=[], point_rate=100.0, analog_rate=100.0,
+                  first_frame=1, last_frame=3)
+    data = bytearray(write_c3d(trial))
+    _, pos, _ = _param_fields(data)[word]
+    if word == "POINT:DATA_START":
+        # the first coordinate of the first frame
+        pos = 512 * (struct.unpack_from("<h", data, pos)[0] - 1)
+    data[pos : pos + 4] = bytes.fromhex("0100807f")
+    path = tmp_path / "walk.c3d"
+    path.write_bytes(bytes(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "exogait", "inspect", str(path)],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == code
+    assert proc.stderr.count("\n") == lines
+    assert proc.stderr.count("exogait: error: ") == lines
 
 
 # --- analyze ---------------------------------------------------------------------

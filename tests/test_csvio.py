@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csv_oracle import oracle_read_csv_trial
+from exogait import csvio
 from exogait.c3d import read_c3d, write_c3d
 from exogait.csvio import read_csv_trial, read_events_csv
 from exogait.errors import (
@@ -28,17 +29,22 @@ _BASIC = """time,HEE.x,HEE.y,HEE.z,analog:angle
 """
 
 
+def _by_label(items, label):
+    (item,) = [i for i in items if i.label == label]
+    return item
+
+
 def test_basic_trial():
     trial = read_csv_trial(_BASIC)
     assert trial.point_rate == pytest.approx(100.0)
     assert trial.first_frame == 1
     assert trial.last_frame == 5
     assert [m.label for m in trial.markers] == ["HEE"]
-    hee = trial.marker("HEE")
+    hee = _by_label(trial.markers, "HEE")
     assert hee.valid.all()
     np.testing.assert_allclose(hee.coords[:, 0], [1.0, 1.1, 1.2, 1.3, 1.4])
     np.testing.assert_allclose(hee.coords[2], [1.2, 2.2, 3.2])
-    angle = trial.analog("angle")
+    angle = _by_label(trial.analogs, "angle")
     np.testing.assert_allclose(angle.samples, [10.0, 11.0, 12.0, 13.0, 14.0])
     assert angle.rate == pytest.approx(100.0)
 
@@ -51,7 +57,7 @@ def test_gap_rows():
         "0.02,1.2,2.2,3.2\n"
     )
     trial = read_csv_trial(text)
-    hee = trial.marker("HEE")
+    hee = _by_label(trial.markers, "HEE")
     assert hee.valid.tolist() == [True, False, True]
 
 
@@ -297,7 +303,7 @@ _NEAR_MISSES = [
 
 @st.composite
 def _plain_trial(draw):
-    """Rows (header first) of a trial that a plain-text parse can read."""
+    """(header, rows) of a trial that a plain-text parse can read."""
     n_markers = draw(st.integers(0, 3))
     n_analogs = draw(st.integers(0, 2))
     kinds = draw(st.permutations(["m"] * n_markers + ["a"] * n_analogs))
@@ -309,7 +315,7 @@ def _plain_trial(draw):
             header.append(f"analog:A{k}")
     rate = draw(st.sampled_from([50.0, 100.0, 120.0, 1000.0]))
     k0 = draw(st.integers(0, 40))
-    rows = [header]
+    rows = []
     for i in range(draw(st.integers(2, 12))):
         row = [repr((k0 + i) / rate)]
         for kind in kinds:
@@ -320,51 +326,87 @@ def _plain_trial(draw):
             else:
                 row += [draw(_PLAIN_NUMBER) for _ in range(3)]
         rows.append(row)
-    return rows
+    return header, rows
 
 
-def _near_miss(rows, kind, data):
+def _near_miss(header, rows, kind, data):
     """Apply one edit that a plain-text parse must leave to the column reader."""
-    width = len(rows[0])
-    r = data.draw(st.integers(1, len(rows) - 1))
-    cols = range(width)
-    markers = [c for c in cols if rows[0][c].endswith(".x")]
-    analogs = [c for c in cols if rows[0][c].startswith("analog:")]
-    if kind == "blank line":
-        rows.insert(r, [""])
-    elif kind == "leading blank line":
-        rows.insert(0, [""])
-    elif kind == "comma row":
-        rows.insert(r, [""] * max(width, 2))
-    elif kind == "partial triple" and markers:
+    width = len(header)
+    if kind in ("blank line", "comma row"):
+        r = data.draw(st.integers(0, len(rows)))
+        rows.insert(r, [""] * (1 if kind == "blank line" else max(width, 2)))
+        return
+    full = [row for row in rows if len(row) == width]
+    if not full:
+        return
+    row = data.draw(st.sampled_from(full))
+    markers = [c for c in range(width) if header[c].endswith(".x")]
+    analogs = [c for c in range(width) if header[c].startswith("analog:")]
+    if kind == "partial triple" and markers:
         c = data.draw(st.sampled_from(markers))
         for ax in data.draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)):
-            rows[r][c + ax] = ""
+            row[c + ax] = ""
     elif kind == "empty time":
-        rows[r][0] = ""
+        row[0] = ""
     elif kind == "empty analog" and analogs:
-        rows[r][data.draw(st.sampled_from(analogs))] = ""
+        row[data.draw(st.sampled_from(analogs))] = ""
     elif kind == "extra cell":
-        rows[r].append(data.draw(_PLAIN_NUMBER))
-    elif kind == "missing cell" and len(rows[r]) > 1:
-        rows[r].pop()
+        row.append(data.draw(_PLAIN_NUMBER))
+    elif kind == "missing cell" and width > 1:
+        row.pop()
     elif kind == "long field":
         limit = csv.field_size_limit()
-        c = data.draw(st.integers(0, len(rows[r]) - 1))
-        rows[r][c] = "1" * data.draw(st.sampled_from([limit, limit + 1]))
+        c = data.draw(st.integers(0, width - 1))
+        row[c] = "1" * data.draw(st.sampled_from([limit, limit + 1]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=_plain_trial(), data=st.data())
-def test_reader_matches_oracle_on_plain_text(rows, data):
+@given(table=_plain_trial(), data=st.data())
+def test_reader_matches_oracle_on_plain_text(table, data):
+    header, rows = table
+    leading_blank_lines = 0
     for kind in data.draw(st.lists(st.sampled_from(_NEAR_MISSES), max_size=2)):
-        _near_miss(rows, kind, data)
-    text = "\n".join(",".join(row) for row in rows)
+        if kind == "leading blank line":
+            leading_blank_lines += 1
+        else:
+            _near_miss(header, rows, kind, data)
+    text = "\n" * leading_blank_lines + "\n".join(
+        ",".join(row) for row in [header, *rows]
+    )
     if data.draw(st.booleans()):
         text += "\n"
     assert _outcome(read_csv_trial, text) == _outcome(
         oracle_read_csv_trial, text
     )
+
+
+def test_plain_text_skips_the_column_reader(monkeypatch):
+    """Text shaped like a lab export (fixed decimals, gap frames, analog
+    columns) is parsed in one pass; the column reader is never reached."""
+    rng = np.random.default_rng(7)
+    header = ["time"]
+    for m in ("LHEE", "RHEE", "RANK"):
+        header += [f"{m}.x", f"{m}.y", f"{m}.z"]
+    header += ["analog:angle", "analog:moment"]
+    lines = [",".join(header)]
+    for i in range(60):
+        cells = [f"{i / 100:.2f}"]
+        for m in range(3):
+            if m == 1 and 20 <= i < 26:
+                cells += ["", "", ""]
+            else:
+                cells += [f"{v:.4f}" for v in rng.uniform(-900, 900, 3)]
+        cells += [f"{v:.4f}" for v in rng.uniform(-50, 50, 2)]
+        lines.append(",".join(cells))
+    text = "\n".join(lines) + "\n"
+    expected = _outcome(oracle_read_csv_trial, text)
+
+    def column_reader(*args):
+        raise AssertionError("plain text reached the column reader")
+
+    monkeypatch.setattr(csvio, "_parse_columns", column_reader)
+    assert _outcome(read_csv_trial, text) == expected
+    assert read_csv_trial(text).markers[1].valid.sum() == 54
 
 
 # --- CSV route against the C3D route ------------------------------------------
