@@ -161,19 +161,18 @@ _PLAIN_BYTES = b"0123456789.eE+-,\n"
 def _parse_plain(text: str):
     """Plan and arrays of a plain numeric table, or None.
 
-    The table is plain when its first line is the header, with no quote or
-    carriage return, and the body holds only digits, '.', 'e', 'E', '+',
-    '-', commas and newlines, with no line starting with a comma or longer
-    than the csv field limit. csv.reader then splits each line at its
-    commas, and numpy's tokenizer reads each cell with the same strtod as
-    float(), so one np.loadtxt call over the body, with empty cells written
-    as 'nan', gives the column reader's arrays. Whatever it cannot take as
-    is (an unparseable cell, a ragged row, fewer than two rows, an empty
-    time or analog cell, a partly empty triple) returns None, so every
-    error comes from the column reader.
+    The table is plain when its first line is the header, with no quote,
+    and the body holds only digits, '.', 'e', 'E', '+', '-', commas and
+    newlines, with no line longer than the csv field limit. csv.reader
+    then splits each line at its commas, and numpy's tokenizer reads each
+    cell with the same strtod as float(), so one np.loadtxt call over the
+    body, with empty cells written as 'nan', gives the column reader's
+    arrays. Whatever it cannot take as it is (an unparseable cell, a ragged
+    row, fewer than two rows, an empty time or analog cell, a partly empty
+    triple) returns None, so every error comes from the column reader.
     """
     head, newline, body = text.partition("\n")
-    if not newline or '"' in head or "\r" in head or not body.isascii():
+    if not newline or '"' in head or not body.isascii():
         return None
     raw = body.encode("ascii")
     if raw.translate(None, _PLAIN_BYTES):
@@ -188,13 +187,12 @@ def _parse_plain(text: str):
     is_comma = buf == ord(",")
     edges = np.concatenate(([-1], np.flatnonzero(is_newline), [buf.size]))
     lengths = np.diff(edges) - 1
-    starts = edges[:-1][lengths > 0] + 1
-    n = starts.size
+    n = np.count_nonzero(lengths)
     limit = csv.field_size_limit()
-    if n < 2 or len(head) > limit or lengths.max() > limit or \
-            is_comma[starts].any():
+    if n < 2 or len(head) > limit or lengths.max() > limit:
         return None
-    # An empty cell follows a comma that meets a comma, a newline or the end.
+    # An empty cell after a comma becomes nan. An empty time cell, first in
+    # its line, stays empty, and loadtxt rejects it.
     ends_cell = np.append(is_comma[1:] | is_newline[1:], True)
     holes = (np.flatnonzero(is_comma & ends_cell) + 1).tolist()
     if holes:
@@ -213,8 +211,6 @@ def _parse_plain(text: str):
 
     # No cell can spell nan, so a NaN is an empty cell.
     empty = np.isnan(data)
-    if empty[:, 0].any():
-        return None
     coords = {}
     valid = {}
     for lab, c in marker_cols:

@@ -1,10 +1,11 @@
 """Reference CSV trial reader for the csvio tests.
 
-read_csv_trial converts whole tables or columns at a time. This module keeps the
-straightforward form of the same grammar: one float() call per cell, in
-row-major order (time, then every marker triple in header order, then every
-analog column), raising at the first bad cell. The library reader must return
-bit-identical arrays and raise the same exception with the same message.
+read_csv_trial converts a whole table, or else whole columns, at a time.
+This module keeps the straightforward form of the same grammar: one float()
+call per cell, in row-major order (time, then every marker triple in header
+order, then every analog column), raising at the first bad cell. The library
+reader must return bit-identical arrays and raise the same exception with the
+same message.
 """
 
 import csv

@@ -231,11 +231,11 @@ def test_inspect_malformed_csv_prints_one_line(tmp_path, rows):
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("word, code, lines", [
+@pytest.mark.parametrize("field, code, lines", [
     ("POINT:RATE", 2, 1),
     ("POINT:DATA_START", 0, 0),
 ], ids=["point_rate", "coordinate"])
-def test_inspect_signaling_nan_c3d(tmp_path, word, code, lines):
+def test_inspect_signaling_nan_c3d(tmp_path, field, code, lines):
     """A signaling NaN in a float parameter or in the point data: at most
     one `exogait: error:` line and no numpy cast warning, in a child
     process so that the warning would show on stderr."""
@@ -244,8 +244,8 @@ def test_inspect_signaling_nan_c3d(tmp_path, word, code, lines):
                   analogs=[], events=[], point_rate=100.0, analog_rate=100.0,
                   first_frame=1, last_frame=3)
     data = bytearray(write_c3d(trial))
-    _, pos, _ = _param_fields(data)[word]
-    if word == "POINT:DATA_START":
+    _, pos, _ = _param_fields(data)[field]
+    if field == "POINT:DATA_START":
         # the first coordinate of the first frame
         pos = 512 * (struct.unpack_from("<h", data, pos)[0] - 1)
     data[pos : pos + 4] = bytes.fromhex("0100807f")

@@ -298,6 +298,7 @@ _PLAIN_NUMBER = st.one_of(
 _NEAR_MISSES = [
     "blank line", "leading blank line", "comma row", "partial triple",
     "empty time", "empty analog", "extra cell", "missing cell", "long field",
+    "spelled triple", "quoted header", "carriage return",
 ]
 
 
@@ -332,6 +333,15 @@ def _plain_trial(draw):
 def _near_miss(header, rows, kind, data):
     """Apply one edit that a plain-text parse must leave to the column reader."""
     width = len(header)
+    if kind == "quoted header":
+        # an open quote carries the header on into the data lines
+        c = data.draw(st.integers(0, width - 1))
+        header[c] = '"' + header[c] + data.draw(st.sampled_from(['"', ""]))
+        return
+    if kind == "carriage return":
+        c = data.draw(st.integers(0, width - 1))
+        header[c] += data.draw(st.sampled_from(["\r", "\rx"]))
+        return
     if kind in ("blank line", "comma row"):
         r = data.draw(st.integers(0, len(rows)))
         rows.insert(r, [""] * (1 if kind == "blank line" else max(width, 2)))
@@ -346,6 +356,10 @@ def _near_miss(header, rows, kind, data):
         c = data.draw(st.sampled_from(markers))
         for ax in data.draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)):
             row[c + ax] = ""
+    elif kind == "spelled triple" and markers:
+        c = data.draw(st.sampled_from(markers))
+        word = data.draw(st.sampled_from(["nan", "-nan", "inf", " 1", "1_0"]))
+        row[c : c + 3] = [word] * 3
     elif kind == "empty time":
         row[0] = ""
     elif kind == "empty analog" and analogs:
@@ -380,25 +394,31 @@ def test_reader_matches_oracle_on_plain_text(table, data):
     )
 
 
-def test_plain_text_skips_the_column_reader(monkeypatch):
+@pytest.mark.parametrize("analogs_first", [False, True],
+                         ids=["gap_mid_line", "gap_at_line_end"])
+def test_plain_text_skips_the_column_reader(monkeypatch, analogs_first):
     """Text shaped like a lab export (fixed decimals, gap frames, analog
     columns) is parsed in one pass; the column reader is never reached."""
     rng = np.random.default_rng(7)
-    header = ["time"]
+    markers = ["time"]
     for m in ("LHEE", "RHEE", "RANK"):
-        header += [f"{m}.x", f"{m}.y", f"{m}.z"]
-    header += ["analog:angle", "analog:moment"]
+        markers += [f"{m}.x", f"{m}.y", f"{m}.z"]
+    analogs = ["analog:angle", "analog:moment"]
+    header = markers[:1] + analogs + markers[1:] if analogs_first \
+        else markers + analogs
     lines = [",".join(header)]
     for i in range(60):
-        cells = [f"{i / 100:.2f}"]
+        cells = [f"{v:.4f}" for v in rng.uniform(-50, 50, 2)]
         for m in range(3):
-            if m == 1 and 20 <= i < 26:
+            if m == 2 and (20 <= i < 26 or i == 59):
                 cells += ["", "", ""]
             else:
                 cells += [f"{v:.4f}" for v in rng.uniform(-900, 900, 3)]
-        cells += [f"{v:.4f}" for v in rng.uniform(-50, 50, 2)]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+        if not analogs_first:
+            cells = cells[2:] + cells[:2]
+        lines.append(",".join([f"{i / 100:.2f}", *cells]))
+    # the last line, a gap frame, ends the text
+    text = "\n".join(lines) + ("" if analogs_first else "\n")
     expected = _outcome(oracle_read_csv_trial, text)
 
     def column_reader(*args):
@@ -406,7 +426,7 @@ def test_plain_text_skips_the_column_reader(monkeypatch):
 
     monkeypatch.setattr(csvio, "_parse_columns", column_reader)
     assert _outcome(read_csv_trial, text) == expected
-    assert read_csv_trial(text).markers[1].valid.sum() == 54
+    assert read_csv_trial(text).markers[2].valid.sum() == 53
 
 
 # --- CSV route against the C3D route ------------------------------------------
