@@ -1,8 +1,13 @@
 """Tests for gap filling and residual-MSE-targeted smoothing."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exogait import preprocess
 from exogait.errors import NonUniformSampling, SeriesTooShort, TooFewValidFrames
 from exogait.preprocess import (
     GapFillSpec,
@@ -12,6 +17,7 @@ from exogait.preprocess import (
     smooth_with_lambda,
 )
 from exogait.trial import MarkerTrajectory
+from smooth_oracle import oracle_smooth_with_lambda
 
 
 def roughness(samples, rate):
@@ -181,3 +187,49 @@ def test_fill_needs_four_valid_frames():
     valid[[0, 4, 9]] = True
     with pytest.raises(TooFewValidFrames):
         fill_gaps(_traj(coords, valid), GapFillSpec())
+
+
+# --- smoother against the two-solve oracle ---------------------------------------
+
+
+def _smooth_outcome(smooth, y, rate, lam):
+    """The smoothed bytes, or the type and message of what was raised."""
+    try:
+        return smooth(y, rate, lam).tobytes()
+    except (ValueError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+
+
+_samples = st.lists(
+    st.floats(-1e3, 1e3) | st.sampled_from([np.nan, np.inf, -np.inf]),
+    min_size=1, max_size=120,
+)
+_lambdas = (
+    st.floats(-1e3, 1e3)
+    | st.floats(1e-12, 1e12)
+    | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_samples, rate=st.sampled_from([50.0, 100.0, 250.0]),
+       lam=_lambdas)
+def test_smooth_with_lambda_matches_two_solve_oracle(samples, rate, lam):
+    # Covers the identity cases (n < 4, lambda 0), the non-finite
+    # ValueError, and the quadratic fallback when a negative lambda makes
+    # the matrix indefinite.
+    y = np.asarray(samples)
+    assert _smooth_outcome(smooth_with_lambda, y, rate, lam) \
+        == _smooth_outcome(oracle_smooth_with_lambda, y, rate, lam)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_smooth_to_mse_matches_two_solve_oracle(seed):
+    y = _noisy_sine(seed=seed, duration=2.0, noise_sd=1.0 + seed)
+    spec = SmoothingSpec(target_mse=float(1 + seed))
+    got = smooth_to_mse(y, 100.0, spec)
+    with mock.patch.object(preprocess, "smooth_with_lambda",
+                           oracle_smooth_with_lambda):
+        want = smooth_to_mse(y, 100.0, spec)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
