@@ -712,6 +712,18 @@ def test_simulate_rejects_bad_cycles_and_jitter(capsys):
     _error_line(capsys)
 
 
+def test_simulate_huge_reference_writes_no_warning(capsys):
+    # A 1e308 N error squares to inf: the summary reports an infinite RMS
+    # and stderr stays empty.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", "--cycles", "2",
+                    "--constant-reference", "1e308"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["rms_error"] == math.inf
+
+
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "--cycles", "1", "--plant", "control_rate=inf"], 1),
     (["simulate", "--cycles", "1", "--plant", "control_rate=0.5"], 2),
