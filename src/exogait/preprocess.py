@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import NonUniformSampling, SeriesTooShort, TooFewValidFrames
 from .trial import MarkerTrajectory
@@ -98,7 +98,10 @@ def smooth_with_lambda(
     primal system I + c D3^T D3, the dual matrix stays well conditioned as
     c grows (D3 D3^T has no null space), so very stiff settings converge to
     the least-squares quadratic instead of losing the identity term to
-    roundoff. One iterative-refinement pass tightens the solve.
+    roundoff. The banded matrix is factored once (LAPACK pbtrf) and
+    solved twice (pbtrs): the solve and one iterative-refinement pass.
+    Non-finite input or lambda raises ValueError; a matrix that is not
+    positive definite falls back to the least-squares quadratic.
     """
     y = np.asarray(samples, dtype=float)
     n = y.size
@@ -113,12 +116,16 @@ def smooth_with_lambda(
     ab[2, 1:] = c * -15.0
     ab[1, 2:] = c * 6.0
     ab[0, 3:] = c * -1.0
-    try:
-        z = solveh_banded(ab, d3y, lower=False)
-        residual = d3y - (z + c * np.convolve(z, _D3_AUTOCORR, mode="same"))
-        z = z + solveh_banded(ab, residual, lower=False)
-    except np.linalg.LinAlgError:
+    # Non-finite values raise check_finite's ValueError before anything
+    # is factored, as scipy's banded solvers do.
+    np.asarray_chkfinite(ab)
+    np.asarray_chkfinite(d3y)
+    chol, info = dpbtrf(ab)
+    if info > 0:
         return _quadratic_limit(y)
+    z = dpbtrs(chol, d3y)[0]
+    residual = d3y - (z + c * np.convolve(z, _D3_AUTOCORR, mode="same"))
+    z = z + dpbtrs(chol, np.asarray_chkfinite(residual))[0]
     return y - c * np.convolve(z, _D3_STENCIL, mode="full")
 
 
