@@ -15,7 +15,10 @@ constant is overridable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidProfile
 
@@ -39,9 +42,9 @@ class TorqueProfile:
                 f"need 0 <= onset < peak < end <= 100, got "
                 f"({self.onset_gc}, {self.peak_gc}, {self.end_gc})"
             )
-        if self.peak_torque < 0:
+        if not 0 <= self.peak_torque < math.inf:
             raise InvalidProfile(
-                f"peak_torque must be >= 0, got {self.peak_torque}"
+                f"peak_torque must be >= 0 and finite, got {self.peak_torque}"
             )
 
 
@@ -55,13 +58,13 @@ class TensionConversion:
     moment_arm: float = DEFAULT_MOMENT_ARM  # m
 
     def __post_init__(self) -> None:
-        if not self.moment_arm > 0:
+        if not 0 < self.moment_arm < math.inf:
             raise InvalidProfile(
-                f"moment_arm must be positive, got {self.moment_arm}"
+                f"moment_arm must be positive and finite, got {self.moment_arm}"
             )
 
 
-def _smoothstep(u: float) -> float:
+def _smoothstep(u):
     return u * u * (3.0 - 2.0 * u)
 
 
@@ -95,3 +98,26 @@ def reference_tension(
 ) -> float:
     """Desired cable tension (N) at a gait-cycle percentage."""
     return torque_to_tension(torque_at(profile, gc), conv)
+
+
+def reference_tensions(
+    profile: TorqueProfile, conv: TensionConversion, gc: np.ndarray
+) -> np.ndarray:
+    """reference_tension at every GC% in an array, with the same floats.
+
+    Each segment is evaluated only on its own entries, so nothing outside
+    the profile is computed. A tension too large for a float is inf, as
+    the scalar arithmetic gives it, without a numpy warning.
+    """
+    gc = np.asarray(gc, dtype=float)
+    if not np.all((gc >= 0.0) & (gc <= 100.0)):
+        raise ValueError("gc must be in [0, 100]")
+    torque = np.zeros(gc.shape)
+    rise = (gc > profile.onset_gc) & (gc <= profile.peak_gc)
+    fall = (gc > profile.peak_gc) & (gc < profile.end_gc)
+    with np.errstate(over="ignore"):
+        u = (gc[rise] - profile.onset_gc) / (profile.peak_gc - profile.onset_gc)
+        torque[rise] = profile.peak_torque * _smoothstep(u)
+        u = (profile.end_gc - gc[fall]) / (profile.end_gc - profile.peak_gc)
+        torque[fall] = profile.peak_torque * _smoothstep(u)
+        return torque / conv.moment_arm

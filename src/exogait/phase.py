@@ -71,12 +71,14 @@ def detect_heel_strikes(
     start of its run, debounce_samples - 1 samples before the detector
     fires.
     """
-    detector = StrikeDetector(rate, cfg)
-    lag = cfg.debounce_samples - 1
+    return (strike_ticks(fsr, rate, cfg) - (cfg.debounce_samples - 1)) / rate
+
+
+def strike_ticks(fsr: np.ndarray, rate: float, cfg: FsrConfig) -> np.ndarray:
+    """Indices of the samples at which StrikeDetector fires on a series."""
+    step = StrikeDetector(rate, cfg).step
     signal = np.asarray(fsr, dtype=float).tolist()
-    return np.asarray(
-        [(i - lag) / rate for i, v in enumerate(signal) if detector.step(v)]
-    )
+    return np.flatnonzero([step(v) for v in signal])
 
 
 class StrikeDetector:
@@ -156,3 +158,20 @@ def update_phase(
         return new, 0.0
     gc = 100.0 * (now - state.last_hs_time) / state.expected_stride
     return new, min(max(gc, 0.0), 100.0)
+
+
+def phase_series(time: np.ndarray, strikes: np.ndarray) -> np.ndarray:
+    """GC% at every time, as update_phase gives it sample by sample from
+    a fresh PhaseState with a heel strike at each index in strikes.
+
+    update_phase runs only at the strikes; between them its GC% formula
+    and clamp are evaluated on the array of times, with the same floats.
+    """
+    gc = np.zeros(len(time))
+    state = PhaseState()
+    bounds = [*strikes.tolist(), len(time)]
+    for a, b in zip(bounds, bounds[1:]):
+        state, gc[a] = update_phase(state, float(time[a]), True)
+        elapsed = 100.0 * (time[a + 1 : b] - state.last_hs_time)
+        gc[a + 1 : b] = np.clip(elapsed / state.expected_stride, 0.0, 100.0)
+    return gc

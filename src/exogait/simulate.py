@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assist import TensionConversion, TorqueProfile, reference_tension
+from .assist import TensionConversion, TorqueProfile, reference_tensions
 from .errors import NonFiniteState
-from .phase import FsrConfig, PhaseState, StrikeDetector, update_phase
+from .phase import FsrConfig, phase_series, strike_ticks
 
 # Stand-in for stiction: below this cable speed the sheath exponent holds.
 _VELOCITY_DEADBAND = 1e-4  # m/s
@@ -71,11 +71,11 @@ class PidGains:
     integrator_limit: float = 4.0  # Nm held by the integral term
 
     def __post_init__(self) -> None:
-        if not self.output_min < self.output_max:
-            raise ValueError("output_min must be below output_max")
+        if not -math.inf < self.output_min < self.output_max < math.inf:
+            raise ValueError("output_min must be below output_max, both finite")
         for name in ("kp", "ki", "kd", "ff_gain", "integrator_limit"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,12 @@ def run_simulation(
     the profile with a fixed tension reference. The reference is floored at
     the plant pretension so zero-torque mode keeps the cable taut.
 
-    The tick loop runs the controller and the plant inlined on plain
-    floats. tests/sim_oracle.py keeps the same physics as one-step
-    functions (pid_step, plant_step) driven tick by tick, and the kernel
-    must match it bit for bit.
+    The FSR, strikes, GC% and reference depend on the stride timing
+    alone, so they are built as arrays before the tick loop, which then
+    runs only the controller and the plant, inlined on plain floats.
+    tests/sim_oracle.py keeps the same chain tick by tick, with one-step
+    functions (pid_step, plant_step) for the physics, and the kernel must
+    match it bit for bit.
     """
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
@@ -226,8 +228,12 @@ def run_simulation(
         raise ValueError("stride_period must be positive")
     if not 0 <= stride_jitter < 1:
         raise ValueError("stride_jitter must be in [0, 1)")
-    if anchor_amplitude < 0:
-        raise ValueError("anchor_amplitude must be nonnegative")
+    if not 0 <= anchor_amplitude < math.inf:
+        raise ValueError("anchor_amplitude must be nonnegative and finite")
+    if constant_reference is not None and not math.isfinite(constant_reference):
+        raise ValueError(
+            f"constant_reference must be finite, got {constant_reference!r}"
+        )
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     rng = np.random.default_rng(seed)
@@ -260,6 +266,17 @@ def run_simulation(
     if dt_sub > dt_ctrl + 1e-12:
         raise ValueError("plant substep must not exceed the control period")
 
+    # The open-loop chain: FSR strikes, GC% and the reference.
+    gc_series = phase_series(
+        time, strike_ticks(fsr, params.control_rate, phase_cfg)
+    )
+    if constant_reference is None:
+        raw_ref = reference_tensions(profile, conv, gc_series)
+    else:
+        raw_ref = np.full(n_ticks, constant_reference)
+    # Builtin max(pretension, raw_ref), entry by entry.
+    reference = np.where(raw_ref > params.pretension, raw_ref, params.pretension)
+
     kp, ki, kd, ff_gain = gains.kp, gains.ki, gains.kd, gains.ff_gain
     output_min, output_max = gains.output_min, gains.output_max
     limit = gains.integrator_limit
@@ -272,38 +289,24 @@ def run_simulation(
     branch = params.sheath_mu * params.wrap_angle
     sin, exp, copysign, isfinite = math.sin, math.exp, math.copysign, math.isfinite
 
-    detector = StrikeDetector(params.control_rate, phase_cfg)
-    phase_state = PhaseState()
     integral, d_filt, prev_error = 0.0, 0.0, None
     theta = omega = anchor_pos = exponent = 0.0
     t_distal = measured_now = pretension
-    reference = np.empty(n_ticks)
     measured = np.empty(n_ticks)
     tension_true = np.empty(n_ticks)
-    gc_series = np.empty(n_ticks)
     for lo in range(0, n_ticks, _TICK_BLOCK):
         block = slice(lo, lo + _TICK_BLOCK)
         _, u_sub = _stride_position(
             starts, durations, time[block, None] + substep_offsets
         )
-        for i, t, fsr_val, noise_val, u_row in zip(
+        for i, ref, noise_val, u_row in zip(
             range(lo, n_ticks),
-            time[block].tolist(),
-            fsr[block].tolist(),
+            reference[block].tolist(),
             noise[block].tolist(),
             u_sub.tolist(),
         ):
-            fired = detector.step(fsr_val)
-            phase_state, gc = update_phase(phase_state, t, fired)
-            if constant_reference is None:
-                raw_ref = reference_tension(profile, conv, gc)
-            else:
-                raw_ref = constant_reference
-            ref = max(pretension, raw_ref)
-            reference[i] = ref
             measured[i] = measured_now
             tension_true[i] = t_distal
-            gc_series[i] = gc
 
             # The oracle's pid_step.
             e = ref - measured_now

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exogait.assist import (
     DEFAULT_MOMENT_ARM,
@@ -17,6 +19,7 @@ from exogait.assist import (
     TensionConversion,
     TorqueProfile,
     reference_tension,
+    reference_tensions,
     torque_at,
     torque_to_tension,
 )
@@ -173,3 +176,37 @@ def test_bad_moment_arm_rejected():
         TensionConversion(moment_arm=0.0)
     with pytest.raises(InvalidProfile):
         TensionConversion(moment_arm=-0.05)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_torque_and_arm_rejected(value):
+    with pytest.raises(InvalidProfile):
+        TorqueProfile(30.0, 50.0, 60.0, value)
+    with pytest.raises(InvalidProfile):
+        TensionConversion(moment_arm=value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    knots=st.lists(st.floats(0.0, 100.0), min_size=3, max_size=3, unique=True),
+    peak_torque=st.floats(0.0, 1e308),
+    moment_arm=st.floats(0.01, 0.2),
+    gc=st.lists(st.floats(0.0, 100.0), max_size=60),
+)
+def test_reference_tensions_match_scalar_chain(knots, peak_torque, moment_arm,
+                                               gc):
+    # Knots included, so every segment boundary is hit; a peak near 1e308
+    # overflows the tension to inf in both, and no warning may escape.
+    profile = TorqueProfile(*sorted(knots), peak_torque)
+    conv = TensionConversion(moment_arm)
+    grid = gc + sorted(knots)
+    want = np.array([reference_tension(profile, conv, g) for g in grid])
+    assert reference_tensions(profile, conv, np.array(grid)).tobytes() \
+        == want.tobytes()
+
+
+def test_reference_tensions_reject_out_of_range_gc():
+    for gc in (-0.1, 100.1, math.nan):
+        with pytest.raises(ValueError):
+            reference_tensions(DEFAULT_PROFILE, TensionConversion(),
+                               np.array([50.0, gc]))

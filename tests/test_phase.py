@@ -12,6 +12,8 @@ from exogait.phase import (
     PhaseState,
     StrikeDetector,
     detect_heel_strikes,
+    phase_series,
+    strike_ticks,
     update_phase,
 )
 
@@ -199,3 +201,32 @@ def test_batch_and_streaming_detectors_agree(signal, threshold, refractory,
                 for i, v in enumerate(signal) if detector.step(v)]
     assert detect_heel_strikes(np.asarray(signal), rate, cfg).tolist() \
         == streamed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    signal=_fsr_signals,
+    rate=st.floats(50.0, 600.0),
+    threshold=st.floats(0.1, 0.9),
+    refractory=st.floats(0.01, 0.5),
+    debounce=st.integers(1, 5),
+)
+def test_phase_series_matches_update_phase_per_sample(signal, rate, threshold,
+                                                      refractory, debounce):
+    # More than three strides in a draw roll the duration buffer.
+    cfg = FsrConfig(threshold=threshold, refractory=refractory,
+                    debounce_samples=debounce)
+    time = np.arange(len(signal)) * (1.0 / rate)
+    detector = StrikeDetector(rate, cfg)
+    state = PhaseState()
+    fired, streamed = [], []
+    for i, (t, v) in enumerate(zip(time.tolist(), signal)):
+        strike = detector.step(v)
+        if strike:
+            fired.append(i)
+        state, gc = update_phase(state, t, strike)
+        streamed.append(gc)
+    ticks = strike_ticks(np.asarray(signal), rate, cfg)
+    assert ticks.tolist() == fired
+    assert phase_series(time, ticks).tobytes() \
+        == np.asarray(streamed, dtype=float).tobytes()

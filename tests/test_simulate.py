@@ -125,6 +125,13 @@ def test_gain_validation():
     with pytest.raises(ValueError):
         PidGains(kp=0.1, ki=0.0, kd=0.0, ff_gain=0.0,
                  output_min=1.0, output_max=-1.0)
+    for value in (math.nan, math.inf):
+        for name in ("kp", "ki", "kd", "ff_gain", "integrator_limit",
+                     "output_max"):
+            with pytest.raises(ValueError):
+                replace(DEFAULT_GAINS, **{name: value})
+        with pytest.raises(ValueError):
+            replace(DEFAULT_GAINS, output_min=-value)
 
 
 # --- plant --------------------------------------------------------------------
@@ -359,6 +366,11 @@ def test_run_validation():
         _run(substeps=0)
     with pytest.raises(ValueError, match="control ticks"):
         _run(n_cycles=1, params=replace(_QUIET, control_rate=0.5))
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="constant_reference"):
+            _run(n_cycles=1, constant_reference=value)
+        with pytest.raises(ValueError, match="anchor_amplitude"):
+            _run(n_cycles=1, anchor_amplitude=value)
 
 
 # --- metrics -------------------------------------------------------------------
