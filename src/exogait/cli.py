@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from itertools import compress, islice
@@ -730,6 +731,11 @@ def _cmd_simulate(values: dict) -> int:
         raise _UsageError(str(exc)) from None
     if not 0 <= values["jitter"] < 1:
         raise _UsageError("--jitter must be in [0, 1)")
+    reference = values["constant_reference"]
+    if reference is not None and not math.isfinite(reference):
+        raise _UsageError(
+            f"--constant-reference must be finite, got {reference!r}"
+        )
     result = run_simulation(
         profile,
         conversion,

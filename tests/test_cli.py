@@ -724,6 +724,20 @@ def test_simulate_huge_reference_writes_no_warning(capsys):
     assert json.loads(captured.out)["rms_error"] == math.inf
 
 
+@pytest.mark.parametrize("flag", [
+    "--constant-reference=nan",
+    "--constant-reference=-inf",
+    "--profile=10,20,30,nan",
+    "--gains=0.005,2,0.005,nan",
+    "--moment-arm=inf",
+])
+def test_simulate_rejects_non_finite_input(flag, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", "--cycles", "1", flag]) == 1
+    _error_line(capsys)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "--cycles", "1", "--plant", "control_rate=inf"], 1),
     (["simulate", "--cycles", "1", "--plant", "control_rate=0.5"], 2),
