@@ -228,8 +228,8 @@ def run_simulation(
         raise ValueError("stride_period must be positive")
     if not 0 <= stride_jitter < 1:
         raise ValueError("stride_jitter must be in [0, 1)")
-    if not 0 <= anchor_amplitude < math.inf:
-        raise ValueError("anchor_amplitude must be nonnegative and finite")
+    if anchor_amplitude < 0:
+        raise ValueError("anchor_amplitude must be nonnegative")
     if constant_reference is not None and not math.isfinite(constant_reference):
         raise ValueError(
             f"constant_reference must be finite, got {constant_reference!r}"

@@ -369,8 +369,6 @@ def test_run_validation():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="constant_reference"):
             _run(n_cycles=1, constant_reference=value)
-        with pytest.raises(ValueError, match="anchor_amplitude"):
-            _run(n_cycles=1, anchor_amplitude=value)
 
 
 # --- metrics -------------------------------------------------------------------
