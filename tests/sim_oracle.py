@@ -1,12 +1,13 @@
 """Reference closed loop for the simulator tests.
 
-run_simulation steps the plant and the controller on plain floats inside
-one tick loop. This module keeps the same physics in its straightforward
-form: a one-step controller (pid_step) and a one-step plant (plant_step)
-on frozen state records, and a loop that locates the stride with a scalar
-search every tick, calls pid_step once and plant_step once per substep,
-and draws the load-cell noise inside the last substep. The kernel must
-reproduce it bit for bit.
+run_simulation builds the strikes, GC% and reference as arrays, then steps
+the plant and the controller on plain floats inside one tick loop. This
+module keeps the same chain in its straightforward form: a one-step
+controller (pid_step) and a one-step plant (plant_step) on frozen state
+records, and a loop that locates the stride with a scalar search every
+tick, steps the strike detector, update_phase and reference_tension, calls
+pid_step once and plant_step once per substep, and draws the load-cell
+noise inside the last substep. The kernel must reproduce it bit for bit.
 """
 
 import math
