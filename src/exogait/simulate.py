@@ -159,29 +159,30 @@ def _metrics_from_arrays(
     measured: np.ndarray,
     cycle_index: np.ndarray,
 ) -> tuple[float, float, list[CycleSummary]]:
-    err = np.abs(np.asarray(measured, float) - np.asarray(reference, float))
-    # An error above about 1e154 N squares to inf; the RMS is then inf, as
-    # the float arithmetic gives it, without a warning.
+    # An error above about 1e154 N squares to inf, and squares near the
+    # float maximum sum to inf in the mean; the RMS (or mean tension) is
+    # then inf, as the float arithmetic gives it, without a warning.
     with np.errstate(over="ignore"):
+        err = np.abs(np.asarray(measured, float) - np.asarray(reference, float))
         square = err**2
-    steady = np.asarray(cycle_index) >= 1
-    if not steady.any():
-        steady = np.ones(len(err), dtype=bool)
-    rms = float(np.sqrt(np.mean(square[steady])))
-    peak = float(err[steady].max())
-    rows = []
-    for k in np.unique(cycle_index):
-        m = cycle_index == k
-        rows.append(
-            CycleSummary(
-                cycle=int(k),
-                start_time=float(np.asarray(time)[m][0]),
-                end_time=float(np.asarray(time)[m][-1]),
-                rms_error=float(np.sqrt(np.mean(square[m]))),
-                peak_error=float(err[m].max()),
-                mean_tension=float(np.mean(np.asarray(measured)[m])),
+        steady = np.asarray(cycle_index) >= 1
+        if not steady.any():
+            steady = np.ones(len(err), dtype=bool)
+        rms = float(np.sqrt(np.mean(square[steady])))
+        peak = float(err[steady].max())
+        rows = []
+        for k in np.unique(cycle_index):
+            m = cycle_index == k
+            rows.append(
+                CycleSummary(
+                    cycle=int(k),
+                    start_time=float(np.asarray(time)[m][0]),
+                    end_time=float(np.asarray(time)[m][-1]),
+                    rms_error=float(np.sqrt(np.mean(square[m]))),
+                    peak_error=float(err[m].max()),
+                    mean_tension=float(np.mean(np.asarray(measured)[m])),
+                )
             )
-        )
     return rms, peak, rows
 
 

@@ -429,6 +429,17 @@ def test_metrics_score_steady_cycles_only():
     assert cycles[0].rms_error == pytest.approx(50.0)
 
 
+def test_metrics_summed_squares_overflow_to_inf():
+    # Each square is finite, but their sum passes the float maximum: the
+    # RMS is inf, as the float arithmetic gives it, and numpy stays quiet.
+    res = replace(_result(np.zeros(4), np.zeros(4), np.ones(4, int)),
+                  measured=np.full(4, 1e154))
+    rms, peak, cycles = tracking_metrics(res)
+    assert rms == math.inf
+    assert peak == 1e154
+    assert cycles[0].rms_error == math.inf
+
+
 def test_metrics_single_cycle_uses_all():
     res = _result(np.full(40, 50.0), np.full(40, 49.0), np.zeros(40, int))
     rms, _, _ = tracking_metrics(res)
