@@ -74,6 +74,11 @@ SCHEMA_VERSION = 1
 _TRACE_CHUNK = 512
 # Strides CSV rows tokenized at a time by compare.
 _ROW_CHUNK = 4096
+# Bytes of a plain strides CSV split at a time by compare.
+_PLAIN_BLOCK = 1 << 20
+# Bytes csv.reader gives a meaning of their own besides ',' and '\n': the
+# quote, the carriage return and, before Python 3.11, NUL.
+_NOT_PLAIN = (b'"', b"\r") + ((b"\0",) if sys.version_info < (3, 11) else ())
 
 STRIDE_COLUMNS = [
     "trial_id",
@@ -579,11 +584,17 @@ def _read_strides_csv(paths, names) -> dict[str, list]:
 
     Rows read as csv.DictReader reads them: blank lines are skipped, a
     repeated header name reads its last column, and a cell past the end of
-    a short row, or in a column the file lacks, is None. Rows are read
-    _ROW_CHUNK at a time, so only the named columns are held whole.
+    a short row, or in a column the file lacks, is None. A plain file (see
+    _read_plain) is split with numpy; any other is read by csv.reader,
+    _ROW_CHUNK rows at a time, so only the named columns are held whole.
     """
     columns: dict[str, list] = {name: [] for name in names}
     for path in paths:
+        plain = _read_plain(path, list(columns))
+        if plain is not None:
+            for name, column in columns.items():
+                column.extend(plain[name])
+            continue
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -604,6 +615,94 @@ def _read_strides_csv(paths, names) -> dict[str, list]:
                     f"{path}: line {reader.line_num}: {exc}"
                 ) from None
     return columns
+
+
+def _read_plain(path, names) -> dict[str, list] | None:
+    """The named columns of a plain strides CSV, or None for any other file.
+
+    A file is plain when it is UTF-8 without the bytes in _NOT_PLAIN, its
+    header line names trial_id and condition, every other line is blank or
+    holds exactly as many commas as the header, and no line is longer than
+    the csv field limit. csv.reader splits such a file at its commas and
+    newlines, so numpy finds those on the bytes, and only the named columns
+    are decoded into strings. The file is split in blocks of whole lines,
+    about _PLAIN_BLOCK bytes each.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        head = fh.readline(limit + 1).removesuffix(b"\n")
+        try:
+            header = head.decode().split(",")
+        except UnicodeDecodeError:
+            return None
+        if len(head) > limit or any(byte in head for byte in _NOT_PLAIN) \
+                or "trial_id" not in header or "condition" not in header:
+            return None
+        where = {name: j for j, name in enumerate(header)}
+        # The cells of a row come in header order: the k-th picked column
+        # is every p-th cell from the k-th on.
+        order = sorted({where[name] for name in names if name in where})
+        p = len(order)
+        picked = np.zeros(len(header), bool)
+        picked[order] = True
+        slots = [(name, order.index(where[name]) if name in where else None)
+                 for name in names]
+        columns = {name: [] for name in names}
+        rest = b""
+        while True:
+            chunk = fh.read(_PLAIN_BLOCK)
+            if chunk:
+                block = rest + chunk
+                cut = block.rfind(b"\n") + 1
+                block, rest = block[:cut], block[cut:]
+            elif rest:  # a last line without its newline
+                block, rest = rest + b"\n", b""
+            else:
+                return columns
+            split = _split_plain(block, picked)
+            if split is None or len(rest) > limit:
+                return None
+            n, cells = split
+            for name, k in slots:
+                columns[name].extend([None] * n if k is None else cells[k::p])
+
+
+def _split_plain(block, picked) -> tuple[int, list[str]] | None:
+    """(rows, cells) of a block of whole lines: the cells of the columns
+    where picked is True, row after row, or None when the block is not
+    plain."""
+    if any(byte in block for byte in _NOT_PLAIN):
+        return None
+    try:
+        block.decode()
+    except UnicodeDecodeError:
+        return None
+    while b"\n\n" in block:  # a blank line holds no row
+        block = block.replace(b"\n\n", b"\n")
+    block = block.lstrip(b"\n")
+    buf = np.frombuffer(block, np.uint8)
+    newline = buf == ord("\n")
+    seps = (newline | (buf == ord(","))).nonzero()[0]
+    width = picked.size
+    n = int(np.count_nonzero(newline))
+    # Groups of width separators, each ending at a newline: every line
+    # holds width - 1 commas.
+    line_ends = seps[width - 1::width]
+    if seps.size != n * width or not newline[line_ends].all():
+        return None
+    limit = csv.field_size_limit()
+    if len(block) > limit and np.diff(line_ends, prepend=-1).max() > limit + 1:
+        return None
+    # A byte belongs to the cell that the next separator ends. Keep the
+    # picked cells with their separators and split them as one string.
+    cuts = np.concatenate(([-1], seps))
+    per_cell = picked[None].repeat(n, axis=0).ravel()
+    keep = per_cell.repeat(cuts[1:] - cuts[:-1])
+    text = buf[keep]
+    text[text == ord(",")] = ord("\n")
+    cells = text.tobytes().decode().split("\n")
+    cells.pop()  # after the last newline
+    return n, cells
 
 
 def _extend_columns(columns, where, rows) -> None:
@@ -643,6 +742,15 @@ def _feature_values(
 
 
 def _cmd_compare(values: dict) -> int:
+    if not 0 < values["alpha"] < 1:
+        raise _UsageError(f"--alpha must be in (0, 1), got {values['alpha']}")
+    for key in ("angle_bound", "duration_bound", "bound"):
+        bound = values[key]
+        if bound is not None and not 0 < bound < math.inf:
+            raise _UsageError(
+                f"--{key.replace('_', '-')} must be positive and finite, "
+                f"got {bound}"
+            )
     stat = StatConfig(
         alpha=values["alpha"],
         angle_bound=values["angle_bound"],

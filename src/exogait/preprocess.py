@@ -124,7 +124,9 @@ def smooth_with_lambda(
     if info > 0:
         return _quadratic_limit(y)
     z = dpbtrs(chol, d3y)[0]
-    residual = d3y - (z + c * np.convolve(z, _D3_AUTOCORR, mode="same"))
+    # (D3 D3^T) z as the middle m entries of the full product; mode="same"
+    # would return 7 entries when m < 7.
+    residual = d3y - (z + c * np.convolve(z, _D3_AUTOCORR)[3:3 + m])
     z = z + dpbtrs(chol, np.asarray_chkfinite(residual))[0]
     return y - c * np.convolve(z, _D3_STENCIL, mode="full")
 

@@ -207,6 +207,15 @@ def _read_strides_csv(paths):
 
 def oracle_cmd_compare(values):
     """Drop-in for cli._cmd_compare: same options, output and errors."""
+    if not 0 < values["alpha"] < 1:
+        raise _UsageError(f"--alpha must be in (0, 1), got {values['alpha']}")
+    for key in ("angle_bound", "duration_bound", "bound"):
+        bound = values[key]
+        if bound is not None and not 0 < bound < math.inf:
+            raise _UsageError(
+                f"--{key.replace('_', '-')} must be positive and finite, "
+                f"got {bound}"
+            )
     stat = StatConfig(
         alpha=values["alpha"],
         angle_bound=values["angle_bound"],

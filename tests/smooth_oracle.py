@@ -31,7 +31,7 @@ def oracle_smooth_with_lambda(samples, rate, lam):
     ab[0, 3:] = c * -1.0
     try:
         z = solveh_banded(ab, d3y, lower=False)
-        residual = d3y - (z + c * np.convolve(z, _D3_AUTOCORR, mode="same"))
+        residual = d3y - (z + c * np.convolve(z, _D3_AUTOCORR)[3:3 + m])
         z = z + solveh_banded(ab, residual, lower=False)
     except np.linalg.LinAlgError:
         return _quadratic_limit(y)

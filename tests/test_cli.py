@@ -491,8 +491,10 @@ _TRIAL_CONDITION = {"t1": "NoExo", "t2": "NoExo", "t3": "NoExo", "": "NoExo",
 
 
 @st.composite
-def _feature_cell(draw, dirty):
-    kinds = ["num"] * 12 + ["big", "empty", "space", "padded", "spelled"]
+def _feature_cell(draw, dirty, plain):
+    kinds = ["num"] * 12 + ["big", "empty", "space", "spelled"]
+    if not plain:
+        kinds.append("padded")  # its newline makes csv.writer quote it
     if dirty:
         kinds += ["bad", "odd"]
     kind = draw(st.sampled_from(kinds))
@@ -503,20 +505,29 @@ def _feature_cell(draw, dirty):
     if kind == "empty":
         return ""
     if kind == "space":
-        return draw(st.sampled_from([" ", "\t", "  \x1f"]))
+        return draw(st.sampled_from([" ", "\t", "  \x1f", "\xa0"]))
     if kind == "padded":
         return f" \x1c{draw(st.integers(-20, 20))}.5\n"
     if kind == "spelled":
-        return draw(st.sampled_from(["1_000", "-0.0", "\u0661\u0662"]))
+        return draw(st.sampled_from(
+            ["1_000", "-0.0", "\u0661\u0662", "\xa02.5\u2007"]))
     if kind == "bad":
-        return draw(st.sampled_from(["abc", "1.2.3", "--", "1,5"]))
+        bad = ["abc", "1.2.3", "--", "\x00", "1\x00", "2\u00e9"]
+        return draw(st.sampled_from(bad if plain else bad + ["1,5"]))
     return draw(st.sampled_from(["inf", "-inf", "nan"]))
 
 
 @st.composite
 def _strides_file(draw):
     """One strides CSV as text: shuffled, repeated or missing columns, short
-    and long rows, blank lines, unknown labels and unparseable cells."""
+    and long rows, blank lines, unknown labels and unparseable cells.
+
+    Three in five files are drawn plain: every row as wide as the header,
+    no cell that csv.writer quotes and no carriage return. The others may
+    also quote every cell or end their lines with \\r\\n. Either kind may
+    lack its last newline or start with a byte order mark.
+    """
+    plain = draw(st.integers(0, 4)) >= 2
     header = draw(st.permutations(
         ["trial_id", "condition", "rom", "cycle_duration", "side"]))
     header = list(header)
@@ -547,10 +558,13 @@ def _strides_file(draw):
             elif name == "condition":
                 row.append(condition)
             elif name == "side":
-                row.append(draw(st.sampled_from(["left", "right"])))
+                sides = ["left", "right", "l\u00e9ft", "ri\x00ght", "\xa0left"]
+                if not plain:
+                    sides.append('say "left"')
+                row.append(draw(st.sampled_from(sides)))
             else:
-                row.append(draw(_feature_cell(dirty)))
-        cut = draw(st.integers(0, 24))
+                row.append(draw(_feature_cell(dirty, plain)))
+        cut = 0 if plain else draw(st.integers(0, 24))
         if cut == 12:
             row = row[: draw(st.integers(0, len(row)))]
         elif cut == 13:
@@ -558,14 +572,23 @@ def _strides_file(draw):
         lines.append(row)
         if draw(st.integers(0, 9)) == 5:
             lines.append([])
+    end = "\n" if plain or draw(st.integers(0, 3)) else "\r\n"
+    quoting = csv.QUOTE_MINIMAL
+    if not plain and draw(st.integers(0, 5)) == 0:
+        quoting = csv.QUOTE_ALL  # a comma count a plain file could have
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator=end, quoting=quoting)
     for row in lines:
         if row:
             writer.writerow(row)
         else:
-            out.write("\n")
-    return out.getvalue()
+            out.write(end)
+    text = out.getvalue()
+    if draw(st.integers(0, 4)) == 2:
+        text = text.removesuffix(end)
+    if draw(st.integers(0, 7)) == 3:
+        text = "\ufeff" + text
+    return text
 
 
 def _run_captured(argv):
@@ -579,6 +602,29 @@ def _run_captured(argv):
         [(w.category, str(w.message)) for w in caught]
 
 
+def _compare_with_oracle(files, args, to_stdout=True):
+    """The CLI's and the oracle's outcome of one compare over files (text
+    or bytes): each the _run_captured tuple and the --out bytes, or None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, data in enumerate(files):
+            path = Path(tmp) / f"strides{k}.csv"
+            if isinstance(data, str):
+                data = data.encode("utf-8")
+            path.write_bytes(data)
+            paths.append(str(path))
+        results = []
+        for name, command in (("cli", cli._cmd_compare),
+                              ("oracle", oracle_cmd_compare)):
+            out = Path(tmp) / f"{name}.json"
+            extra = [] if to_stdout else ["--out", str(out)]
+            with mock.patch.dict(cli._DISPATCH, {"compare": command}):
+                result = _run_captured(["compare", *paths, *args, *extra])
+            written = out.read_bytes() if out.exists() else None
+            results.append((result, written))
+    return results
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     files=st.lists(_strides_file(), min_size=1, max_size=3),
@@ -586,7 +632,7 @@ def _run_captured(argv):
         st.sampled_from(["rom"] * 5 + ["cycle_duration"] * 4
                         + ["condition", "wobble"]),
         min_size=1, max_size=3),
-    bound=st.sampled_from([None, None, "1.5"]),
+    bound=st.sampled_from([None] * 4 + ["1.5"] * 2 + ["-1"]),
     labels=st.sampled_from([(), (), ("--baseline", "ExoOff",
                                      "--treatment", "NoExo"),
                             ("--treatment", "Other"), ("--treatment", "")]),
@@ -596,25 +642,86 @@ def _run_captured(argv):
 @example(files=[_TWO_STRIDES], features=["rom"], bound=None, labels=(),
          to_stdout=True)
 def test_compare_matches_oracle(files, features, bound, labels, to_stdout):
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for k, text in enumerate(files):
-            path = Path(tmp) / f"strides{k}.csv"
-            path.write_text(text, encoding="utf-8")
-            paths.append(str(path))
-        argv = ["compare", *paths, "--features", ",".join(features), *labels]
-        if bound is not None:
-            argv += ["--bound", bound]
-        results = []
-        for name, command in (("cli", cli._cmd_compare),
-                              ("oracle", oracle_cmd_compare)):
-            out = Path(tmp) / f"{name}.json"
-            extra = [] if to_stdout else ["--out", str(out)]
-            with mock.patch.dict(cli._DISPATCH, {"compare": command}):
-                result = _run_captured(argv + extra)
-            written = out.read_bytes() if out.exists() else None
-            results.append((result, written))
-    assert results[0] == results[1]
+    args = ["--features", ",".join(features), *labels]
+    if bound is not None:
+        args += ["--bound", bound]
+    got, want = _compare_with_oracle(files, args, to_stdout)
+    assert got == want
+
+
+def _plain_strides(n_rows):
+    """A strides table that every reader splits at its commas: four trials,
+    two per condition, with a side column that compare never reads."""
+    lines = ["trial_id,condition,rom,side"]
+    for i in range(n_rows):
+        condition = "NoExo" if i % 4 < 2 else "ExoOff"
+        lines.append(f"t{i % 4},{condition},{10 + i % 7}.25,left")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tail", [
+    "t3,ExoOff,1.5\n",  # short last row
+    "t3,ExoOff,1.5,left,9\n",  # long last row
+    'say "t3",ExoOff,1.5,left\n',  # a quote, same comma count
+    '"t3","ExoOff","1.5","left"\n',  # quoted cells
+    "t3,ExoOff,1.5,left\r\n",  # one carriage return
+    "t3,ExoOff\rt4,ExoOff,2.5\n",  # a carriage return ends a row
+    "\nt3,ExoOff,1.5,left\n\n\n",  # blank lines
+    "t3,ExoOff,1.5,left",  # no last newline
+    "",
+])
+def test_compare_nearly_plain_file_matches_oracle(tail):
+    data = _plain_strides(8) + tail
+    got, want = _compare_with_oracle([data], ["--features", "rom"])
+    assert got == want
+
+
+def test_compare_invalid_utf8_after_first_8k():
+    data = _plain_strides(1500).encode("ascii") + b"t1,NoExo,10.5,l\xffft\n"
+    assert len(data) > 3 * 8192
+    got, want = _compare_with_oracle([data], ["--features", "rom"])
+    assert got == want
+    (code, out, err, caught), written = got
+    assert (code, out, caught, written) == (2, "", [], None)
+    # The position counts from the start of the decoder's current chunk.
+    assert err == ("exogait: error: 'utf-8' codec can't decode byte 0xff "
+                   "in position 6217: invalid start byte\n")
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_compare_field_at_the_limit_on_plain_file(extra, tmp_path):
+    a = tmp_path / "a.csv"
+    side = "x" * (csv.field_size_limit() + extra)
+    a.write_text(_plain_strides(12) + f"t2,ExoOff,12.5,{side}\n",
+                 encoding="utf-8")
+    code, out, err, caught = _run_captured(
+        ["compare", str(a), "--features", "rom"])
+    assert caught == []
+    if extra == 0:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["features"][0]["n_strides"] == {
+            "baseline": 6, "treatment": 7}
+    else:
+        assert (code, out) == (2, "")
+        assert err == (f"exogait: error: {a}: line 14: field larger than "
+                       "field limit (131072)\n")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--bound", "inf"), ("--angle-bound", "inf"), ("--duration-bound", "inf"),
+    ("--bound", "-1"), ("--bound", "nan"), ("--bound", "0"),
+    ("--angle-bound", "nan"), ("--alpha", "1"), ("--alpha", "nan"),
+    ("--alpha", "0"), ("--alpha", "-inf"), ("--duration-bound", "-inf"),
+])
+def test_compare_rejects_bad_option_values(flag, value, tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    a.write_text(_plain_strides(12), encoding="utf-8")
+    verdict = tmp_path / "verdict.json"
+    code = run(["compare", str(a), "--features", "rom", f"{flag}={value}",
+                "--out", str(verdict)])
+    assert code == 1
+    assert flag in _error_line(capsys)
+    assert not verdict.exists()
 
 
 # --- simulate --------------------------------------------------------------------
