@@ -76,9 +76,19 @@ _TRACE_CHUNK = 512
 _ROW_CHUNK = 4096
 # Bytes of a plain strides CSV split at a time by compare.
 _PLAIN_BLOCK = 1 << 20
+# Lines a block of a plain strides CSV needs to be taken apart on its
+# bytes; str.split is quicker on fewer.
+_BYTES_MIN_ROWS = 128
+# A plain block whose cells, padded to the longest, would take more than
+# this many bytes per byte of the block is left to csv.reader.
+_BYTES_PAD = 8
 # Bytes csv.reader gives a meaning of their own besides ',' and '\n': the
 # quote, the carriage return and, before Python 3.11, NUL.
 _NOT_PLAIN = (b'"', b"\r") + ((b"\0",) if sys.version_info < (3, 11) else ())
+# The bytes of a plain decimal feature cell, which numpy parses, and the
+# newline that ends each cell from _cells.
+_DECIMAL = np.zeros(256, bool)
+_DECIMAL[np.frombuffer(b"0123456789.eE+-\n", np.uint8)] = True
 
 STRIDE_COLUMNS = [
     "trial_id",
@@ -579,54 +589,124 @@ def _cmd_analyze(values: dict) -> int:
     return 0
 
 
-def _read_strides_csv(paths, names) -> dict[str, list]:
-    """The named columns of every strides CSV, in file order.
+def _read_strides_csv(paths, labels, features) -> tuple:
+    """The labelled rows of every strides CSV, in file order:
+    (conditions, trial_codes, trial_names, cells).
+
+    A row is labelled when its condition cell is labels[0] (condition 0) or
+    labels[1] (condition 1); other rows are dropped. trial_names holds the
+    trial ids of labelled rows in order of first appearance, and
+    trial_codes[i] indexes it. cells[feature] is a list of pieces for
+    _feature_values, in row order.
 
     Rows read as csv.DictReader reads them: blank lines are skipped, a
     repeated header name reads its last column, and a cell past the end of
-    a short row, or in a column the file lacks, is None. A plain file (see
-    _read_plain) is split with numpy; any other is read by csv.reader,
-    _ROW_CHUNK rows at a time, so only the named columns are held whole.
+    a short row, or in a column the file lacks, is missing (None, or empty
+    in a plain file). A plain file (see _read_plain) is split at its commas
+    and newlines; any other is read by csv.reader, _ROW_CHUNK rows at a
+    time. Every file is read before any feature cell is parsed.
     """
-    columns: dict[str, list] = {name: [] for name in names}
+    features = list(dict.fromkeys(features))
+    trials: dict[str, int] = {}
+    conditions = [np.empty(0, np.intp)]
+    trial_codes = [np.empty(0, np.intp)]
+    cells: dict[str, list] = {name: [] for name in features}
     for path in paths:
-        plain = _read_plain(path, list(columns))
-        if plain is not None:
-            for name, column in columns.items():
-                column.extend(plain[name])
-            continue
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if header is None or "trial_id" not in header or \
-                        "condition" not in header:
-                    raise BadHeaderRow(
-                        f"{path}: strides CSV needs trial_id and condition "
-                        "columns"
-                    )
-                where = {name: j for j, name in enumerate(header)}
-                while chunk := list(islice(reader, _ROW_CHUNK)):
-                    _extend_columns(
-                        columns, where, [row for row in chunk if row]
-                    )
-            except csv.Error as exc:
-                raise MalformedCsv(
-                    f"{path}: line {reader.line_num}: {exc}"
-                ) from None
-    return columns
+        blocks = _read_plain(path, labels, features)
+        if blocks is None:
+            blocks = _read_rows(path, labels, features)
+        for block_conditions, names, codes, block_cells in blocks:
+            recode = np.array(
+                [trials.setdefault(name, len(trials)) for name in names],
+                np.intp,
+            )
+            conditions.append(block_conditions)
+            trial_codes.append(recode[codes])
+            for piece, pieces in zip(block_cells, cells.values()):
+                if isinstance(piece, list) and pieces and \
+                        isinstance(pieces[-1], list):
+                    pieces[-1].extend(piece)
+                else:
+                    pieces.append(piece)
+    return (np.concatenate(conditions), np.concatenate(trial_codes),
+            list(trials), cells)
 
 
-def _read_plain(path, names) -> dict[str, list] | None:
-    """The named columns of a plain strides CSV, or None for any other file.
+# A block, as _read_rows and _read_plain give it, holds the labelled rows
+# of some lines of a file: (conditions, names, codes, cells), with the
+# condition of each row, the block's trial ids in order of first
+# appearance, each row's index into them, and one piece of cells per
+# feature.
+
+
+def _read_rows(path, labels, features) -> list[tuple]:
+    """The blocks of a strides CSV read by csv.reader."""
+    blocks = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or "trial_id" not in header or \
+                    "condition" not in header:
+                raise BadHeaderRow(
+                    f"{path}: strides CSV needs trial_id and condition "
+                    "columns"
+                )
+            where = {name: j for j, name in enumerate(header)}
+            while chunk := list(islice(reader, _ROW_CHUNK)):
+                rows = [row for row in chunk if row]
+                width = min(map(len, rows), default=0)
+                blocks.append(_string_block([
+                    _column(rows, where.get(name), width)
+                    for name in ("condition", "trial_id", *features)
+                ], labels))
+        except csv.Error as exc:
+            raise MalformedCsv(
+                f"{path}: line {reader.line_num}: {exc}"
+            ) from None
+    return blocks
+
+
+def _column(rows, j, width) -> list:
+    """Cell j of every row, None past the end of a short row or when j is
+    None; width is the length of the shortest row."""
+    if j is None:
+        return [None] * len(rows)
+    if j < width:
+        return list(map(itemgetter(j), rows))
+    return [row[j] if j < len(row) else None for row in rows]
+
+
+def _string_block(columns, labels) -> tuple:
+    """The block of rows given as columns of strings (None for a missing
+    cell): their conditions, their trial ids, then one per feature."""
+    coding = {label: code for code, label in enumerate(labels)}
+    coded = list(map(coding.get, columns[0]))
+    labelled = [code is not None for code in coded]
+    # str() of a missing cell, as DictReader gave it
+    ids = ["None" if t is None else t for t in compress(columns[1], labelled)]
+    names = list(dict.fromkeys(ids))
+    index = {name: code for code, name in enumerate(names)}
+    return (
+        np.array(list(compress(coded, labelled)), np.intp),
+        names,
+        np.fromiter(map(index.__getitem__, ids), np.intp, len(ids)),
+        [list(compress(column, labelled)) for column in columns[2:]],
+    )
+
+
+def _read_plain(path, labels, features) -> list[tuple] | None:
+    """The blocks of a plain strides CSV, or None for any other file.
 
     A file is plain when it is UTF-8 without the bytes in _NOT_PLAIN, its
     header line names trial_id and condition, every other line is blank or
     holds exactly as many commas as the header, and no line is longer than
     the csv field limit. csv.reader splits such a file at its commas and
-    newlines, so numpy finds those on the bytes, and only the named columns
-    are decoded into strings. The file is split in blocks of whole lines,
-    about _PLAIN_BLOCK bytes each.
+    newlines, so those are all that is looked for. The file is taken apart
+    in blocks of whole lines, about _PLAIN_BLOCK bytes each: on its bytes
+    (see _split_plain and _bytes_block), or with str.split when the block
+    has fewer than _BYTES_MIN_ROWS lines and numpy's fixed costs would
+    outweigh its gain.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
@@ -639,15 +719,10 @@ def _read_plain(path, names) -> dict[str, list] | None:
                 or "trial_id" not in header or "condition" not in header:
             return None
         where = {name: j for j, name in enumerate(header)}
-        # The cells of a row come in header order: the k-th picked column
-        # is every p-th cell from the k-th on.
-        order = sorted({where[name] for name in names if name in where})
-        p = len(order)
-        picked = np.zeros(len(header), bool)
-        picked[order] = True
-        slots = [(name, order.index(where[name]) if name in where else None)
-                 for name in names]
-        columns = {name: [] for name in names}
+        columns = [where.get(name)
+                   for name in ("condition", "trial_id", *features)]
+        width = len(header)
+        blocks = []
         rest = b""
         while True:
             chunk = fh.read(_PLAIN_BLOCK)
@@ -658,32 +733,47 @@ def _read_plain(path, names) -> dict[str, list] | None:
             elif rest:  # a last line without its newline
                 block, rest = rest + b"\n", b""
             else:
-                return columns
-            split = _split_plain(block, picked)
-            if split is None or len(rest) > limit:
+                return blocks
+            if any(byte in block for byte in _NOT_PLAIN) or len(rest) > limit:
                 return None
-            n, cells = split
-            for name, k in slots:
-                columns[name].extend([None] * n if k is None else cells[k::p])
+            try:
+                text = block.decode()
+            except UnicodeDecodeError:
+                return None
+            buf = np.frombuffer(block, np.uint8)
+            if np.count_nonzero(buf == ord("\n")) < _BYTES_MIN_ROWS:
+                lines = [line for line in text.split("\n") if line]
+                rows = [line.split(",") for line in lines]
+                if any(len(row) != width for row in rows) or \
+                        max(map(len, lines), default=0) > limit:
+                    return None
+                blocks.append(_string_block(
+                    [_column(rows, j, width) for j in columns], labels
+                ))
+                continue
+            split = _split_plain(buf, width, columns)
+            if split is None:
+                return None
+            blocks.append(_bytes_block(*split, labels))
 
 
-def _split_plain(block, picked) -> tuple[int, list[str]] | None:
-    """(rows, cells) of a block of whole lines: the cells of the columns
-    where picked is True, row after row, or None when the block is not
-    plain."""
-    if any(byte in block for byte in _NOT_PLAIN):
-        return None
-    try:
-        block.decode()
-    except UnicodeDecodeError:
-        return None
-    while b"\n\n" in block:  # a blank line holds no row
-        block = block.replace(b"\n\n", b"\n")
-    block = block.lstrip(b"\n")
-    buf = np.frombuffer(block, np.uint8)
+def _split_plain(buf, width, columns) -> tuple | None:
+    """(buf, starts, lengths) of the bytes of a block of whole lines that
+    holds no byte of _NOT_PLAIN: its bytes without blank lines, and where
+    the cells of the given columns start and how long they are, a row per
+    line. A column the file lacks (None) has empty cells. None when a line
+    does not hold width - 1 commas or is longer than the field limit, or
+    when padding the cells to the longest would take more than _BYTES_PAD
+    bytes per byte of the block."""
     newline = buf == ord("\n")
+    # A newline first or right after another ends a blank line, which holds
+    # no row.
+    blank = newline.copy()
+    blank[1:] &= newline[:-1]
+    if blank.any():
+        buf = buf[~blank]
+        newline = buf == ord("\n")
     seps = (newline | (buf == ord(","))).nonzero()[0]
-    width = picked.size
     n = int(np.count_nonzero(newline))
     # Groups of width separators, each ending at a newline: every line
     # holds width - 1 commas.
@@ -691,54 +781,117 @@ def _split_plain(block, picked) -> tuple[int, list[str]] | None:
     if seps.size != n * width or not newline[line_ends].all():
         return None
     limit = csv.field_size_limit()
-    if len(block) > limit and np.diff(line_ends, prepend=-1).max() > limit + 1:
+    if buf.size > limit and np.diff(line_ends, prepend=-1).max() > limit + 1:
         return None
-    # A byte belongs to the cell that the next separator ends. Keep the
-    # picked cells with their separators and split them as one string.
-    cuts = np.concatenate(([-1], seps))
-    per_cell = picked[None].repeat(n, axis=0).ravel()
-    keep = per_cell.repeat(cuts[1:] - cuts[:-1])
-    text = buf[keep]
-    text[text == ord(",")] = ord("\n")
-    cells = text.tobytes().decode().split("\n")
-    cells.pop()  # after the last newline
-    return n, cells
+    # A cell ends at its separator and starts after the one before.
+    before = np.empty_like(seps)
+    before[:1] = -1
+    before[1:] = seps[:-1]
+    take = [j or 0 for j in columns]
+    starts = before.reshape(n, width)[:, take] + 1
+    lengths = seps.reshape(n, width)[:, take] - starts
+    lengths[:, [j is None for j in columns]] = 0
+    padded = lengths.size * (int(lengths.max(initial=0)) + 1)
+    if padded > _BYTES_PAD * buf.size:
+        return None
+    return buf, starts, lengths
 
 
-def _extend_columns(columns, where, rows) -> None:
-    width = min(map(len, rows), default=0)
-    for name, column in columns.items():
-        j = where.get(name)
-        if j is None:
-            column.extend([None] * len(rows))
-        elif j < width:
-            column.extend(map(itemgetter(j), rows))
-        else:
-            column.extend([row[j] if j < len(row) else None for row in rows])
+def _bytes_block(buf, starts, lengths, labels) -> tuple:
+    """The block of a split plain block's rows, taken apart on its bytes.
+
+    The columns are those of _string_block. A row is labelled when its
+    condition cell has the UTF-8 bytes of a label; a label that UTF-8
+    cannot spell, such as a lone surrogate, matches no cell. Trial ids are
+    told apart on their bytes, and only the distinct ones are decoded. A
+    feature column whose cells hold nothing but [0-9.eE+-] stays a bytes
+    array, which _feature_values hands to numpy; any other is decoded into
+    strings.
+    """
+    cells = _cells(buf, starts, lengths)
+    coded = np.full(len(cells), -1, np.intp)
+    for code, label in enumerate(labels):
+        try:
+            coded[cells[:, 0] == label.encode() + b"\n"] = code
+        except UnicodeEncodeError:
+            pass
+    labelled = coded >= 0
+    cells, lengths = cells[labelled], lengths[labelled]
+    distinct, first, codes = np.unique(cells[:, 1], return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    names = [name[:-1].decode() for name in distinct[order].tolist()]
+    pieces = []
+    for k in range(2, cells.shape[1]):
+        column = cells[:, k].copy()
+        # Every byte of the cells in [0-9.eE+-]? The newline after each
+        # cell counts as one such byte, the padding as none.
+        decimal = np.count_nonzero(_DECIMAL.take(column.view(np.uint8)))
+        if decimal != lengths[:, k].sum() + column.size:
+            column = [cell[:-1].decode() for cell in column.tolist()]
+        pieces.append(column)
+    return coded[labelled], names, rank[codes], pieces
+
+
+def _cells(buf, starts, lengths) -> np.ndarray:
+    """The cells buf[start:start + length], in the shape of starts, as a
+    numpy bytes array with a newline after each cell. No plain cell holds a
+    newline, and it keeps a cell's own trailing NULs, which a bytes array
+    would drop, part of the cell."""
+    width = int(lengths.max(initial=0)) + 1
+    short = int(starts.max(initial=0)) + width - buf.size
+    if short > 0:  # the windows of the last cells run past the block
+        buf = np.concatenate((buf, np.zeros(short, np.uint8)))
+    windows = np.ndarray((buf.size - width + 1, width), np.uint8, buf,
+                         strides=(1, 1))
+    cells = windows[starts]
+    cells *= np.arange(width) < lengths[..., None]
+    cells.reshape(-1, width)[np.arange(lengths.size), lengths.ravel()] = \
+        ord("\n")
+    return cells.view(f"S{width}")[..., 0]
 
 
 def _feature_values(
-    feature: str, cells: list
+    feature: str, pieces: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, keep): the cells that are not empty once stripped, as
-    floats, and a mask of which cells they are."""
-    if None in cells:
-        cells = [cell or "" for cell in cells]
-    stripped = list(map(str.strip, cells))
-    keep = list(map(bool, stripped))
-    kept = list(compress(stripped, keep))
-    try:
-        values = np.fromiter(map(float, kept), float, len(kept))
-    except ValueError:
-        for cell in kept:
+    floats, and a mask of which cells they are.
+
+    A piece is a list of cells, str or None for a missing one, or a bytes
+    array from _bytes_block of cells that hold only [0-9.eE+-], each
+    followed by a newline. numpy's cast parses those as float() does.
+    """
+    values, keeps = [np.empty(0)], [np.empty(0, bool)]
+    for cells in pieces:
+        if isinstance(cells, np.ndarray):
+            keep = cells != b"\n"
             try:
-                float(cell)
-            except ValueError:
-                raise NonNumericCell(
-                    f"feature {feature!r}: cannot parse {cell!r}"
-                ) from None
-        raise
-    return values, np.array(keep, dtype=bool)
+                with np.errstate(over="ignore"):  # 1e309 reads as inf
+                    values.append(cells[keep].astype(float))
+                keeps.append(keep)
+                continue
+            except ValueError:  # name the first cell float() rejects
+                cells = [cell[:-1].decode() for cell in cells.tolist()]
+        if None in cells:
+            cells = [cell or "" for cell in cells]
+        stripped = list(map(str.strip, cells))
+        keep = list(map(bool, stripped))
+        kept = list(compress(stripped, keep))
+        try:
+            values.append(np.fromiter(map(float, kept), float, len(kept)))
+        except ValueError:
+            for cell in kept:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise NonNumericCell(
+                        f"feature {feature!r}: cannot parse {cell!r}"
+                    ) from None
+            raise
+        keeps.append(np.array(keep, dtype=bool))
+    return np.concatenate(values), np.concatenate(keeps)
 
 
 def _cmd_compare(values: dict) -> int:
@@ -751,27 +904,17 @@ def _cmd_compare(values: dict) -> int:
                 f"--{key.replace('_', '-')} must be positive and finite, "
                 f"got {bound}"
             )
+    baseline, treatment = values["baseline"], values["treatment"]
+    if baseline == treatment:
+        raise _UsageError("condition labels must be distinct")
     stat = StatConfig(
         alpha=values["alpha"],
         angle_bound=values["angle_bound"],
         duration_bound=values["duration_bound"],
     )
-    baseline, treatment = values["baseline"], values["treatment"]
-    if baseline == treatment:
-        raise ValueError("condition labels must be distinct")
-    columns = _read_strides_csv(
-        values["inputs"], ("trial_id", "condition", *values["features"])
+    conditions, trial_codes, trial_names, cells = _read_strides_csv(
+        values["inputs"], (baseline, treatment), values["features"]
     )
-    coded = list(map({baseline: 0, treatment: 1}.get, columns["condition"]))
-    labelled = [code is not None for code in coded]
-    conditions = np.array(list(compress(coded, labelled)), dtype=np.intp)
-    trial_ids = list(compress(columns["trial_id"], labelled))
-    if None in trial_ids:  # str() of a missing cell, as DictReader gave it
-        trial_ids = ["None" if t is None else t for t in trial_ids]
-    trial_names = list(dict.fromkeys(trial_ids))
-    index = {name: code for code, name in enumerate(trial_names)}
-    trial_codes = np.fromiter(map(index.__getitem__, trial_ids), np.intp,
-                              len(trial_ids))
     report = {
         "schema_version": SCHEMA_VERSION,
         "baseline": baseline,
@@ -790,9 +933,7 @@ def _cmd_compare(values: dict) -> int:
             raise _UsageError(
                 f"feature {feature!r} has no default bound; pass --bound"
             )
-        strides, keep = _feature_values(
-            feature, list(compress(columns[feature], labelled))
-        )
+        strides, keep = _feature_values(feature, cells[feature])
         kept_conditions = conditions[keep]
         fit, means_a, means_b = compare_trials(
             strides, kept_conditions, trial_codes[keep], trial_names

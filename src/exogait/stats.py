@@ -247,10 +247,11 @@ def _fit(trials: _Trials) -> LmeFit:
 
 def _trial_means(trials: _Trials) -> tuple[list[float], list[float]]:
     ends = list(accumulate(trials.n))
-    means = [
-        float(np.mean(trials.values[end - n_t : end]))
-        for n_t, end in zip(trials.n, ends)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _group
+        means = [
+            float(np.mean(trials.values[end - n_t : end]))
+            for n_t, end in zip(trials.n, ends)
+        ]
     means_a = [m for m, c in zip(means, trials.condition) if c == 0]
     means_b = [m for m, c in zip(means, trials.condition) if c == 1]
     return means_a, means_b
@@ -332,9 +333,12 @@ def tost_welch(
         raise ValueError(f"bound must be positive, got {bound}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    diff = float(a.mean() - b.mean())
-    va = float(a.var(ddof=1)) / a.size
-    vb = float(b.var(ddof=1)) / b.size
+    # Means past the float range read as inf or nan without a warning, as
+    # Python floats would give them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = float(a.mean() - b.mean())
+        va = float(a.var(ddof=1)) / a.size
+        vb = float(b.var(ddof=1)) / b.size
     se = math.sqrt(va + vb)
     if se == 0.0:
         t_upper, p_upper = _degenerate_p(diff + bound)
@@ -358,7 +362,13 @@ def tost_welch(
             alpha=alpha,
             degenerate=True,
         )
-    df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+    try:
+        df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+    except (OverflowError, ZeroDivisionError):
+        # A square left the float range. df does not depend on the scale
+        # of va and vb, so take them relative to the larger.
+        ra, rb = va / max(va, vb), vb / max(va, vb)
+        df = (ra + rb) ** 2 / (ra**2 / (a.size - 1) + rb**2 / (b.size - 1))
     t_upper = (diff + bound) / se
     t_lower = (diff - bound) / se
     p_upper = float(stdtr(df, -t_upper))  # upper tail via symmetry

@@ -185,8 +185,9 @@ def oracle_trial_means(observations):
                 f"trial {obs.trial_id!r} appears under both conditions"
             )
         sums[obs.trial_id].append(obs.value)
-    means_a = [float(np.mean(sums[t])) for t in order if cond[t] == 0]
-    means_b = [float(np.mean(sums[t])) for t in order if cond[t] == 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        means_a = [float(np.mean(sums[t])) for t in order if cond[t] == 0]
+        means_b = [float(np.mean(sums[t])) for t in order if cond[t] == 1]
     return means_a, means_b
 
 
@@ -216,14 +217,14 @@ def oracle_cmd_compare(values):
                 f"--{key.replace('_', '-')} must be positive and finite, "
                 f"got {bound}"
             )
+    baseline, treatment = values["baseline"], values["treatment"]
+    if baseline == treatment:
+        raise _UsageError("condition labels must be distinct")
     stat = StatConfig(
         alpha=values["alpha"],
         angle_bound=values["angle_bound"],
         duration_bound=values["duration_bound"],
     )
-    baseline, treatment = values["baseline"], values["treatment"]
-    if baseline == treatment:
-        raise ValueError("condition labels must be distinct")
     rows = _read_strides_csv(values["inputs"])
     cond_code = {baseline: 0, treatment: 1}
     report = {

@@ -467,10 +467,10 @@ def test_compare_missing_columns(tmp_path, capsys):
 
 
 def test_compare_condition_labels_must_differ(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    _write_strides(a, [("t1", "X", 10.0), ("t2", "X", 10.1)])
-    code = run(["compare", str(a), "--baseline", "X", "--treatment", "X"])
-    assert code == 2
+    missing = tmp_path / "missing.csv"  # checked before any file is read
+    code = run(["compare", str(missing), "--baseline", "X", "--treatment",
+                "X"])
+    assert code == 1
     assert "condition labels must be distinct" in _error_line(capsys)
 
 
@@ -484,15 +484,22 @@ def test_compare_oversized_field(tmp_path, capsys):
     assert "line 2: field larger than field limit" in _error_line(capsys)
 
 
-# "None" is also the trial of a row too short to hold its trial_id.
+# "None" is also the trial of a row too short to hold its trial_id. Ids
+# that differ from another only by a trailing NUL or a leading space sit
+# under the other condition, so a reader that merged them would see a trial
+# under both.
 _TRIAL_CONDITION = {"t1": "NoExo", "t2": "NoExo", "t3": "NoExo", "": "NoExo",
                     "t4": "ExoOff", "t5": "ExoOff", "t6": "ExoOff",
-                    "None": "ExoOff"}
+                    "None": "ExoOff", "t1\x00": "ExoOff", "\x00": "ExoOff",
+                    "t7\x00": "NoExo", "t7\x00\x00": "ExoOff",
+                    " t4": "NoExo", "tr\u00e9": "ExoOff",
+                    "\u8a66\u884c": "NoExo"}
 
 
 @st.composite
 def _feature_cell(draw, dirty, plain):
-    kinds = ["num"] * 12 + ["big", "empty", "space", "spelled"]
+    kinds = ["num"] * 12 + ["big", "empty", "space", "spelled", "decimal",
+                            "digits17"]
     if not plain:
         kinds.append("padded")  # its newline makes csv.writer quote it
     if dirty:
@@ -501,9 +508,15 @@ def _feature_cell(draw, dirty, plain):
     if kind == "num":
         return repr(draw(st.floats(-60.0, 60.0, allow_subnormal=False)))
     if kind == "big":
-        return repr(draw(st.sampled_from([1e200, -1e200, 1e308, 1e-300])))
+        return repr(draw(st.sampled_from(
+            [1e200, -1e200, 1e308, 1e-300, 1e78, -1e78])))
     if kind == "empty":
         return ""
+    if kind == "decimal":  # float() literals that repr never writes
+        return draw(st.sampled_from(
+            ["+.5", "5.", "1E+05", "007", "4.9e-324", "-0", "-.0e-0"]))
+    if kind == "digits17":
+        return f"{draw(st.floats(-1e6, 1e6, allow_subnormal=False)):.16e}"
     if kind == "space":
         return draw(st.sampled_from([" ", "\t", "  \x1f", "\xa0"]))
     if kind == "padded":
@@ -512,9 +525,10 @@ def _feature_cell(draw, dirty, plain):
         return draw(st.sampled_from(
             ["1_000", "-0.0", "\u0661\u0662", "\xa02.5\u2007"]))
     if kind == "bad":
-        bad = ["abc", "1.2.3", "--", "\x00", "1\x00", "2\u00e9"]
+        bad = ["abc", "1.2.3", "--", "\x00", "1\x00", "2\u00e9", "0x1p3", "1e",
+               "+", ".", "1e5.5"]
         return draw(st.sampled_from(bad if plain else bad + ["1,5"]))
-    return draw(st.sampled_from(["inf", "-inf", "nan"]))
+    return draw(st.sampled_from(["inf", "-inf", "nan", "1e309", "-1e309"]))
 
 
 @st.composite
@@ -550,7 +564,8 @@ def _strides_file(draw):
         if r == flipped:
             condition = "ExoOff" if condition == "NoExo" else "NoExo"
         elif draw(st.integers(0, 29)) == 15:
-            condition = draw(st.sampled_from(["Other", "", " NoExo"]))
+            condition = draw(st.sampled_from(
+                ["Other", "", " NoExo", "NoExo\x00", "\x00"]))
         row = []
         for name in header:
             if name == "trial_id":
@@ -602,9 +617,22 @@ def _run_captured(argv):
         [(w.category, str(w.message)) for w in caught]
 
 
-def _compare_with_oracle(files, args, to_stdout=True):
+def _patched(**consts):
+    """Module constants of cli replaced for a with block."""
+    if not consts:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(cli, **consts)
+
+
+def _compare_with_oracle(files, args, to_stdout=True, **consts):
     """The CLI's and the oracle's outcome of one compare over files (text
-    or bytes): each the _run_captured tuple and the --out bytes, or None."""
+    or bytes): each the _run_captured tuple and the --out bytes, or None.
+    consts replace module constants of cli for the run, such as
+    _BYTES_MIN_ROWS=0 to take every plain block apart on its bytes.
+
+    The CLI's own outcome must be a clean one: exit 0, 1 or 2, no warning,
+    and on failure exactly one error line, so a traceback or warning that
+    both sides share does not pass."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for k, data in enumerate(files):
@@ -618,10 +646,18 @@ def _compare_with_oracle(files, args, to_stdout=True):
                               ("oracle", oracle_cmd_compare)):
             out = Path(tmp) / f"{name}.json"
             extra = [] if to_stdout else ["--out", str(out)]
-            with mock.patch.dict(cli._DISPATCH, {"compare": command}):
+            with mock.patch.dict(cli._DISPATCH, {"compare": command}), \
+                    _patched(**consts):
                 result = _run_captured(["compare", *paths, *args, *extra])
             written = out.read_bytes() if out.exists() else None
             results.append((result, written))
+    (code, _, err, caught), _ = results[0]
+    assert code in (0, 1, 2)
+    assert caught == []
+    if code:
+        assert err.startswith("exogait: error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
     return results
 
 
@@ -635,18 +671,32 @@ def _compare_with_oracle(files, args, to_stdout=True):
     bound=st.sampled_from([None] * 4 + ["1.5"] * 2 + ["-1"]),
     labels=st.sampled_from([(), (), ("--baseline", "ExoOff",
                                      "--treatment", "NoExo"),
-                            ("--treatment", "Other"), ("--treatment", "")]),
+                            ("--treatment", "Other"), ("--treatment", ""),
+                            ("--baseline", "NoExo\x00"),
+                            ("--treatment", "\udcff"),
+                            ("--treatment", "NoExo")]),
     to_stdout=st.booleans(),
+    # Plain blocks of cli._BYTES_MIN_ROWS lines or more are taken apart on
+    # their bytes; 0 takes every one apart so. Blocks of 64 bytes split a
+    # file into many.
+    consts=st.fixed_dictionaries({}, optional={
+        "_BYTES_MIN_ROWS": st.just(0), "_PLAIN_BLOCK": st.just(64)}),
 )
 # Two strides in all: the fit has no residual degree of freedom.
 @example(files=[_TWO_STRIDES], features=["rom"], bound=None, labels=(),
-         to_stdout=True)
-def test_compare_matches_oracle(files, features, bound, labels, to_stdout):
+         to_stdout=True, consts={})
+def test_compare_matches_oracle(files, features, bound, labels, to_stdout,
+                                consts):
     args = ["--features", ",".join(features), *labels]
     if bound is not None:
         args += ["--bound", bound]
-    got, want = _compare_with_oracle(files, args, to_stdout)
+    got, want = _compare_with_oracle(files, args, to_stdout, **consts)
     assert got == want
+
+
+# The two ways a plain block of a few lines can be split: str.split, and
+# on its bytes.
+_PLAIN_SPLITS = [{}, {"_BYTES_MIN_ROWS": 0}]
 
 
 def _plain_strides(n_rows):
@@ -672,8 +722,29 @@ def _plain_strides(n_rows):
 ])
 def test_compare_nearly_plain_file_matches_oracle(tail):
     data = _plain_strides(8) + tail
-    got, want = _compare_with_oracle([data], ["--features", "rom"])
-    assert got == want
+    for consts in _PLAIN_SPLITS:
+        got, want = _compare_with_oracle([data], ["--features", "rom"],
+                                         **consts)
+        assert got == want
+
+
+@pytest.mark.parametrize("labels", [
+    ("--treatment", "\udcff"),  # no UTF-8 bytes can spell it
+    ("--baseline", "NoExo\x00"),  # a NUL that a bytes array would drop
+])
+def test_compare_label_matches_no_plain_row(labels):
+    # A row with an empty condition, which a label read as no bytes would
+    # match.
+    data = _plain_strides(12) + "t9,,10.5,left\n"
+    for consts in _PLAIN_SPLITS:
+        got, want = _compare_with_oracle(
+            [data], ["--features", "rom", *labels], **consts)
+        assert got == want
+        (code, out, err, _), _ = got
+        missing = 1 if labels[0] == "--treatment" else 0
+        assert (code, out) == (2, "")
+        assert err.startswith(f"exogait: error: condition(s) [{missing}] "
+                              "have no trials")
 
 
 def test_compare_invalid_utf8_after_first_8k():
@@ -694,17 +765,51 @@ def test_compare_field_at_the_limit_on_plain_file(extra, tmp_path):
     side = "x" * (csv.field_size_limit() + extra)
     a.write_text(_plain_strides(12) + f"t2,ExoOff,12.5,{side}\n",
                  encoding="utf-8")
-    code, out, err, caught = _run_captured(
-        ["compare", str(a), "--features", "rom"])
-    assert caught == []
-    if extra == 0:
-        assert (code, err) == (0, "")
-        assert json.loads(out)["features"][0]["n_strides"] == {
-            "baseline": 6, "treatment": 7}
-    else:
-        assert (code, out) == (2, "")
-        assert err == (f"exogait: error: {a}: line 14: field larger than "
-                       "field limit (131072)\n")
+    for consts in _PLAIN_SPLITS:
+        with _patched(**consts):
+            code, out, err, caught = _run_captured(
+                ["compare", str(a), "--features", "rom"])
+        assert caught == []
+        if extra == 0:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["features"][0]["n_strides"] == {
+                "baseline": 6, "treatment": 7}
+        else:
+            assert (code, out) == (2, "")
+            assert err == (f"exogait: error: {a}: line 14: field larger "
+                           "than field limit (131072)\n")
+
+
+def test_compare_plain_feature_reaches_numpy_only_when_decimal(tmp_path):
+    a = tmp_path / "a.csv"
+    lines = ["trial_id,condition,rom,cycle_duration"]
+    for i in range(200):
+        cell = [f"{i}.5", "1_000", " 2", "\x1c3", "4\u2007", "5."][i % 6]
+        lines.append(f"t{i % 4},{'NoExo' if i % 4 < 2 else 'ExoOff'},"
+                     f"{i + 1e-7 * i!r},{cell}")
+    a.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    features = ["rom", "cycle_duration"]
+    [(_, _, _, (rom, duration))] = cli._read_plain(
+        a, ("NoExo", "ExoOff"), features)
+    assert isinstance(rom, np.ndarray) and isinstance(duration, list)
+    got, want = _compare_with_oracle(
+        [a.read_bytes()], ["--features", ",".join(features)])
+    assert got == want
+    assert got[0][0] == 0
+
+
+def test_compare_leaves_a_wide_plain_block_to_csv_reader(tmp_path):
+    # Padding every trial id to the long one would take about 300 times
+    # the block's bytes.
+    data = _plain_strides(200)
+    wide = data.replace("t3,", "t" * 5000 + ",", 1)
+    for text, plain in ((data, True), (wide, False)):
+        a = tmp_path / "a.csv"
+        a.write_text(text, encoding="utf-8")
+        blocks = cli._read_plain(a, ("NoExo", "ExoOff"), ["rom"])
+        assert (blocks is not None) == plain
+        got, want = _compare_with_oracle([text], ["--features", "rom"])
+        assert got == want
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -207,6 +207,29 @@ def test_trial_means_first_appearance_order():
     assert means_b == [4.0, 6.0]
 
 
+def test_means_past_the_float_range_overflow_quietly():
+    # Tier-1 turns a numpy warning into an error.
+    means_a, means_b = trial_means(_obs([
+        ("a", 0, [1e308, 1e308]), ("b", 1, [1.0]),
+    ]))
+    assert (means_a, means_b) == ([math.inf], [1.0])
+    r = tost_welch([1e200, -1e200], [1e200, 3e200], bound=1.0)
+    assert math.isinf(r.se_welch) and not r.equivalent
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e-86])
+def test_tost_df_when_the_squared_variances_leave_the_float_range(scale):
+    # va**2 overflows at 1e78 and underflows to 0 at 1e-86; Welch's df does
+    # not depend on the scale.
+    a, b = [0.0, 1.0, 3.0], [0.0, 2.0, 2.5]
+    want = tost_welch(a, b, bound=1.0)
+    r = tost_welch([x * scale for x in a], [x * scale for x in b],
+                   bound=scale)
+    assert r.df_welch == pytest.approx(want.df_welch, rel=1e-12)
+    assert (r.p_lower, r.p_upper) == pytest.approx(
+        (want.p_lower, want.p_upper), rel=1e-9)
+
+
 def test_tost_fixture():
     r = tost_welch([10.0, 10.2, 10.4], [10.3, 10.5, 10.7], bound=2.0)
     assert r.diff == pytest.approx(-0.3, abs=1e-12)
