@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from itertools import compress, islice
@@ -76,9 +77,10 @@ _TRACE_CHUNK = 512
 _ROW_CHUNK = 4096
 # Bytes of a plain strides CSV split at a time by compare.
 _PLAIN_BLOCK = 1 << 20
-# Lines a block of a plain strides CSV needs to be taken apart on its
-# bytes; str.split is quicker on fewer.
-_BYTES_MIN_ROWS = 128
+# Bytes a strides CSV needs for compare to try it as plain. csv.reader
+# reads a smaller file quicker than numpy's fixed costs allow, and reads a
+# pipe (size 0), which can be read only once.
+_PLAIN_MIN_BYTES = 8192
 # A plain block whose cells, padded to the longest, would take more than
 # this many bytes per byte of the block is left to csv.reader.
 _BYTES_PAD = 8
@@ -623,11 +625,7 @@ def _read_strides_csv(paths, labels, features) -> tuple:
             conditions.append(block_conditions)
             trial_codes.append(recode[codes])
             for piece, pieces in zip(block_cells, cells.values()):
-                if isinstance(piece, list) and pieces and \
-                        isinstance(pieces[-1], list):
-                    pieces[-1].extend(piece)
-                else:
-                    pieces.append(piece)
+                pieces.append(piece)
     return (np.concatenate(conditions), np.concatenate(trial_codes),
             list(trials), cells)
 
@@ -703,11 +701,12 @@ def _read_plain(path, labels, features) -> list[tuple] | None:
     holds exactly as many commas as the header, and no line is longer than
     the csv field limit. csv.reader splits such a file at its commas and
     newlines, so those are all that is looked for. The file is taken apart
-    in blocks of whole lines, about _PLAIN_BLOCK bytes each: on its bytes
-    (see _split_plain and _bytes_block), or with str.split when the block
-    has fewer than _BYTES_MIN_ROWS lines and numpy's fixed costs would
-    outweigh its gain.
+    on its bytes (see _split_plain and _bytes_block) in blocks of whole
+    lines, about _PLAIN_BLOCK bytes each. A file smaller than
+    _PLAIN_MIN_BYTES is not looked at.
     """
+    if os.stat(path).st_size < _PLAIN_MIN_BYTES:
+        return None
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         head = fh.readline(limit + 1).removesuffix(b"\n")
@@ -737,21 +736,11 @@ def _read_plain(path, labels, features) -> list[tuple] | None:
             if any(byte in block for byte in _NOT_PLAIN) or len(rest) > limit:
                 return None
             try:
-                text = block.decode()
+                block.decode()
             except UnicodeDecodeError:
                 return None
-            buf = np.frombuffer(block, np.uint8)
-            if np.count_nonzero(buf == ord("\n")) < _BYTES_MIN_ROWS:
-                lines = [line for line in text.split("\n") if line]
-                rows = [line.split(",") for line in lines]
-                if any(len(row) != width for row in rows) or \
-                        max(map(len, lines), default=0) > limit:
-                    return None
-                blocks.append(_string_block(
-                    [_column(rows, j, width) for j in columns], labels
-                ))
-                continue
-            split = _split_plain(buf, width, columns)
+            split = _split_plain(np.frombuffer(block, np.uint8), width,
+                                 columns)
             if split is None:
                 return None
             blocks.append(_bytes_block(*split, labels))

@@ -628,7 +628,7 @@ def _compare_with_oracle(files, args, to_stdout=True, **consts):
     """The CLI's and the oracle's outcome of one compare over files (text
     or bytes): each the _run_captured tuple and the --out bytes, or None.
     consts replace module constants of cli for the run, such as
-    _BYTES_MIN_ROWS=0 to take every plain block apart on its bytes.
+    _PLAIN_MIN_BYTES=0 to take every plain file apart on its bytes.
 
     The CLI's own outcome must be a clean one: exit 0, 1 or 2, no warning,
     and on failure exactly one error line, so a traceback or warning that
@@ -676,11 +676,11 @@ def _compare_with_oracle(files, args, to_stdout=True, **consts):
                             ("--treatment", "\udcff"),
                             ("--treatment", "NoExo")]),
     to_stdout=st.booleans(),
-    # Plain blocks of cli._BYTES_MIN_ROWS lines or more are taken apart on
-    # their bytes; 0 takes every one apart so. Blocks of 64 bytes split a
-    # file into many.
+    # A plain file of cli._PLAIN_MIN_BYTES or more is taken apart on its
+    # bytes, a smaller one is left to csv.reader; 0 takes every plain file
+    # apart on its bytes. Blocks of 64 bytes split a file into many.
     consts=st.fixed_dictionaries({}, optional={
-        "_BYTES_MIN_ROWS": st.just(0), "_PLAIN_BLOCK": st.just(64)}),
+        "_PLAIN_MIN_BYTES": st.just(0), "_PLAIN_BLOCK": st.just(64)}),
 )
 # Two strides in all: the fit has no residual degree of freedom.
 @example(files=[_TWO_STRIDES], features=["rom"], bound=None, labels=(),
@@ -694,9 +694,9 @@ def test_compare_matches_oracle(files, features, bound, labels, to_stdout,
     assert got == want
 
 
-# The two ways a plain block of a few lines can be split: str.split, and
+# The two ways a plain file of a few lines can be read: by csv.reader, and
 # on its bytes.
-_PLAIN_SPLITS = [{}, {"_BYTES_MIN_ROWS": 0}]
+_PLAIN_SPLITS = [{}, {"_PLAIN_MIN_BYTES": 0}]
 
 
 def _plain_strides(n_rows):
@@ -789,11 +789,13 @@ def test_compare_plain_feature_reaches_numpy_only_when_decimal(tmp_path):
                      f"{i + 1e-7 * i!r},{cell}")
     a.write_text("\n".join(lines) + "\n", encoding="utf-8")
     features = ["rom", "cycle_duration"]
-    [(_, _, _, (rom, duration))] = cli._read_plain(
-        a, ("NoExo", "ExoOff"), features)
+    with _patched(_PLAIN_MIN_BYTES=0):
+        [(_, _, _, (rom, duration))] = cli._read_plain(
+            a, ("NoExo", "ExoOff"), features)
     assert isinstance(rom, np.ndarray) and isinstance(duration, list)
     got, want = _compare_with_oracle(
-        [a.read_bytes()], ["--features", ",".join(features)])
+        [a.read_bytes()], ["--features", ",".join(features)],
+        _PLAIN_MIN_BYTES=0)
     assert got == want
     assert got[0][0] == 0
 
@@ -806,10 +808,35 @@ def test_compare_leaves_a_wide_plain_block_to_csv_reader(tmp_path):
     for text, plain in ((data, True), (wide, False)):
         a = tmp_path / "a.csv"
         a.write_text(text, encoding="utf-8")
-        blocks = cli._read_plain(a, ("NoExo", "ExoOff"), ["rom"])
+        with _patched(_PLAIN_MIN_BYTES=0):
+            blocks = cli._read_plain(a, ("NoExo", "ExoOff"), ["rom"])
         assert (blocks is not None) == plain
-        got, want = _compare_with_oracle([text], ["--features", "rom"])
+        got, want = _compare_with_oracle([text], ["--features", "rom"],
+                                         _PLAIN_MIN_BYTES=0)
         assert got == want
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize("quoted", [False, True])
+def test_compare_reads_a_pipe(quoted, tmp_path, capsys):
+    # A pipe has no size and can be read only once: csv.reader reads it
+    # whole, plain or not.
+    text = _plain_strides(400)
+    if quoted:
+        text = text.replace("t1,", '"t1",')
+    assert cli._PLAIN_MIN_BYTES < len(text) < 65536  # fits a pipe's buffer
+    a = tmp_path / "a.csv"
+    a.write_text(text, encoding="utf-8")
+    assert run(["compare", str(a), "--features", "rom"]) == 0
+    want = capsys.readouterr()
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode("utf-8"))
+        os.close(w)
+        code = run(["compare", f"/dev/fd/{r}", "--features", "rom"])
+    finally:
+        os.close(r)
+    assert (code, capsys.readouterr()) == (0, want)
 
 
 @pytest.mark.parametrize("flag, value", [
