@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from exogait import preprocess
 from exogait.errors import NonUniformSampling, SeriesTooShort, TooFewValidFrames
@@ -18,6 +19,7 @@ from exogait.preprocess import (
 )
 from exogait.trial import MarkerTrajectory
 from smooth_oracle import oracle_smooth_with_lambda
+from spline_oracle import oracle_fill_gaps
 
 
 def roughness(samples, rate):
@@ -187,6 +189,68 @@ def test_fill_needs_four_valid_frames():
     valid[[0, 4, 9]] = True
     with pytest.raises(TooFewValidFrames):
         fill_gaps(_traj(coords, valid), GapFillSpec())
+
+
+# --- gap filler against the CubicSpline oracle ----------------------------------
+
+
+def _fill_outcome(fill, series, spec):
+    """The filled bytes, or the type and message of what was raised."""
+    try:
+        out = fill(series, spec)
+    except (TooFewValidFrames, ValueError) as exc:
+        return type(exc), str(exc)
+    return out.label, out.coords.tobytes(), out.valid.tobytes()
+
+
+@st.composite
+def _gappy_trajectories(draw):
+    """(trajectory, max_gap): valid runs and gaps of 1 to max_gap + 2
+    frames (exactly max_gap often), with or without a leading and a
+    trailing gap, over coordinates that include +-0.0 and are scaled by
+    1e300 or 1e-300 or offset by them."""
+    max_gap = draw(st.integers(1, 12))
+    gap = st.just(max_gap) | st.integers(1, max_gap + 2)
+    valid = [False] * draw(st.sampled_from([0, 0, 1, 2, max_gap]))
+    for _ in range(draw(st.integers(0, 6))):
+        valid += [True] * draw(st.integers(1, 6))
+        valid += [False] * draw(gap)
+    valid += [True] * draw(st.integers(1, 6))
+    valid += [False] * draw(st.sampled_from([0, 0, 1, 3, max_gap]))
+    n = len(valid)
+    element = (st.floats(-1e3, 1e3)
+               | st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    coords = draw(arrays(np.float64, (n, 3), elements=element))
+    coords *= draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    coords += np.array(draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300]),
+        min_size=3, max_size=3)))
+    # Invalid frames hold whatever the source put there.
+    coords[~np.array(valid)] = draw(st.sampled_from([0.0, np.nan, 7.0]))
+    return _traj(coords, valid), max_gap
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn=_gappy_trajectories())
+def test_fill_gaps_matches_cubic_spline_oracle(drawn):
+    series, max_gap = drawn
+    spec = GapFillSpec(max_gap=max_gap)
+    got = _fill_outcome(fill_gaps, series, spec)
+    want = _fill_outcome(oracle_fill_gaps, series, spec)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fill_gaps_with_exactly_four_valid_frames(n):
+    # Four valid frames are the fewest a not-a-knot cubic takes; the
+    # oracle property draws them too, this pins the smallest cases.
+    valid = np.zeros(n + 3, dtype=bool)
+    valid[[0, 1, n, n + 2]] = True
+    coords = np.arange(3 * valid.size, dtype=float).reshape(-1, 3) ** 1.5
+    series = _traj(coords, valid)
+    got = _fill_outcome(fill_gaps, series, GapFillSpec(max_gap=n - 2))
+    want = _fill_outcome(oracle_fill_gaps, series, GapFillSpec(max_gap=n - 2))
+    assert got == want
 
 
 # --- smoother against the two-solve oracle ---------------------------------------
