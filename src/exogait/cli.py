@@ -946,6 +946,8 @@ def _cmd_compare(values: dict) -> int:
 def _cmd_simulate(values: dict) -> int:
     if values["cycles"] < 1:
         raise _UsageError("--cycles must be >= 1")
+    if values["seed"] < 0:
+        raise _UsageError("--seed must be >= 0")
     try:
         profile = (
             TorqueProfile(*values["profile"])

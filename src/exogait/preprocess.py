@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import NonUniformSampling, SeriesTooShort, TooFewValidFrames
 from .trial import MarkerTrajectory
@@ -59,10 +57,13 @@ class GapFillSpec:
 def fill_gaps(series: MarkerTrajectory, spec: GapFillSpec) -> MarkerTrajectory:
     """Fill interior gaps of up to max_gap frames by cubic interpolation.
 
-    The spline passes through every valid sample of the trajectory, so valid
-    frames are returned bit-identical; only interior gap frames of admissible
+    The interpolant is the not-a-knot cubic spline through every valid
+    frame: its knot slopes come from one tridiagonal solve (LAPACK gtsv),
+    and it gives the same bits as scipy's CubicSpline would. Valid frames
+    are returned bit-identical; only interior gap frames of admissible
     length get new coordinates. Leading and trailing gaps stay invalid (no
-    extrapolation), as do interior gaps longer than max_gap.
+    extrapolation), as do interior gaps longer than max_gap. With no
+    admissible gap, no spline is fitted.
     """
     valid_idx = np.flatnonzero(series.valid)
     if valid_idx.size < 4:
@@ -72,14 +73,58 @@ def fill_gaps(series: MarkerTrajectory, spec: GapFillSpec) -> MarkerTrajectory:
         )
     coords = series.coords.copy()
     valid = series.valid.copy()
-    spline = CubicSpline(valid_idx, series.coords[valid_idx, :], axis=0)
-    for a, b in zip(valid_idx[:-1], valid_idx[1:]):
-        gap = b - a - 1
-        if 0 < gap <= spec.max_gap:
-            idx = np.arange(a + 1, b)
-            coords[idx, :] = spline(idx)
-            valid[idx] = True
+    gap = np.diff(valid_idx) - 1
+    fillable = (gap > 0) & (gap <= spec.max_gap)
+    if fillable.any():
+        knots = series.coords[valid_idx, :]
+        if not np.isfinite(knots).all():
+            raise ValueError(
+                f"non-finite coordinates in valid frames of {series.label!r}"
+            )
+        idx = np.concatenate([
+            np.arange(a + 1, b)
+            for a, b in zip(valid_idx[:-1][fillable], valid_idx[1:][fillable])
+        ])
+        coords[idx, :] = _not_a_knot(valid_idx.astype(float), knots, idx)
+        valid[idx] = True
     return MarkerTrajectory(label=series.label, coords=coords, valid=valid)
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Values at q of the not-a-knot cubic spline through (x, y[:, k]).
+
+    The arithmetic is that of scipy's CubicSpline, term for term: the
+    banded system for the knot slopes with its not-a-knot end rows, the
+    gtsv solve that solve_banded makes, the Hermite coefficients, and
+    PPoly's evaluation in powers of the offset from the interval's left
+    knot (the leading 0.0 + turns a -0.0 into +0.0, as PPoly does).
+    x is strictly increasing with at least 4 knots.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    # The three diagonals and the right-hand side of the slope system.
+    du = np.concatenate(([d0], dx[:-1]))
+    d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    dl = np.concatenate((dx[1:], [d1]))
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0]
+            + dxr[0]**2 * slope[1]) / d0
+    b[-1] = (dxr[-1]**2 * slope[-2]
+             + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    *_, s, info = dgtsv(dl, d, du, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c3, c2, c1, c0 = t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]
+
+    i = np.clip(np.searchsorted(x, q, "right") - 1, 0, x.size - 2)
+    h = (q - x[i])[:, None]
+    return 0.0 + c0[i] + c1[i] * h + c2[i] * (h * h) + c3[i] * (h * h * h)
 
 
 # Autocorrelation of the third-difference stencil [-1, 3, -3, 1]: the
@@ -103,6 +148,8 @@ def smooth_with_lambda(
     Non-finite input or lambda raises ValueError; a matrix that is not
     positive definite falls back to the least-squares quadratic.
     """
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
     y = np.asarray(samples, dtype=float)
     n = y.size
     h = 1.0 / rate

@@ -22,7 +22,6 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DidNotConverge, SingularDesign
 
@@ -371,6 +370,10 @@ def tost_welch(
         df = (ra + rb) ** 2 / (ra**2 / (a.size - 1) + rb**2 / (b.size - 1))
     t_upper = (diff + bound) / se
     t_lower = (diff - bound) / se
+    # Imported here: only compare needs scipy.special, and loading it
+    # costs every other command about 0.4 s.
+    from scipy.special import stdtr
+
     p_upper = float(stdtr(df, -t_upper))  # upper tail via symmetry
     p_lower = float(stdtr(df, t_lower))
     return TostResult(

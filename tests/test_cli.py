@@ -5,6 +5,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -188,6 +189,61 @@ def test_python_m_entry_points(tmp_path, module):
                     reason="exogait console script not installed")
 def test_console_script_on_path(tmp_path):
     _check_launcher(["exogait"], cwd=tmp_path)
+
+
+# A child interpreter that runs the command line on its arguments (none:
+# only the import) and prints the scipy modules then loaded as its last line.
+_SCIPY_MODULES = (
+    "import json, sys\n"
+    "from exogait.cli import run\n"
+    "code = run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+    "print(json.dumps(sorted(loaded)))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _scipy_after(argv, cwd) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_inspect_and_simulate_load_no_scipy(tmp_path):
+    """Importing the command line, --help, inspect (CSV and C3D) and
+    simulate load no part of scipy, whose import would take most of their
+    run time."""
+    _write_trial(tmp_path / "walk.csv")
+    trial = Trial(markers=[MarkerTrajectory("ANK", np.ones((3, 3)),
+                                            np.ones(3, bool))],
+                  analogs=[], events=[], point_rate=100.0, analog_rate=100.0,
+                  first_frame=1, last_frame=3)
+    (tmp_path / "walk.c3d").write_bytes(write_c3d(trial))
+    for argv in ([], ["--help"], ["inspect", "walk.csv"],
+                 ["inspect", "walk.c3d"], ["simulate", "--cycles", "1"]):
+        assert _scipy_after(argv, tmp_path) == set(), argv
+
+
+def test_analyze_and_compare_load_no_interpolate(tmp_path):
+    """A marker signal is gap-filled and smoothed through LAPACK alone, and
+    compare needs only scipy.special, so scipy.interpolate stays unloaded."""
+    _write_marker_trial(tmp_path / "marker.csv")
+    _write_events(tmp_path / "events.csv")
+    loaded = _scipy_after(
+        ["analyze", "marker.csv", "--events", "events.csv",
+         "--signal", "ANK.z", "--max-gap", "20", "--condition", "NoExo",
+         "--out-strides", "a.csv", "--out-ensemble", "ea.csv"], tmp_path)
+    assert "scipy.linalg.lapack" in loaded
+    assert "scipy.interpolate" not in loaded
+    _write_strides(tmp_path / "s.csv",
+                   [("t1", "NoExo", 30.0), ("t2", "NoExo", 31.0),
+                    ("t3", "ExoOff", 30.5), ("t4", "ExoOff", 31.5)])
+    loaded = _scipy_after(["compare", "s.csv", "--features", "rom"],
+                          tmp_path)
+    assert "scipy.special" in loaded
+    assert "scipy.interpolate" not in loaded
 
 
 # --- inspect ---------------------------------------------------------------------
@@ -856,6 +912,30 @@ def test_compare_rejects_bad_option_values(flag, value, tmp_path, capsys):
     assert not verdict.exists()
 
 
+def test_bytes_cast_parses_cells_as_float_does():
+    """compare's byte path hands cells of [0-9.eE+-] to numpy's bytes to
+    float64 cast and relies on it giving float()'s value, and failing where
+    float() fails. Checked on the installed numpy for every such cell of up
+    to 3 characters, bare and with the newline the byte path appends; the
+    accepted cells are cast together, so shorter ones carry NUL padding."""
+    alphabet = "0123456789.eE+-"
+    cells = ["".join(chars) for k in (1, 2, 3)
+             for chars in itertools.product(alphabet, repeat=k)]
+    assert len(cells) == 3615
+    for end in ("", "\n"):
+        accepted, values = [], []
+        for cell in cells:
+            try:
+                values.append(float(cell + end))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    np.array([(cell + end).encode()]).astype(float)
+            else:
+                accepted.append((cell + end).encode())
+        cast = np.array(accepted).astype(float)
+        assert cast.tobytes() == np.array(values).tobytes()
+
+
 # --- simulate --------------------------------------------------------------------
 
 
@@ -948,6 +1028,17 @@ def test_simulate_rejects_bad_cycles_and_jitter(capsys):
     assert run(["simulate", "--cycles", "0"]) == 1
     _error_line(capsys)
     assert run(["simulate", "--jitter", "1.5"]) == 1
+    _error_line(capsys)
+
+
+def test_simulate_rejects_negative_seed(capsys):
+    # Checked before the run, like a seed that is not an integer; numpy's
+    # generator would reject it only inside the simulation, as exit 2.
+    with mock.patch.object(cli, "run_simulation") as simulation:
+        assert run(["simulate", "--cycles", "1", "--seed", "-1"]) == 1
+    simulation.assert_not_called()
+    assert _error_line(capsys) == "exogait: error: --seed must be >= 0\n"
+    assert run(["simulate", "--cycles", "1", "--seed", "1.5"]) == 1
     _error_line(capsys)
 
 

@@ -191,6 +191,25 @@ def test_fill_needs_four_valid_frames():
         fill_gaps(_traj(coords, valid), GapFillSpec())
 
 
+def test_fill_fits_no_spline_without_an_admissible_gap():
+    # A non-finite valid frame cannot anchor a spline; that matters only
+    # when some gap is to be filled.
+    coords = np.arange(30.0).reshape(10, 3)
+    coords[2, 1] = np.inf
+    valid = np.ones(10, dtype=bool)
+    valid[4:8] = False
+    series = _traj(coords, valid)
+    with mock.patch.object(preprocess, "_not_a_knot") as spline:
+        filled = fill_gaps(series, GapFillSpec(max_gap=3))
+    spline.assert_not_called()
+    assert filled.coords.tobytes() == coords.tobytes()
+    assert filled.coords is not series.coords
+    assert np.array_equal(filled.valid, valid)
+    assert filled.valid is not series.valid
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        fill_gaps(series, GapFillSpec(max_gap=4))
+
+
 # --- gap filler against the CubicSpline oracle ----------------------------------
 
 
