@@ -17,6 +17,9 @@ import numpy as np
 from .errors import NonUniformSampling, SeriesTooShort, TooFewValidFrames
 from .trial import MarkerTrajectory
 
+# scipy's LAPACK wrappers are imported in the functions that call them:
+# the import is slow, and most commands neither smooth nor fill gaps.
+
 LAMBDA_LO = 1e-12
 LAMBDA_HI = 1e12
 

@@ -370,8 +370,7 @@ def tost_welch(
         df = (ra + rb) ** 2 / (ra**2 / (a.size - 1) + rb**2 / (b.size - 1))
     t_upper = (diff + bound) / se
     t_lower = (diff - bound) / se
-    # Imported here: only compare needs scipy.special, and loading it
-    # costs every other command about 0.4 s.
+    # Imported here: the import is slow, and only compare needs it.
     from scipy.special import stdtr
 
     p_upper = float(stdtr(df, -t_upper))  # upper tail via symmetry

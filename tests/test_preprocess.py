@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -249,26 +249,24 @@ def _gappy_trajectories(draw):
     return _traj(coords, valid), max_gap
 
 
+def _four_valid_frames(n):
+    """Exactly four valid frames, the fewest a not-a-knot cubic takes,
+    around gaps of n - 2 and 1 frames, with max_gap n - 2."""
+    valid = np.zeros(n + 3, dtype=bool)
+    valid[[0, 1, n, n + 2]] = True
+    coords = np.arange(3 * valid.size, dtype=float).reshape(-1, 3) ** 1.5
+    return _traj(coords, valid), n - 2
+
+
 @settings(max_examples=500, deadline=None)
 @given(drawn=_gappy_trajectories())
+@example(drawn=_four_valid_frames(4))
+@example(drawn=_four_valid_frames(5))
 def test_fill_gaps_matches_cubic_spline_oracle(drawn):
     series, max_gap = drawn
     spec = GapFillSpec(max_gap=max_gap)
     got = _fill_outcome(fill_gaps, series, spec)
     want = _fill_outcome(oracle_fill_gaps, series, spec)
-    assert got == want
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_fill_gaps_with_exactly_four_valid_frames(n):
-    # Four valid frames are the fewest a not-a-knot cubic takes; the
-    # oracle property draws them too, this pins the smallest cases.
-    valid = np.zeros(n + 3, dtype=bool)
-    valid[[0, 1, n, n + 2]] = True
-    coords = np.arange(3 * valid.size, dtype=float).reshape(-1, 3) ** 1.5
-    series = _traj(coords, valid)
-    got = _fill_outcome(fill_gaps, series, GapFillSpec(max_gap=n - 2))
-    want = _fill_outcome(oracle_fill_gaps, series, GapFillSpec(max_gap=n - 2))
     assert got == want
 
 
