@@ -61,16 +61,7 @@ from .simulate import (
     SimResult,
     run_simulation,
 )
-from .stats import (
-    LmeFit,
-    StatConfig,
-    StrideObservation,
-    TostResult,
-    fit_lme,
-    tost_welch,
-    trial_means,
-    wald_p,
-)
+from .stats import LmeFit, TostResult, tost_welch, wald_p
 from .trial import (
     AnalogChannel,
     EventKind,
@@ -106,8 +97,6 @@ __all__ = [
     "SimResult",
     "Side",
     "SmoothingSpec",
-    "StatConfig",
-    "StrideObservation",
     "Stride",
     "StrikeDetector",
     "TemporalFeatures",
@@ -120,7 +109,6 @@ __all__ = [
     "ensemble",
     "errors",
     "fill_gaps",
-    "fit_lme",
     "map_event",
     "normalize_cycle",
     "read_c3d",
@@ -135,7 +123,6 @@ __all__ = [
     "torque_at",
     "torque_to_tension",
     "tost_welch",
-    "trial_means",
     "update_phase",
     "wald_p",
     "write_c3d",

@@ -66,7 +66,7 @@ from .simulate import (
     PlantParams,
     run_simulation,
 )
-from .stats import StatConfig, compare_trials, tost_welch
+from .stats import compare_trials, tost_welch
 from .trial import EventKind, Side, Trial
 
 SCHEMA_VERSION = 1
@@ -216,53 +216,77 @@ def _as_assignments(name, value) -> dict[str, float]:
     return out
 
 
-# Per-command option tables: dest -> (converter, default). The same table
-# names the keys accepted in a --config JSON object.
+# Per-command option tables: dest -> (converter, default, help). Each entry
+# is the option --dest (dashes for underscores) and the key of the same name
+# in a --config JSON object.
 _OPTION_TABLE: dict[str, dict[str, tuple]] = {
     "inspect": {
-        "events": (_as_str, None),
+        "events": (_as_str, None, "events sidecar CSV"),
     },
     "analyze": {
-        "events": (_as_str, None),
-        "signal": (_as_str, None),
-        "moment": (_as_str, None),
-        "side": (_as_str, "both"),
-        "trial_id": (_as_str, None),
-        "condition": (_as_str, "NoExo"),
-        "target_mse": (_as_float, 10.0),
-        "max_gap": (_as_int, 10),
-        "out_strides": (_as_str, "strides.csv"),
-        "out_ensemble": (_as_str, "ensemble.csv"),
+        "events": (_as_str, None, "events sidecar CSV"),
+        "signal": (
+            _as_str, None,
+            "angle series: analog channel label or marker axis LABEL.x|y|z",
+        ),
+        "moment": (_as_str, None, "plantarflexor moment series"),
+        "side": (_as_str, "both", "left, right, or both (default)"),
+        "trial_id": (_as_str, None, None),
+        "condition": (_as_str, "NoExo", "condition label for the CSV"),
+        "target_mse": (
+            _as_float, 10.0,
+            "smoothing residual MSE target; 0 disables smoothing",
+        ),
+        "max_gap": (_as_int, 10, "longest marker gap to fill, frames"),
+        "out_strides": (_as_str, "strides.csv", None),
+        "out_ensemble": (_as_str, "ensemble.csv", None),
     },
     "compare": {
         "features": (_as_names,
-                     ("rom", "peak_dorsiflexion", "peak_plantarflexion")),
-        "baseline": (_as_str, "NoExo"),
-        "treatment": (_as_str, "ExoOff"),
-        "alpha": (_as_float, 0.05),
-        "angle_bound": (_as_float, 2.0),
-        "duration_bound": (_as_float, 0.05),
-        "bound": (_as_float, None),
-        "out": (_as_str, None),
+                     ("rom", "peak_dorsiflexion", "peak_plantarflexion"),
+                     "comma-separated feature list"),
+        "baseline": (_as_str, "NoExo", "condition coded 0"),
+        "treatment": (_as_str, "ExoOff", "condition coded 1"),
+        "alpha": (_as_float, 0.05, None),
+        "angle_bound": (_as_float, 2.0, None),
+        "duration_bound": (_as_float, 0.05, None),
+        "bound": (_as_float, None,
+                  "equivalence bound overriding the per-class defaults"),
+        "out": (_as_str, None, "verdict JSON path (default stdout)"),
     },
     "simulate": {
-        "cycles": (_as_int, 10),
-        "seed": (_as_int, 0),
-        "gains": (lambda n, v: _as_floats(n, v, 4), None),
-        "profile": (lambda n, v: _as_floats(n, v, 4), None),
-        "moment_arm": (_as_float, DEFAULT_MOMENT_ARM),
-        "jitter": (_as_float, 0.0),
-        "constant_reference": (_as_float, None),
-        "plant": (_as_assignments, None),
-        "trace": (_as_str, None),
+        "cycles": (_as_int, 10, None),
+        "seed": (_as_int, 0, None),
+        "gains": (lambda n, v: _as_floats(n, v, 4), None, "kp,ki,kd,ff"),
+        "profile": (lambda n, v: _as_floats(n, v, 4), None,
+                    "onset_gc,peak_gc,end_gc,peak_torque"),
+        "moment_arm": (_as_float, DEFAULT_MOMENT_ARM, None),
+        "jitter": (_as_float, 0.0, "stride duration jitter fraction"),
+        "constant_reference": (
+            _as_float, None,
+            "fixed tension reference (N), bypassing the profile",
+        ),
+        "plant": (_as_assignments, None, "plant overrides, name=value pairs"),
+        "trace": (_as_str, None, "per-tick trace CSV path"),
     },
     "complexity": {
-        "limbs": (_as_int, None),
-        "dof": (_as_int, None),
-        "sensors": (_as_int, None),
-        "actuators": (_as_int, None),
-        "weights": (lambda n, v: _as_floats(n, v, 4), None),
+        "limbs": (_as_int, None, None),
+        "dof": (_as_int, None, None),
+        "sensors": (_as_int, None, None),
+        "actuators": (_as_int, None, None),
+        "weights": (lambda n, v: _as_floats(n, v, 4), None,
+                    "w_limbs,w_dof,w_sensors,w_actuators"),
     },
+}
+
+# Per-command help and positional arguments (name -> nargs), in the order
+# the subcommands are listed.
+_COMMANDS: dict[str, tuple[str, dict]] = {
+    "inspect": ("print a trial summary", {"input": None}),
+    "analyze": ("per-stride features and ensemble curves", {"input": None}),
+    "compare": ("equivalence verdict over strides CSVs", {"inputs": "+"}),
+    "simulate": ("closed-loop tension simulation", {}),
+    "complexity": ("weighted complexity index", {}),
 }
 
 
@@ -274,68 +298,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="exogait", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inspect = sub.add_parser("inspect", help="print a trial summary")
-    p_inspect.add_argument("input")
-    p_inspect.add_argument("--events", help="events sidecar CSV")
-
-    p_analyze = sub.add_parser(
-        "analyze", help="per-stride features and ensemble curves"
-    )
-    p_analyze.add_argument("input")
-    p_analyze.add_argument("--events", help="events sidecar CSV")
-    p_analyze.add_argument(
-        "--signal",
-        help="angle series: analog channel label or marker axis LABEL.x|y|z",
-    )
-    p_analyze.add_argument("--moment", help="plantarflexor moment series")
-    p_analyze.add_argument("--side", help="left, right, or both (default)")
-    p_analyze.add_argument("--trial-id", dest="trial_id")
-    p_analyze.add_argument("--condition", help="condition label for the CSV")
-    p_analyze.add_argument(
-        "--target-mse", dest="target_mse",
-        help="smoothing residual MSE target; 0 disables smoothing",
-    )
-    p_analyze.add_argument("--max-gap", dest="max_gap",
-                           help="longest marker gap to fill, frames")
-    p_analyze.add_argument("--out-strides", dest="out_strides")
-    p_analyze.add_argument("--out-ensemble", dest="out_ensemble")
-
-    p_compare = sub.add_parser(
-        "compare", help="equivalence verdict over strides CSVs"
-    )
-    p_compare.add_argument("inputs", nargs="+")
-    p_compare.add_argument("--features", help="comma-separated feature list")
-    p_compare.add_argument("--baseline", help="condition coded 0")
-    p_compare.add_argument("--treatment", help="condition coded 1")
-    p_compare.add_argument("--alpha")
-    p_compare.add_argument("--angle-bound", dest="angle_bound")
-    p_compare.add_argument("--duration-bound", dest="duration_bound")
-    p_compare.add_argument(
-        "--bound", help="equivalence bound overriding the per-class defaults"
-    )
-    p_compare.add_argument("--out", help="verdict JSON path (default stdout)")
-
-    p_sim = sub.add_parser("simulate", help="closed-loop tension simulation")
-    p_sim.add_argument("--cycles")
-    p_sim.add_argument("--seed")
-    p_sim.add_argument("--gains", help="kp,ki,kd,ff")
-    p_sim.add_argument("--profile", help="onset_gc,peak_gc,end_gc,peak_torque")
-    p_sim.add_argument("--moment-arm", dest="moment_arm")
-    p_sim.add_argument("--jitter", help="stride duration jitter fraction")
-    p_sim.add_argument("--constant-reference", dest="constant_reference",
-                       help="fixed tension reference (N), bypassing the profile")
-    p_sim.add_argument("--plant", help="plant overrides, name=value pairs")
-    p_sim.add_argument("--trace", help="per-tick trace CSV path")
-
-    p_cx = sub.add_parser("complexity", help="weighted complexity index")
-    p_cx.add_argument("--limbs")
-    p_cx.add_argument("--dof")
-    p_cx.add_argument("--sensors")
-    p_cx.add_argument("--actuators")
-    p_cx.add_argument("--weights", help="w_limbs,w_dof,w_sensors,w_actuators")
-
-    for p in (p_inspect, p_analyze, p_compare, p_sim, p_cx):
+    for command, (help_text, positionals) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, nargs in positionals.items():
+            p.add_argument(name, nargs=nargs)
+        for dest, (_, _, option_help) in _OPTION_TABLE[command].items():
+            p.add_argument("--" + dest.replace("_", "-"), help=option_help)
         p.add_argument("--config", help="JSON file mirroring the flags")
     return parser
 
@@ -363,7 +331,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                     f"unknown config key {key!r} for {args.command}"
                 )
     values = {}
-    for dest, (convert, default) in table.items():
+    for dest, (convert, default, _) in table.items():
         cli = getattr(args, dest, None)
         if cli is not None:
             values[dest] = convert(dest, cli)
@@ -371,9 +339,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             values[dest] = convert(dest, config[dest])
         else:
             values[dest] = default
-    for key in ("input", "inputs"):
-        if hasattr(args, key):
-            values[key] = getattr(args, key)
+    for name in _COMMANDS[args.command][1]:
+        values[name] = getattr(args, name)
     return values
 
 
@@ -546,7 +513,7 @@ def _cmd_analyze(values: dict) -> int:
                 temporal = temporal_params(stride)
             except MissingFootOff:
                 temporal = None
-            features = cycle_features(angle, m_cycle, temporal)
+            features = cycle_features(angle, m_cycle)
             angle_cycles.append(angle)
             if m_cycle is not None:
                 moment_cycles.append(m_cycle)
@@ -896,11 +863,6 @@ def _cmd_compare(values: dict) -> int:
     baseline, treatment = values["baseline"], values["treatment"]
     if baseline == treatment:
         raise _UsageError("condition labels must be distinct")
-    stat = StatConfig(
-        alpha=values["alpha"],
-        angle_bound=values["angle_bound"],
-        duration_bound=values["duration_bound"],
-    )
     conditions, trial_codes, trial_names, cells = _read_strides_csv(
         values["inputs"], (baseline, treatment), values["features"]
     )
@@ -908,16 +870,16 @@ def _cmd_compare(values: dict) -> int:
         "schema_version": SCHEMA_VERSION,
         "baseline": baseline,
         "treatment": treatment,
-        "alpha": stat.alpha,
+        "alpha": values["alpha"],
         "features": [],
     }
     for feature in values["features"]:
         if values["bound"] is not None:
             bound = values["bound"]
         elif feature in _ANGLE_FEATURES:
-            bound = stat.angle_bound
+            bound = values["angle_bound"]
         elif feature in _DURATION_FEATURES:
-            bound = stat.duration_bound
+            bound = values["duration_bound"]
         else:
             raise _UsageError(
                 f"feature {feature!r} has no default bound; pass --bound"
@@ -927,7 +889,7 @@ def _cmd_compare(values: dict) -> int:
         fit, means_a, means_b = compare_trials(
             strides, kept_conditions, trial_codes[keep], trial_names
         )
-        tost = tost_welch(means_a, means_b, bound, alpha=stat.alpha)
+        tost = tost_welch(means_a, means_b, bound, alpha=values["alpha"])
         n0 = int(np.count_nonzero(kept_conditions == 0))
         report["features"].append({
             "feature": feature,

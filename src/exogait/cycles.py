@@ -24,18 +24,12 @@ N_SAMPLES = 101  # 0..100 % gait cycle inclusive
 
 @dataclass(frozen=True)
 class Stride:
-    """One gait cycle: consecutive ipsilateral foot strikes.
-
-    foot_off_ambiguous marks strides whose interval held zero or multiple
-    same-side foot offs; such strides carry no foot_off_time and are kept so
-    callers can count them in quality reports.
-    """
+    """One gait cycle: consecutive ipsilateral foot strikes."""
 
     side: Side
     start_time: float
     end_time: float
     foot_off_time: float | None = None
-    foot_off_ambiguous: bool = False
 
     def __post_init__(self) -> None:
         if not self.start_time < self.end_time:
@@ -84,15 +78,15 @@ class CycleFeatures:
     peak_dorsiflexion: float
     peak_plantarflexion: float
     peak_plantarflexion_moment: float | None = None
-    temporal: TemporalFeatures | None = None
 
 
 def segment_strides(events: list[GaitEvent], side: Side) -> list[Stride]:
     """One Stride per consecutive pair of same-side foot strikes.
 
     The unique same-side foot off strictly between the strikes is recorded;
-    zero or multiple candidates leave foot_off_time empty with the
-    ambiguity flag set. Opposite-side events never affect the result.
+    zero or multiple candidates leave foot_off_time None, and the stride is
+    kept so callers can count it in quality reports. Opposite-side events
+    never affect the result.
     """
     same = sorted(e for e in events if e.side is side)
     strikes = [e.time for e in same if e.kind is EventKind.FOOT_STRIKE]
@@ -100,16 +94,10 @@ def segment_strides(events: list[GaitEvent], side: Side) -> list[Stride]:
     strides = []
     for t0, t1 in zip(strikes[:-1], strikes[1:]):
         interior = [t for t in offs if t0 < t < t1]
-        if len(interior) == 1:
-            strides.append(
-                Stride(side=side, start_time=t0, end_time=t1,
-                       foot_off_time=interior[0])
-            )
-        else:
-            strides.append(
-                Stride(side=side, start_time=t0, end_time=t1,
-                       foot_off_time=None, foot_off_ambiguous=True)
-            )
+        strides.append(
+            Stride(side=side, start_time=t0, end_time=t1,
+                   foot_off_time=interior[0] if len(interior) == 1 else None)
+        )
     return strides
 
 
@@ -176,9 +164,8 @@ def temporal_params(stride: Stride) -> TemporalFeatures:
 def cycle_features(
     angle: NormalizedCycle,
     moment: NormalizedCycle | None = None,
-    temporal: TemporalFeatures | None = None,
 ) -> CycleFeatures:
-    """Kinematic (and optionally kinetic, temporal) features of one cycle.
+    """Kinematic (and optionally kinetic) features of one cycle.
 
     angle must be in degrees with dorsiflexion positive; peak plantarflexion
     is the negated minimum, so a cycle that never plantarflexes reports a
@@ -190,7 +177,6 @@ def cycle_features(
         rom=float(a.max() - a.min()),
         peak_dorsiflexion=float(a.max()),
         peak_plantarflexion=float(-a.min()),
-        temporal=temporal,
     )
     if moment is not None:
         features.peak_plantarflexion_moment = float(moment.samples.max())

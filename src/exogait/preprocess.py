@@ -22,30 +22,25 @@ from .trial import MarkerTrajectory
 
 LAMBDA_LO = 1e-12
 LAMBDA_HI = 1e12
+# Bisection steps smooth_to_mse takes at most, and the relative tolerance
+# on the target MSE within which it counts the target as met.
+_MAX_ITERATIONS = 200
+_MSE_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
 class SmoothingSpec:
     """Residual-MSE target for the smoother.
 
-    target_mse is in squared data units (mm^2 for marker coordinates) and
-    mse_tolerance is relative: achieved MSE within
-    target_mse * (1 +/- mse_tolerance) counts as met.
+    target_mse is in squared data units (mm^2 for marker coordinates); an
+    achieved MSE within target_mse * (1 +/- _MSE_TOLERANCE) counts as met.
     """
 
     target_mse: float = 10.0
-    max_iterations: int = 200
-    mse_tolerance: float = 0.05
 
     def __post_init__(self) -> None:
         if not self.target_mse > 0:
             raise ValueError(f"target_mse must be > 0, got {self.target_mse}")
-        if not 0 < self.mse_tolerance < 1:
-            raise ValueError(
-                f"mse_tolerance must be in (0, 1), got {self.mse_tolerance}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,7 @@ def smooth_to_mse(
     """
     y = _check_series(samples, rate, times)
     target = spec.target_mse
-    tol = spec.mse_tolerance * target
+    tol = _MSE_TOLERANCE * target
 
     def mse_of(f: np.ndarray) -> float:
         r = y - f
@@ -255,7 +250,7 @@ def smooth_to_mse(
         return f_hi, mse_hi, abs(mse_hi - target) <= tol
 
     f_mid, mse_mid = f_lo, mse_lo
-    for _ in range(spec.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         mid = np.sqrt(lo * hi)
         f_mid = smooth_with_lambda(y, rate, mid)
         mse_mid = mse_of(f_mid)

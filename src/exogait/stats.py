@@ -30,19 +30,6 @@ _LOG_LAM_LO = -12.0
 _LOG_LAM_HI = 12.0
 
 
-@dataclass(frozen=True)
-class StrideObservation:
-    """One stride's value for one outcome variable."""
-
-    value: float
-    condition: int  # 0 = NoExo, 1 = ExoOff
-    trial_id: str
-
-    def __post_init__(self) -> None:
-        if self.condition not in (0, 1):
-            raise ValueError(f"condition must be 0 or 1, got {self.condition}")
-
-
 @dataclass
 class LmeFit:
     beta0: float
@@ -70,18 +57,6 @@ class TostResult:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class StatConfig:
-    alpha: float = 0.05
-    angle_bound: float = 2.0  # deg
-    duration_bound: float = 0.05  # s
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.angle_bound > 0
-                and self.duration_bound > 0):
-            raise ValueError("StatConfig fields must be positive")
-
-
 class _Trials(NamedTuple):
     """Per-trial sums, trials in the order of their first stride."""
 
@@ -93,7 +68,7 @@ class _Trials(NamedTuple):
 
 
 def _group(values, conditions, trial_codes, trial_names) -> _Trials:
-    """Group strides by trial: the one grouping behind every fit and mean.
+    """Group strides by trial: the one grouping behind the fit and the means.
 
     Stride i has value values[i], condition conditions[i] and trial id
     trial_names[trial_codes[i]]. np.bincount adds the weights one stride at
@@ -122,17 +97,6 @@ def _group(values, conditions, trial_codes, trial_names) -> _Trials:
         s=np.bincount(trial, weights=values, minlength=k).tolist(),
         ss=np.bincount(trial, weights=squares, minlength=k).tolist(),
         values=values[np.argsort(trial, kind="stable")],
-    )
-
-
-def _group_observations(observations: list[StrideObservation]) -> _Trials:
-    index: dict[str, int] = {}
-    codes = [index.setdefault(o.trial_id, len(index)) for o in observations]
-    return _group(
-        np.array([o.value for o in observations], dtype=float),
-        np.array([o.condition for o in observations], dtype=np.intp),
-        np.array(codes, dtype=np.intp),
-        list(index),
     )
 
 
@@ -244,7 +208,30 @@ def _fit(trials: _Trials) -> LmeFit:
     return _fit_from(trials, lam, converged=True)
 
 
-def _trial_means(trials: _Trials) -> tuple[list[float], list[float]]:
+def compare_trials(
+    values: np.ndarray,
+    conditions: np.ndarray,
+    trial_codes: np.ndarray,
+    trial_names: list[str],
+) -> tuple[LmeFit, list[float], list[float]]:
+    """REML fit of the random-intercept model, and the per-trial means.
+
+    Stride i has value values[i], condition conditions[i] (0 or 1) and
+    trial id trial_names[trial_codes[i]]. Returns (fit, means_a, means_b):
+    the fit, then the stride means of each trial of condition 0 and of
+    condition 1, trials in the order of their first stride.
+
+    The fit profiles the variance ratio: a golden-section search maximizes
+    the profiled criterion over natural log lam in [-12, 12]; the lam = 0
+    boundary (no between-trial variance) is compared explicitly so the
+    boundary optimum is exact rather than approached asymptotically.
+    """
+    if len(values) == 0:
+        raise SingularDesign("no observations")
+    bad = (conditions != 0) & (conditions != 1)
+    if bad.any():
+        raise ValueError(f"condition must be 0 or 1, got {conditions[bad][0]}")
+    trials = _group(values, conditions, trial_codes, trial_names)
     ends = list(accumulate(trials.n))
     with np.errstate(over="ignore", invalid="ignore"):  # as in _group
         means = [
@@ -253,49 +240,7 @@ def _trial_means(trials: _Trials) -> tuple[list[float], list[float]]:
         ]
     means_a = [m for m, c in zip(means, trials.condition) if c == 0]
     means_b = [m for m, c in zip(means, trials.condition) if c == 1]
-    return means_a, means_b
-
-
-def fit_lme(observations: list[StrideObservation]) -> LmeFit:
-    """REML fit of the random-intercept model by profiling the ratio.
-
-    A golden-section search maximizes the profiled criterion over natural
-    log lam in [-12, 12]; the lam = 0 boundary (no between-trial variance)
-    is compared explicitly so the boundary optimum is exact rather than
-    approached asymptotically.
-    """
-    if not observations:
-        raise SingularDesign("no observations")
-    return _fit(_group_observations(observations))
-
-
-def trial_means(
-    observations: list[StrideObservation],
-) -> tuple[list[float], list[float]]:
-    """Per-trial stride means, grouped by condition (0 first, then 1).
-
-    Trials keep their first-appearance order within each condition.
-    """
-    return _trial_means(_group_observations(observations))
-
-
-def compare_trials(
-    values: np.ndarray,
-    conditions: np.ndarray,
-    trial_codes: np.ndarray,
-    trial_names: list[str],
-) -> tuple[LmeFit, list[float], list[float]]:
-    """fit_lme and trial_means over stride columns, grouping trials once.
-
-    Stride i has value values[i], condition conditions[i] (0 or 1) and
-    trial id trial_names[trial_codes[i]]. Returns (fit, means_a, means_b),
-    the results of fit_lme and trial_means on the same strides as
-    StrideObservations, and raises what fit_lme raises.
-    """
-    if len(values) == 0:
-        raise SingularDesign("no observations")
-    trials = _group(values, conditions, trial_codes, trial_names)
-    return (_fit(trials), *_trial_means(trials))
+    return _fit(trials), means_a, means_b
 
 
 def _degenerate_p(t_num: float) -> tuple[float, float]:

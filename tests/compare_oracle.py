@@ -2,9 +2,9 @@
 
 The CLI reads strides CSVs a column at a time and groups strides by trial
 with array operations. This module keeps the straightforward form of the
-same command: a csv.DictReader dict per row, one StrideObservation per kept
-stride and feature, and dict-based grouping for the mixed model and the
-trial means. The REML search is a copy of the library's, so the property
+same command: a csv.DictReader dict per row, one Observation tuple per
+kept stride and feature, and dict-based grouping for the mixed model and
+the trial means. The REML search is a copy of the library's, so the property
 pins the whole path from file to verdict. The CLI must exit with the same
 code, print the same stderr and write byte-identical JSON.
 """
@@ -29,13 +29,8 @@ from exogait.errors import (
     NonNumericCell,
     SingularDesign,
 )
-from exogait.stats import (
-    LmeFit,
-    StatConfig,
-    StrideObservation,
-    tost_welch,
-    wald_p,
-)
+from exogait.stats import LmeFit, tost_welch, wald_p
+from stats_oracle import Observation
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_LAM_LO = -12.0
@@ -131,7 +126,8 @@ def _fit_from(trials, lam, converged):
 
 
 def oracle_fit_lme(observations):
-    """Same argument, result and errors as stats.fit_lme."""
+    """The fit stats.compare_trials gives on the same strides, with the
+    same errors."""
     if not observations:
         raise SingularDesign("no observations")
     trials = _summarize(observations)
@@ -171,7 +167,7 @@ def oracle_fit_lme(observations):
 
 
 def oracle_trial_means(observations):
-    """Same argument, result and errors as stats.trial_means."""
+    """The trial means stats.compare_trials gives on the same strides."""
     order = []
     sums = {}
     cond = {}
@@ -220,27 +216,22 @@ def oracle_cmd_compare(values):
     baseline, treatment = values["baseline"], values["treatment"]
     if baseline == treatment:
         raise _UsageError("condition labels must be distinct")
-    stat = StatConfig(
-        alpha=values["alpha"],
-        angle_bound=values["angle_bound"],
-        duration_bound=values["duration_bound"],
-    )
     rows = _read_strides_csv(values["inputs"])
     cond_code = {baseline: 0, treatment: 1}
     report = {
         "schema_version": SCHEMA_VERSION,
         "baseline": baseline,
         "treatment": treatment,
-        "alpha": stat.alpha,
+        "alpha": values["alpha"],
         "features": [],
     }
     for feature in values["features"]:
         if values["bound"] is not None:
             bound = values["bound"]
         elif feature in _ANGLE_FEATURES:
-            bound = stat.angle_bound
+            bound = values["angle_bound"]
         elif feature in _DURATION_FEATURES:
-            bound = stat.duration_bound
+            bound = values["duration_bound"]
         else:
             raise _UsageError(
                 f"feature {feature!r} has no default bound; pass --bound"
@@ -259,14 +250,14 @@ def oracle_cmd_compare(values):
                 raise NonNumericCell(
                     f"feature {feature!r}: cannot parse {cell!r}"
                 ) from None
-            observations.append(StrideObservation(
+            observations.append(Observation(
                 value=value,
                 condition=cond_code[condition],
                 trial_id=str(row["trial_id"]),
             ))
         fit = oracle_fit_lme(observations)
         means_a, means_b = oracle_trial_means(observations)
-        tost = tost_welch(means_a, means_b, bound, alpha=stat.alpha)
+        tost = tost_welch(means_a, means_b, bound, alpha=values["alpha"])
         n0 = sum(1 for o in observations if o.condition == 0)
         report["features"].append({
             "feature": feature,

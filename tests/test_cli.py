@@ -1135,6 +1135,42 @@ def test_config_for_simulate(tmp_path, capsys):
     assert summary["n_ticks"] == 980
 
 
+def test_every_option_is_a_flag_and_a_config_key(tmp_path):
+    # Each _OPTION_TABLE entry is declared once: the parser's long options
+    # and the --config keys both come from it, and resolve alike.
+    (subparsers,) = cli._PARSER._subparsers._group_actions
+    assert list(subparsers.choices) == list(cli._OPTION_TABLE)
+    for command, parser in subparsers.choices.items():
+        table = cli._OPTION_TABLE[command]
+        flags = {s for action in parser._actions
+                 for s in action.option_strings if s.startswith("--")}
+        assert flags - {"--help"} == \
+            {"--" + dest.replace("_", "-") for dest in table} | {"--config"}
+        positionals = ["in.csv" for action in parser._actions
+                       if not action.option_strings]
+        for dest, (convert, _, _) in table.items():
+            # The first of these strings the converter takes.
+            raw = next(v for v in ("3", "1,2,3,4", "mass=2")
+                       if not _raises_usage_error(convert, dest, v))
+            cfg = tmp_path / f"{command}-{dest}.json"
+            cfg.write_text(json.dumps({dest: raw}), encoding="utf-8")
+            flag = "--" + dest.replace("_", "-")
+            by_flag = cli._resolve(cli._PARSER.parse_args(
+                [command, *positionals, flag, raw]))
+            by_config = cli._resolve(cli._PARSER.parse_args(
+                [command, *positionals, "--config", str(cfg)]))
+            assert by_flag == by_config
+            assert by_flag[dest] == convert(dest, raw)
+
+
+def _raises_usage_error(convert, dest, value):
+    try:
+        convert(dest, value)
+    except cli._UsageError:
+        return True
+    return False
+
+
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 1
     _error_line(capsys)

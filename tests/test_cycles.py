@@ -43,7 +43,6 @@ def test_segment_two_strides_with_offs():
     assert strides[0].start_time == 0.0
     assert strides[0].end_time == 0.980
     assert strides[0].foot_off_time == 0.559
-    assert not strides[0].foot_off_ambiguous
     assert strides[1].foot_off_time == 1.541
 
 
@@ -59,7 +58,6 @@ def test_missing_off_is_flagged():
     ]
     (stride,) = segment_strides(events, Side.LEFT)
     assert stride.foot_off_time is None
-    assert stride.foot_off_ambiguous
 
 
 def test_two_interior_offs_are_flagged():
@@ -71,7 +69,6 @@ def test_two_interior_offs_are_flagged():
     ]
     (stride,) = segment_strides(events, Side.LEFT)
     assert stride.foot_off_time is None
-    assert stride.foot_off_ambiguous
 
 
 def test_opposite_side_events_ignored():
@@ -203,9 +200,7 @@ def test_temporal_even_split():
 
 
 def test_temporal_requires_foot_off():
-    stride = Stride(
-        side=Side.LEFT, start_time=0.0, end_time=1.0, foot_off_ambiguous=True
-    )
+    stride = Stride(side=Side.LEFT, start_time=0.0, end_time=1.0)
     with pytest.raises(MissingFootOff):
         temporal_params(stride)
 

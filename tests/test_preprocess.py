@@ -136,8 +136,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SmoothingSpec(target_mse=0.0)
     with pytest.raises(ValueError):
-        SmoothingSpec(mse_tolerance=0.0)
-    with pytest.raises(ValueError):
         GapFillSpec(max_gap=0)
 
 

@@ -1,8 +1,9 @@
 """Tests for the random-intercept mixed model and TOST equivalence test.
 
 Two independent routes are held against each other throughout: the
-closed-form REML profiling in fit_lme versus the dense-matrix grid oracle,
-and scipy's Student-t tail versus an mpmath incomplete-beta evaluation.
+closed-form REML profiling in compare_trials versus the dense-matrix grid
+oracle, and scipy's Student-t tail versus an mpmath incomplete-beta
+evaluation.
 """
 
 import math
@@ -13,15 +14,8 @@ import pytest
 from scipy.special import stdtr
 
 from exogait.errors import SingularDesign
-from exogait.stats import (
-    StrideObservation,
-    compare_trials,
-    fit_lme,
-    tost_welch,
-    trial_means,
-    wald_p,
-)
-from stats_oracle import lme_oracle
+from exogait.stats import compare_trials, tost_welch, wald_p
+from stats_oracle import Observation, compare, lme_oracle
 
 
 def _obs(values_by_trial):
@@ -30,7 +24,7 @@ def _obs(values_by_trial):
     for trial_id, condition, values in values_by_trial:
         for v in values:
             out.append(
-                StrideObservation(value=v, condition=condition, trial_id=trial_id)
+                Observation(value=v, condition=condition, trial_id=trial_id)
             )
     return out
 
@@ -46,7 +40,7 @@ _BALANCED = _obs([
 def test_balanced_effect_is_mean_difference():
     # Balanced design: GLS reduces to the difference of condition means at
     # every variance ratio, so beta1 must be exact.
-    fit = fit_lme(_BALANCED)
+    fit = compare(_BALANCED)[0]
     assert fit.beta1 == pytest.approx(1.0, abs=1e-12)
     assert fit.beta0 == pytest.approx(1.05, abs=1e-12)
     assert fit.converged
@@ -62,7 +56,7 @@ def test_constant_data_collapses():
         ("t3", 1, [5.0, 5.0]),
         ("t4", 1, [5.0, 5.0]),
     ])
-    fit = fit_lme(obs)
+    fit = compare(obs)[0]
     assert fit.beta1 == 0.0
     assert fit.sigma_b2 == 0.0
     assert fit.sigma_e2 == 0.0
@@ -106,7 +100,7 @@ def test_fit_matches_dense_oracle():
     rng = np.random.default_rng(2024)
     for _ in range(10):
         obs = _random_dataset(rng, effect=float(rng.normal(0.0, 2.0)))
-        fit = fit_lme(obs)
+        fit = compare(obs)[0]
         oracle = refined_oracle(obs)
         # The continuous search must never fall below the best grid point.
         assert fit.log_reml >= oracle.log_reml - 1e-9
@@ -129,7 +123,7 @@ def test_oracle_at_zero_is_ols():
 def test_strong_clustering_found():
     rng = np.random.default_rng(77)
     obs = _random_dataset(rng, effect=0.0, sd_trial=5.0, sd_stride=0.05)
-    fit = fit_lme(obs)
+    fit = compare(obs)[0]
     assert fit.sigma_b2 > fit.sigma_e2 * 10.0
 
 
@@ -138,7 +132,7 @@ def test_criterion_concavity_around_optimum():
     # search lands, not at a far-away ratio.
     rng = np.random.default_rng(101)
     obs = _random_dataset(rng, effect=0.5, sd_trial=1.5, sd_stride=0.7)
-    fit = fit_lme(obs)
+    fit = compare(obs)[0]
     oracle = refined_oracle(obs)
     if oracle.sigma_e2 > 0 and fit.sigma_e2 > 0:
         lam_fit = fit.sigma_b2 / fit.sigma_e2
@@ -150,14 +144,14 @@ def test_criterion_concavity_around_optimum():
 def test_missing_condition_rejected():
     obs = _obs([("t1", 0, [1.0, 2.0]), ("t2", 0, [1.5, 2.5])])
     with pytest.raises(SingularDesign):
-        fit_lme(obs)
+        compare(obs)
     with pytest.raises(SingularDesign):
-        fit_lme([])
+        compare([])
     # Both conditions present, but two strides leave no residual degree of
     # freedom.
     two = _obs([("t1", 0, [10.0]), ("t2", 1, [11.0])])
     with pytest.raises(SingularDesign, match="need at least 3"):
-        fit_lme(two)
+        compare(two)
     with pytest.raises(SingularDesign, match="need at least 3"):
         compare_trials(np.array([10.0, 11.0]), np.array([0, 1]),
                        np.array([0, 1]), ["t1", "t2"])
@@ -165,19 +159,17 @@ def test_missing_condition_rejected():
 
 def test_trial_under_both_conditions_rejected():
     obs = [
-        StrideObservation(1.0, 0, "t1"),
-        StrideObservation(2.0, 1, "t1"),
-        StrideObservation(1.0, 1, "t2"),
+        Observation(1.0, 0, "t1"),
+        Observation(2.0, 1, "t1"),
+        Observation(1.0, 1, "t2"),
     ]
     with pytest.raises(ValueError):
-        fit_lme(obs)
-    with pytest.raises(ValueError):
-        trial_means(obs)
+        compare(obs)
 
 
 def test_bad_condition_rejected():
-    with pytest.raises(ValueError):
-        StrideObservation(1.0, 2, "t1")
+    with pytest.raises(ValueError, match="condition must be 0 or 1"):
+        compare([Observation(1.0, 2, "t1")])
 
 
 def test_oracle_grid_validation():
@@ -190,7 +182,7 @@ def test_oracle_grid_validation():
 
 
 def test_trial_means_grouping():
-    means_a, means_b = trial_means(_BALANCED)
+    means_a, means_b = compare(_BALANCED)[1:]
     assert means_a == pytest.approx([1.1, 1.0])
     assert means_b == pytest.approx([2.1, 2.0])
 
@@ -202,16 +194,16 @@ def test_trial_means_first_appearance_order():
         ("m", 1, [6.0]),
         ("b", 0, [2.0]),
     ])
-    means_a, means_b = trial_means(obs)
+    means_a, means_b = compare(obs)[1:]
     assert means_a == [1.0, 2.0]
     assert means_b == [4.0, 6.0]
 
 
 def test_means_past_the_float_range_overflow_quietly():
     # Tier-1 turns a numpy warning into an error.
-    means_a, means_b = trial_means(_obs([
+    means_a, means_b = compare(_obs([
         ("a", 0, [1e308, 1e308]), ("b", 1, [1.0]),
-    ]))
+    ]))[1:]
     assert (means_a, means_b) == ([math.inf], [1.0])
     r = tost_welch([1e200, -1e200], [1e200, 3e200], bound=1.0)
     assert math.isinf(r.se_welch) and not r.equivalent
