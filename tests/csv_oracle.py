@@ -32,8 +32,8 @@ def _cell_float(cell, row_no, col):
         ) from None
 
 
-def oracle_read_csv_trial(text):
-    """Same argument, result and errors as read_csv_trial."""
+def oracle_read_csv_trial(text, columns=None):
+    """Same arguments, result and errors as read_csv_trial."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [r for r in reader if r and any(r)]
@@ -54,6 +54,8 @@ def oracle_read_csv_trial(text):
             label = col[len("analog:") :].strip()
             if not label:
                 raise BadHeaderRow(f"column {i}: empty analog label")
+            if label in (lab for lab, _ in analog_cols):
+                raise BadHeaderRow(f"duplicate analog label {label!r}")
             analog_cols.append((label, i))
             i += 1
             continue
@@ -70,10 +72,23 @@ def oracle_read_csv_trial(text):
             raise BadHeaderRow(
                 f"marker {label!r} must have consecutive .x,.y,.z columns"
             )
+        if label in (lab for lab, _ in marker_cols):
+            raise BadHeaderRow(f"duplicate marker label {label!r}")
         marker_cols.append((label, i))
         i += 3
 
     data_rows = rows[1:]
+    if columns is not None:
+        wanted = set(columns)
+        unread = [c + k for lab, c in marker_cols if lab not in wanted
+                  for k in range(3)]
+        unread += [c for lab, c in analog_cols if lab not in wanted]
+        for row in data_rows:
+            for c in unread:
+                if c < len(row):
+                    row[c] = "0"
+        marker_cols = [(lab, c) for lab, c in marker_cols if lab in wanted]
+        analog_cols = [(lab, c) for lab, c in analog_cols if lab in wanted]
     if len(data_rows) < 2:
         raise BadHeaderRow(
             "need at least 2 data rows to infer the sampling rate"

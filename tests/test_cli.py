@@ -28,7 +28,7 @@ from compare_oracle import oracle_cmd_compare
 from exogait import cli
 from exogait.c3d import write_c3d
 from exogait.cli import STRIDE_COLUMNS, ComplexityInputs, complexity_index, run
-from exogait.trial import MarkerTrajectory, Trial
+from exogait.trial import EventKind, GaitEvent, MarkerTrajectory, Side, Trial
 from test_c3d import _param_fields
 
 
@@ -315,6 +315,51 @@ def test_inspect_signaling_nan_c3d(tmp_path, field, code, lines):
     assert proc.stderr.count("exogait: error: ") == lines
 
 
+def _non_finite_event_c3d(path, word):
+    """A C3D trial whose first event's seconds word is `word`."""
+    n = 321
+    t = np.arange(n) / 100.0
+    coords = np.stack([t, -t, 10.0 * np.sin(2.0 * np.pi * t)], axis=1)
+    trial = Trial(markers=[MarkerTrajectory("ANK", coords, np.ones(n, bool))],
+                  analogs=[], point_rate=100.0, analog_rate=100.0,
+                  first_frame=1, last_frame=n,
+                  events=[GaitEvent(float(k), Side.LEFT,
+                                    EventKind.FOOT_STRIKE) for k in range(4)])
+    data = bytearray(write_c3d(trial))
+    _, times, _ = _param_fields(data)["EVENT:TIMES"]
+    data[times + 4 : times + 8] = struct.pack("<f", word)
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("command", ["inspect", "analyze"])
+@pytest.mark.parametrize("time", ["inf", "nan"])
+@pytest.mark.parametrize("route", ["csv", "c3d"])
+def test_non_finite_event_time_is_one_error_line(route, time, command,
+                                                 tmp_path, capsys):
+    if route == "csv":
+        trial = tmp_path / "walk.csv"
+        _write_marker_trial(trial)
+        events = tmp_path / "events.csv"
+        _write_events(events)
+        with events.open("a", encoding="utf-8") as fh:
+            fh.write(f"{time},Left,Foot Strike\n")
+        argv = [command, str(trial), "--events", str(events)]
+    else:
+        trial = tmp_path / "walk.c3d"
+        _non_finite_event_c3d(trial, float(time))
+        argv = [command, str(trial)]
+    if command == "analyze":
+        argv += ["--signal", "ANK.z", "--target-mse", "0",
+                 "--out-strides", str(tmp_path / "s.csv"),
+                 "--out-ensemble", str(tmp_path / "e.csv")]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("exogait: error: ")
+    assert err.count("\n") == 1
+    assert f"time {time}" in err or f"got {time}" in err
+
+
 # --- analyze ---------------------------------------------------------------------
 
 
@@ -412,6 +457,72 @@ def test_analyze_unknown_signal(tmp_path, capsys):
                 "--out-ensemble", str(tmp_path / "e.csv")])
     assert code == 2
     _error_line(capsys)
+
+
+def _write_lab_trial(path, bad_cell=None, n=321, rate=100.0):
+    """Markers LANK and RANK plus angle and moment analogs, as plain text;
+    bad_cell replaces LANK.x in frame 100."""
+    lines = ["time,LANK.x,LANK.y,LANK.z,RANK.x,RANK.y,RANK.z,"
+             "analog:angle,analog:moment"]
+    for i in range(n):
+        t = i / rate
+        angle = 20.0 * math.sin(2.0 * math.pi * t)
+        cells = [f"{t:.2f}", f"{0.1 * i:.4f}", "1.0", "2.0",
+                 f"{angle:.4f}", "3.0", "4.0", f"{angle:.4f}",
+                 f"{0.08 * angle:.4f}"]
+        if i == 100 and bad_cell is not None:
+            cells[1] = bad_cell
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_LAB_ANALYZE = ["analyze", "walk.csv", "--events", "events.csv",
+                "--signal", "RANK.x", "--moment", "moment",
+                "--out-strides", "s.csv", "--out-ensemble", "e.csv"]
+
+
+def test_unread_bad_cell_leaves_inspect_and_analyze(tmp_path, monkeypatch,
+                                                    capsys):
+    """A non-number in LANK, which neither command reads, changes no
+    output; a full read of the same file names the cell."""
+    results = []
+    for name, bad_cell in (("clean", None), ("dirty", "1e")):
+        work = tmp_path / name
+        work.mkdir()
+        _write_lab_trial(work / "walk.csv", bad_cell)
+        _write_events(work / "events.csv")
+        monkeypatch.chdir(work)
+        codes = (run(["inspect", "walk.csv", "--events", "events.csv"]),
+                 run(_LAB_ANALYZE))
+        results.append((codes, capsys.readouterr(),
+                        (work / "s.csv").read_bytes(),
+                        (work / "e.csv").read_bytes()))
+    assert results[0][0] == (0, 0)
+    assert results[1] == results[0]
+    with pytest.raises(exogait.errors.NonNumericCell,
+                       match="row 102, column LANK.x: cannot parse '1e'"):
+        exogait.read_csv_trial((tmp_path / "dirty" / "walk.csv").read_text(
+            encoding="utf-8"))
+
+
+def test_csv_commands_hand_loadtxt_only_their_columns(tmp_path, monkeypatch,
+                                                      capsys):
+    _write_lab_trial(tmp_path / "walk.csv")
+    _write_events(tmp_path / "events.csv")
+    monkeypatch.chdir(tmp_path)
+    loadtxt = np.loadtxt
+    usecols = []
+
+    def spy(*args, **kwargs):
+        usecols.append(sorted(kwargs["usecols"]))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert run(["inspect", "walk.csv"]) == 0
+    assert run(_LAB_ANALYZE) == 0
+    capsys.readouterr()
+    # time only; then time, RANK.x/y/z and analog:moment
+    assert usecols == [[0], [0, 4, 5, 6, 8]]
 
 
 def test_analyze_requires_signal(tmp_path, capsys):

@@ -18,7 +18,13 @@ from exogait.errors import (
     RaggedRows,
     UnknownEventLabel,
 )
-from exogait.trial import EventKind, MarkerTrajectory, Side, Trial
+from exogait.trial import (
+    EventKind,
+    GaitEvent,
+    MarkerTrajectory,
+    Side,
+    Trial,
+)
 
 _BASIC = """time,HEE.x,HEE.y,HEE.z,analog:angle
 0.00,1.0,2.0,3.0,10.0
@@ -157,6 +163,14 @@ def test_events_bad_header():
         read_events_csv("time,context,label\nx,Left,Foot Strike\n")
 
 
+@pytest.mark.parametrize("time", ["inf", "-inf", "nan", "1e999"])
+def test_events_non_finite_time_rejected(time):
+    with pytest.raises(ValueError, match="event time must be finite"):
+        read_events_csv(f"time,context,label\n{time},Left,Foot Strike\n")
+    with pytest.raises(ValueError, match="event time must be finite"):
+        GaitEvent(float(time), Side.LEFT, EventKind.FOOT_STRIKE)
+
+
 @pytest.mark.parametrize("reader, header", [
     (read_csv_trial, "time,analog:a"),
     (read_events_csv, "time,context,label"),
@@ -261,10 +275,8 @@ def test_reader_matches_oracle_on_valid_trials(table, blank_after):
     assert _outcome(read_csv_trial, text) == expected
 
 
-@settings(max_examples=200, deadline=None)
-@given(table=_trial_table(), data=st.data())
-def test_reader_matches_oracle_on_corrupted_trials(table, data):
-    header, rows = table
+def _corrupt(header, rows, data):
+    """Write bad cells into two adjacent rows; maybe make one row ragged."""
     # Corrupt cells within two adjacent rows, so that several bad cells
     # often share a row and the reading order decides which one is named.
     r0 = data.draw(st.integers(0, len(rows) - 2))
@@ -278,6 +290,13 @@ def test_reader_matches_oracle_on_corrupted_trials(table, data):
             rows[r].append(data.draw(_CELL))
         else:
             rows[r].pop()
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_trial_table(), data=st.data())
+def test_reader_matches_oracle_on_corrupted_trials(table, data):
+    header, rows = table
+    _corrupt(header, rows, data)
     text = _text(header, rows)
     assert _outcome(read_csv_trial, text) == _outcome(
         oracle_read_csv_trial, text
@@ -300,6 +319,9 @@ _NEAR_MISSES = [
     "empty time", "empty analog", "extra cell", "missing cell", "long field",
     "spelled triple", "quoted header", "carriage return",
 ]
+
+# Plain bytes that do not spell a number.
+_PLAIN_BAD = st.sampled_from(["1e", ".", "1.2.3", "-", "+-1", "e5", "1e+"])
 
 
 @st.composite
@@ -368,6 +390,9 @@ def _near_miss(header, rows, kind, data):
         row.append(data.draw(_PLAIN_NUMBER))
     elif kind == "missing cell" and width > 1:
         row.pop()
+    elif kind == "plain non-number":
+        c = data.draw(st.integers(0, width - 1))
+        row[c] = data.draw(_PLAIN_BAD)
     elif kind == "long field":
         limit = csv.field_size_limit()
         c = data.draw(st.integers(0, width - 1))
@@ -427,6 +452,125 @@ def test_plain_text_skips_the_column_reader(monkeypatch, analogs_first):
     monkeypatch.setattr(csvio, "_parse_columns", column_reader)
     assert _outcome(read_csv_trial, text) == expected
     assert read_csv_trial(text).markers[2].valid.sum() == 53
+
+
+# --- selective reads against the per-cell oracle ------------------------------
+
+
+def _columns(header, data):
+    """A selection of the table's labels, maybe with labels it lacks."""
+    labels = []
+    for cell in header:
+        cell = cell.strip()
+        if cell.endswith(".x"):
+            labels.append(cell[:-2])
+        elif cell.startswith("analog:"):
+            labels.append(cell[len("analog:"):])
+    picked = data.draw(st.lists(st.sampled_from(labels + ["M9", "A9", "time"]),
+                                max_size=4))
+    return data.draw(st.sampled_from([picked, set(picked), tuple(picked)]))
+
+
+def _selective_outcomes(text, columns):
+    return (
+        _outcome(lambda t: read_csv_trial(t, columns=columns), text),
+        _outcome(lambda t: oracle_read_csv_trial(t, columns=columns), text),
+    )
+
+
+def _quoted(rows, quoted):
+    """Rows with the cells of the columns in `quoted` wrapped in quotes."""
+    return [[f'"{cell}"' if c in quoted else cell for c, cell in enumerate(row)]
+            for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_trial_table(), data=st.data())
+def test_selective_read_matches_oracle_on_corrupted_trials(table, data):
+    """The column reader: padded, quoted, bad and ragged cells."""
+    header, rows = table
+    if data.draw(st.booleans()):
+        _corrupt(header, rows, data)
+    columns = _columns(header, data)
+    quoted = data.draw(st.sets(st.integers(0, len(header))))
+    header, *rows = _quoted([header, *rows], quoted)
+    text = _text(header, rows,
+                 blank_after=data.draw(st.sets(st.integers(0, 12))))
+    got, expected = _selective_outcomes(text, columns)
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_plain_trial(), data=st.data())
+def test_selective_read_matches_oracle_on_plain_text(table, data):
+    """Plain text, with the near misses that the one-pass read must leave
+    to the column reader, and plain-byte cells that are not numbers."""
+    header, rows = table
+    kinds = st.sampled_from(_NEAR_MISSES + ["plain non-number"] * 3)
+    leading_blank_lines = 0
+    for kind in data.draw(st.lists(kinds, max_size=3)):
+        if kind == "leading blank line":
+            leading_blank_lines += 1
+        else:
+            _near_miss(header, rows, kind, data)
+    columns = _columns(header, data)
+    text = "\n" * leading_blank_lines + "\n".join(
+        ",".join(row) for row in [header, *rows]
+    )
+    if data.draw(st.booleans()):
+        text += "\n"
+    got, expected = _selective_outcomes(text, columns)
+    assert got == expected
+
+
+def _selective_text(bad_cell):
+    """A lab-shaped plain table; bad_cell goes into LANK.y of row 5."""
+    header = ["time"]
+    for m in ("LANK", "RANK"):
+        header += [f"{m}.x", f"{m}.y", f"{m}.z"]
+    header += ["analog:angle", "analog:moment"]
+    lines = [",".join(header)]
+    for i in range(8):
+        cells = [f"{i / 100:.2f}"] + [f"{i + k / 10:.1f}" for k in range(8)]
+        if i == 3:
+            cells[4:7] = ["", "", ""]  # a gap in RANK
+        if i == 4:
+            cells[2] = bad_cell
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad_cell", ["1e", ".", "1.2.3", ""])
+def test_unread_bad_cell_is_not_converted(bad_cell):
+    """A non-number or a partial gap in LANK leaves a read of RANK and
+    moment as it is, while a full read names the cell."""
+    clean = _selective_text("2.5")
+    dirty = _selective_text(bad_cell)
+    with pytest.raises(NonNumericCell, match="row 6, column LANK.y"):
+        read_csv_trial(dirty)
+    for columns in ({"RANK", "moment"}, ["moment"], ()):
+        assert _outcome(lambda t: read_csv_trial(t, columns=columns),
+                        dirty) == _outcome(
+            lambda t: read_csv_trial(t, columns=columns), clean)
+    trial = read_csv_trial(dirty, columns={"RANK", "moment"})
+    assert [m.label for m in trial.markers] == ["RANK"]
+    assert [a.label for a in trial.analogs] == ["moment"]
+    assert trial.markers[0].valid.tolist() == [True] * 3 + [False] + [True] * 4
+
+
+@pytest.mark.parametrize("header, message", [
+    ("time,A.x,A.y,A.z,A.x,A.y,A.z", "duplicate marker label 'A'"),
+    ("time,analog:a,A.x,A.y,A.z,analog: a", "duplicate analog label 'a'"),
+])
+@pytest.mark.parametrize("columns", [None, (), ["A"], ["a"]])
+def test_duplicate_label_is_a_header_error(header, message, columns):
+    width = header.count(",") + 1
+    text = header + "".join(
+        f"\n{i / 100}" + ",1" * (width - 1) for i in range(3))
+    with pytest.raises(BadHeaderRow, match=message):
+        read_csv_trial(text, columns=columns)
+    with pytest.raises(BadHeaderRow, match=message):
+        oracle_read_csv_trial(text, columns=columns)
 
 
 # --- CSV route against the C3D route ------------------------------------------
