@@ -266,9 +266,12 @@ def _read_events(params) -> list[GaitEvent]:
     events = []
     for j in range(used):
         t = 60.0 * float(pairs[j, 0]) + float(pairs[j, 1])
-        if not t >= 0:
-            raise MalformedHeader(f"event {j + 1} has time {t!r}, not >= 0")
-        events.append(map_event(contexts[j], labels[j], t))
+        try:
+            events.append(map_event(contexts[j], labels[j], t))
+        except ValueError:  # GaitEvent rejects the time
+            raise MalformedHeader(
+                f"event {j + 1} has time {t!r}, not finite and >= 0"
+            ) from None
     return sorted(events)
 
 

@@ -38,7 +38,7 @@ from .assist import (
     TorqueProfile,
 )
 from .c3d import read_c3d
-from .csvio import read_csv_trial, read_events_csv
+from .csvio import _read as _read_csv, read_events_csv
 from .cycles import (
     NormalizedCycle,
     ensemble,
@@ -351,16 +351,26 @@ def _require(values: dict, *names: str) -> None:
             raise _UsageError(f"{flag} is required")
 
 
-def _load_trial(path: str, events_path: str | None):
+def _load_trial(path: str, events_path: str | None, columns=None):
+    """The trial, its sorted events, and its marker and analog labels.
+
+    A CSV trial converts only the marker and analog columns labelled in
+    columns (every column when None); the labels name every column of the
+    file either way.
+    """
     if path.lower().endswith(".c3d"):
         trial = read_c3d(Path(path).read_bytes())
+        markers = [m.label for m in trial.markers]
+        analogs = [c.label for c in trial.analogs]
     else:
-        trial = read_csv_trial(Path(path).read_text(encoding="utf-8"))
+        trial, markers, analogs = _read_csv(
+            Path(path).read_text(encoding="utf-8"), columns
+        )
     events = list(trial.events)
     if events_path is not None:
         events.extend(read_events_csv(Path(events_path).read_text(
             encoding="utf-8")))
-    return trial, sorted(events)
+    return trial, sorted(events), markers, analogs
 
 
 def _fmt(x) -> str:
@@ -392,19 +402,19 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def _cmd_inspect(values: dict) -> int:
-    trial, events = _load_trial(values["input"], values["events"])
+    trial, events, markers, analogs = _load_trial(
+        values["input"], values["events"], columns=()
+    )
     print(f"file: {values['input']}")
     print(
         f"frames: {trial.first_frame}..{trial.last_frame} "
         f"({trial.n_frames} at {_fmt(trial.point_rate)} Hz, "
         f"{_fmt(trial.duration)} s)"
     )
-    labels = " ".join(m.label for m in trial.markers)
-    print(f"markers: {len(trial.markers)} [{labels}]")
-    channels = " ".join(c.label for c in trial.analogs)
+    print(f"markers: {len(markers)} [{' '.join(markers)}]")
     print(
-        f"analog: {len(trial.analogs)} channels at "
-        f"{_fmt(trial.analog_rate)} Hz [{channels}]"
+        f"analog: {len(analogs)} channels at "
+        f"{_fmt(trial.analog_rate)} Hz [{' '.join(analogs)}]"
     )
     counts = []
     for side in (Side.LEFT, Side.RIGHT):
@@ -417,13 +427,21 @@ def _cmd_inspect(values: dict) -> int:
     return 0
 
 
+def _marker_axis(name: str):
+    """(marker label, axis index) of '<label>.x', '.y' or '.z', else None."""
+    if len(name) > 2 and name[-2] == "." and name[-1] in "xyz":
+        return name[:-2], "xyz".index(name[-1])
+    return None
+
+
 def _resolve_series(trial: Trial, name: str, gap_fill: GapFillSpec):
     """(samples, rate, validity) for an analog label or marker axis."""
     for ch in trial.analogs:
         if ch.label == name:
             return np.asarray(ch.samples, float), float(ch.rate), None
-    if len(name) > 2 and name[-2] == "." and name[-1] in "xyz":
-        label, axis = name[:-2], "xyz".index(name[-1])
+    marker_axis = _marker_axis(name)
+    if marker_axis is not None:
+        label, axis = marker_axis
         for mk in trial.markers:
             if mk.label == label:
                 filled = fill_gaps(mk, gap_fill)
@@ -447,7 +465,16 @@ def _cmd_analyze(values: dict) -> int:
     if values["max_gap"] < 1:
         raise _UsageError("--max-gap must be >= 1")
     gap_fill = GapFillSpec(max_gap=values["max_gap"])
-    trial, events = _load_trial(values["input"], values["events"])
+    # The analog and the marker that each series name can select.
+    columns = set()
+    for name in (values["signal"], values["moment"]):
+        if name is not None:
+            columns.add(name)
+            if _marker_axis(name) is not None:
+                columns.add(_marker_axis(name)[0])
+    trial, events, _, _ = _load_trial(
+        values["input"], values["events"], columns
+    )
     if not events:
         raise EmptyResult("trial has no gait events; nothing to segment")
     trial_id = values["trial_id"]

@@ -11,10 +11,16 @@ rate (first two rows) and the clock origin (first value, rounded to the
 frame grid with frame 1 at t = 0) and is otherwise nominal, but every time
 must be finite.
 
-Plain numeric text (see _parse_plain) is read by one np.loadtxt call; any
-other text, or plain text that call cannot take as it is, goes through
-csv.reader and a column-by-column conversion. Both give the arrays and the
-errors of a cell-by-cell read.
+A read scans the whole table once: the header plan (with its duplicate
+label check), the csv field limit, the width of every row and the time
+column (rate, origin, every time finite, at least two rows). It then
+converts only the requested marker triples and analog columns; a cell in
+any other column is never parsed, so it cannot fail the read. Plain
+numeric text (see _parse_plain) is read by one np.loadtxt call over the
+requested columns; any other text, or plain text that call cannot take as
+it is, goes through csv.reader and a column-by-column conversion. Both
+give the arrays and the errors of a cell-by-cell read of the requested
+columns.
 
 Events travel in a separate sidecar CSV (CSV trials have nowhere to put
 them): header ``time,context,label``, one event per row, using the same
@@ -53,7 +59,8 @@ def _cell_float(cell: str, row_no: int, col: str) -> float:
 
 
 def _convert(columns, marker_cols, analog_cols):
-    """Arrays of every column; raises ValueError on any unparseable cell.
+    """Arrays of the time column and of the given marker triples and analog
+    columns; raises ValueError on any unparseable cell among them.
 
     A marker frame whose x, y and z cells are all empty is a gap: its
     coordinates stay NaN and only the other frames are converted.
@@ -78,12 +85,12 @@ def _convert(columns, marker_cols, analog_cols):
 
 
 def _parse_columns(data_rows, width, marker_cols, analog_cols):
-    """Convert the data rows column by column.
+    """Convert the time column and the given columns of the data rows.
 
     Cells are read as ``float(cell.strip())`` with whitespace-only marker
     triples as gaps. On a bad cell or a ragged row, the rows are walked in
-    reading order (width, time, each marker triple, each analog cell) to
-    raise the first error.
+    reading order (width, time, each given marker triple, each given
+    analog cell) to raise the first error.
     """
     if all(len(row) == width for row in data_rows):
         columns = list(zip(*data_rows))
@@ -95,9 +102,11 @@ def _parse_columns(data_rows, width, marker_cols, analog_cols):
         # stripped read succeeds: float() keeps the separators \x1c-\x1f
         # that str.strip() removes, and a whitespace-only triple is a gap
         # only once stripped.
+        used = set(_used(marker_cols, analog_cols))
         try:
             return _convert(
-                [list(map(str.strip, col)) for col in columns],
+                [list(map(str.strip, col)) if c in used else col
+                 for c, col in enumerate(columns)],
                 marker_cols,
                 analog_cols,
             )
@@ -120,7 +129,10 @@ def _parse_columns(data_rows, width, marker_cols, analog_cols):
 
 
 def _plan(row: list[str]):
-    """Width and (label, first column) lists of a header row's columns."""
+    """Width and (label, first column) lists of a header row's columns.
+
+    Marker labels are unique among markers, analog labels among analogs.
+    """
     header = [c.strip() for c in row]
     if not header or header[0] != "time":
         raise BadHeaderRow(f"first column must be 'time', got {header[:1]!r}")
@@ -134,6 +146,8 @@ def _plan(row: list[str]):
             label = col[len("analog:") :].strip()
             if not label:
                 raise BadHeaderRow(f"column {i}: empty analog label")
+            if label in (lab for lab, _ in analog_cols):
+                raise BadHeaderRow(f"duplicate analog label {label!r}")
             analog_cols.append((label, i))
             i += 1
             continue
@@ -150,15 +164,30 @@ def _plan(row: list[str]):
             raise BadHeaderRow(
                 f"marker {label!r} must have consecutive .x,.y,.z columns"
             )
+        if label in (lab for lab, _ in marker_cols):
+            raise BadHeaderRow(f"duplicate marker label {label!r}")
         marker_cols.append((label, i))
         i += 3
     return len(header), marker_cols, analog_cols
 
 
+def _select(cols, columns):
+    """The (label, column) pairs whose label is in columns (all for None)."""
+    if columns is None:
+        return cols
+    return [(lab, c) for lab, c in cols if lab in columns]
+
+
+def _used(marker_cols, analog_cols) -> list[int]:
+    """Sorted indices of the time column and the given columns' cells."""
+    return sorted([0, *(c + k for _, c in marker_cols for k in range(3)),
+                   *(c for _, c in analog_cols)])
+
+
 _PLAIN_BYTES = b"0123456789.eE+-,\n"
 
 
-def _parse_plain(text: str):
+def _parse_plain(text: str, columns):
     """Plan and arrays of a plain numeric table, or None.
 
     The table is plain when its first line is the header, with no quote,
@@ -166,10 +195,13 @@ def _parse_plain(text: str):
     newlines, with no line longer than the csv field limit. csv.reader
     then splits each line at its commas, and numpy's tokenizer reads each
     cell with the same strtod as float(), so one np.loadtxt call over the
-    body, with empty cells written as 'nan', gives the column reader's
-    arrays. Whatever it cannot take as it is (an unparseable cell, a ragged
-    row, fewer than two rows, an empty time or analog cell, a partly empty
-    triple) returns None, so every error comes from the column reader.
+    body's time column and requested columns, with empty cells written as
+    'nan', gives the column reader's arrays. np.loadtxt checks no row's
+    width when given usecols, so the commas of every line are counted
+    first. Whatever it cannot take as it is (a ragged row, fewer than two
+    rows, an unparseable or empty time cell, an unparseable or empty
+    requested analog cell, a partly empty requested triple) returns None,
+    so every error comes from the column reader.
     """
     head, newline, body = text.partition("\n")
     if not newline or '"' in head or not body.isascii():
@@ -183,51 +215,63 @@ def _parse_plain(text: str):
         return None
 
     buf = np.frombuffer(raw, np.uint8)
-    is_newline = buf == ord("\n")
-    is_comma = buf == ord(",")
-    edges = np.concatenate(([-1], np.flatnonzero(is_newline), [buf.size]))
+    edges = np.concatenate(
+        ([-1], np.flatnonzero(buf == ord("\n")), [buf.size])
+    )
     lengths = np.diff(edges) - 1
-    n = np.count_nonzero(lengths)
+    lines = lengths > 0
+    n = np.count_nonzero(lines)
     limit = csv.field_size_limit()
     if n < 2 or len(head) > limit or lengths.max() > limit:
         return None
+    commas = np.flatnonzero(buf == ord(","))
+    if (np.diff(np.searchsorted(commas, edges))[lines] != width - 1).any():
+        return None
     # An empty cell after a comma becomes nan. An empty time cell, first in
-    # its line, stays empty, and loadtxt rejects it.
-    ends_cell = np.append(is_comma[1:] | is_newline[1:], True)
-    holes = (np.flatnonzero(is_comma & ends_cell) + 1).tolist()
+    # its line, stays empty, and loadtxt rejects it. A comma that ends the
+    # body is its own next byte here, and it does open an empty cell.
+    after = buf[np.minimum(commas + 1, buf.size - 1)]
+    holes = (commas[(after == ord(",")) | (after == ord("\n"))] + 1).tolist()
     if holes:
         view = memoryview(raw)
         cuts = [0, *holes, buf.size]
         raw = b"nan".join([view[i:j] for i, j in zip(cuts, cuts[1:])])
+    markers = _select(marker_cols, columns)
+    analogs = _select(analog_cols, columns)
+    used = _used(markers, analogs)
     try:
         data = np.loadtxt(
             io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
-            encoding="ascii",
+            encoding="ascii", usecols=used,
         )
     except ValueError:
         return None
-    if data.shape != (n, width):
+    if data.shape != (n, len(used)):
         return None
 
-    # No cell can spell nan, so a NaN is an empty cell.
+    # No cell can spell nan, so a NaN is an empty cell. A triple's three
+    # columns are neighbours in used.
+    at = {c: j for j, c in enumerate(used)}
     empty = np.isnan(data)
     coords = {}
     valid = {}
-    for lab, c in marker_cols:
-        gap = empty[:, c]
-        if (empty[:, c + 1 : c + 3] != gap[:, None]).any():
+    for lab, c in markers:
+        j = at[c]
+        gap = empty[:, j]
+        if (empty[:, j + 1 : j + 3] != gap[:, None]).any():
             return None
-        coords[lab] = data[:, c : c + 3].copy()
+        coords[lab] = data[:, j : j + 3].copy()
         valid[lab] = ~gap
     analog = {}
-    for lab, c in analog_cols:
-        if empty[:, c].any():
+    for lab, c in analogs:
+        j = at[c]
+        if empty[:, j].any():
             return None
-        analog[lab] = data[:, c].copy()
+        analog[lab] = data[:, j].copy()
     return marker_cols, analog_cols, data[:, 0].copy(), coords, valid, analog
 
 
-def _parse_rows(text: str):
+def _parse_rows(text: str, columns):
     """Plan and arrays of any table, by csv.reader and the column reader."""
     rows = _rows(text)
     if not rows:
@@ -239,15 +283,23 @@ def _parse_rows(text: str):
             "need at least 2 data rows to infer the sampling rate"
         )
     return marker_cols, analog_cols, *_parse_columns(
-        data_rows, width, marker_cols, analog_cols
+        data_rows, width, _select(marker_cols, columns),
+        _select(analog_cols, columns),
     )
 
 
-def read_csv_trial(text: str) -> Trial:
-    """Parse the documented CSV trial grammar into a Trial."""
-    parsed = _parse_plain(text)
+def _read(text: str, columns):
+    """Trial of the requested columns, and every marker and analog label.
+
+    One scan of the whole table for either route (see the module
+    docstring); only the requested columns are converted. The labels are
+    those of the header, requested or not.
+    """
+    if columns is not None:
+        columns = frozenset(columns)
+    parsed = _parse_plain(text, columns)
     if parsed is None:
-        parsed = _parse_rows(text)
+        parsed = _parse_rows(text, columns)
     marker_cols, analog_cols, times, coords, valid, analog = parsed
     n = len(times)
 
@@ -268,13 +320,13 @@ def read_csv_trial(text: str) -> Trial:
 
     markers = [
         MarkerTrajectory(label=lab, coords=coords[lab], valid=valid[lab])
-        for lab, _ in marker_cols
+        for lab, _ in marker_cols if lab in coords
     ]
     analogs = [
         AnalogChannel(label=lab, samples=analog[lab], rate=rate)
-        for lab, _ in analog_cols
+        for lab, _ in analog_cols if lab in analog
     ]
-    return Trial(
+    trial = Trial(
         markers=markers,
         analogs=analogs,
         events=[],
@@ -284,6 +336,18 @@ def read_csv_trial(text: str) -> Trial:
         last_frame=first_frame + n - 1,
         subject_meta={},
     )
+    return (trial, [lab for lab, _ in marker_cols],
+            [lab for lab, _ in analog_cols])
+
+
+def read_csv_trial(text: str, columns=None) -> Trial:
+    """Parse the documented CSV trial grammar into a Trial.
+
+    columns, a collection of labels, limits the markers and analog
+    channels converted and returned to those with a label in it; None
+    takes every column. The whole table is checked either way.
+    """
+    return _read(text, columns)[0]
 
 
 def read_events_csv(text: str) -> list[GaitEvent]:

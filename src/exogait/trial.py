@@ -8,6 +8,7 @@ downstream feature extraction consumes it without caring where it came from.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +86,10 @@ class GaitEvent:
     kind: EventKind = field(compare=False)
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(
+                f"event time must be finite and >= 0, got {self.time}"
+            )
 
 
 @dataclass
