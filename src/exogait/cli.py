@@ -38,7 +38,7 @@ from .assist import (
     TorqueProfile,
 )
 from .c3d import read_c3d
-from .csvio import _read as _read_csv, read_events_csv
+from .csvio import _read as _read_csv, read_csv_trial, read_events_csv
 from .cycles import (
     NormalizedCycle,
     ensemble,
@@ -351,26 +351,21 @@ def _require(values: dict, *names: str) -> None:
             raise _UsageError(f"{flag} is required")
 
 
-def _load_trial(path: str, events_path: str | None, columns=None):
-    """The trial, its sorted events, and its marker and analog labels.
-
-    A CSV trial converts only the marker and analog columns labelled in
-    columns (every column when None); the labels name every column of the
-    file either way.
-    """
+def _load_trial(path: str, columns) -> Trial:
+    """The trial at path; a CSV trial converts only the marker and analog
+    columns labelled in columns."""
     if path.lower().endswith(".c3d"):
-        trial = read_c3d(Path(path).read_bytes())
-        markers = [m.label for m in trial.markers]
-        analogs = [c.label for c in trial.analogs]
-    else:
-        trial, markers, analogs = _read_csv(
-            Path(path).read_text(encoding="utf-8"), columns
-        )
+        return read_c3d(Path(path).read_bytes())
+    return read_csv_trial(Path(path).read_text(encoding="utf-8"), columns)
+
+
+def _load_events(trial: Trial, events_path: str | None) -> list:
+    """The trial's own events and those of the sidecar, sorted."""
     events = list(trial.events)
     if events_path is not None:
         events.extend(read_events_csv(Path(events_path).read_text(
             encoding="utf-8")))
-    return trial, sorted(events), markers, analogs
+    return sorted(events)
 
 
 def _fmt(x) -> str:
@@ -402,10 +397,18 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def _cmd_inspect(values: dict) -> int:
-    trial, events, markers, analogs = _load_trial(
-        values["input"], values["events"], columns=()
-    )
-    print(f"file: {values['input']}")
+    path = values["input"]
+    if path.lower().endswith(".c3d"):
+        trial = read_c3d(Path(path).read_bytes())
+        markers = [m.label for m in trial.markers]
+        analogs = [c.label for c in trial.analogs]
+    else:
+        # Labels from the header; no marker or analog cell is converted.
+        trial, markers, analogs = _read_csv(
+            Path(path).read_text(encoding="utf-8"), ()
+        )
+    events = _load_events(trial, values["events"])
+    print(f"file: {path}")
     print(
         f"frames: {trial.first_frame}..{trial.last_frame} "
         f"({trial.n_frames} at {_fmt(trial.point_rate)} Hz, "
@@ -472,9 +475,8 @@ def _cmd_analyze(values: dict) -> int:
             columns.add(name)
             if _marker_axis(name) is not None:
                 columns.add(_marker_axis(name)[0])
-    trial, events, _, _ = _load_trial(
-        values["input"], values["events"], columns
-    )
+    trial = _load_trial(values["input"], columns)
+    events = _load_events(trial, values["events"])
     if not events:
         raise EmptyResult("trial has no gait events; nothing to segment")
     trial_id = values["trial_id"]
