@@ -16,11 +16,11 @@ label check), the csv field limit, the width of every row and the time
 column (rate, origin, every time finite, at least two rows). It then
 converts only the requested marker triples and analog columns; a cell in
 any other column is never parsed, so it cannot fail the read. Plain
-numeric text (see _parse_plain) is read by one np.loadtxt call over the
-requested columns; any other text, or plain text that call cannot take as
-it is, goes through csv.reader and a column-by-column conversion. Both
-give the arrays and the errors of a cell-by-cell read of the requested
-columns.
+numeric text (see _parse_plain) is read by one np.loadtxt call over a
+copy of the time and requested cells; any other text, or plain text that
+call cannot take as it is, goes through csv.reader and a column-by-column
+conversion. Both give the arrays and the errors of a cell-by-cell read of
+the requested columns.
 
 Events travel in a separate sidecar CSV (CSV trials have nowhere to put
 them): header ``time,context,label``, one event per row, using the same
@@ -194,14 +194,14 @@ def _parse_plain(text: str, columns):
     and the body holds only digits, '.', 'e', 'E', '+', '-', commas and
     newlines, with no line longer than the csv field limit. csv.reader
     then splits each line at its commas, and numpy's tokenizer reads each
-    cell with the same strtod as float(), so one np.loadtxt call over the
-    body's time column and requested columns, with empty cells written as
-    'nan', gives the column reader's arrays. np.loadtxt checks no row's
-    width when given usecols, so the commas of every line are counted
-    first. Whatever it cannot take as it is (a ragged row, fewer than two
-    rows, an unparseable or empty time cell, an unparseable or empty
-    requested analog cell, a partly empty requested triple) returns None,
-    so every error comes from the column reader.
+    cell with the same strtod as float(). The commas of every line are
+    counted, which places every cell; the time and requested cells, with
+    'nan' for an empty one, are copied into a table of their own, and one
+    np.loadtxt call over that table gives the column reader's arrays.
+    Whatever it cannot take as it is (a ragged row, fewer than two rows, an
+    unparseable or empty time cell, an unparseable or empty requested
+    analog cell, a partly empty requested triple) returns None, so every
+    error comes from the column reader.
     """
     head, newline, body = text.partition("\n")
     if not newline or '"' in head or not body.isascii():
@@ -227,32 +227,51 @@ def _parse_plain(text: str, columns):
     commas = np.flatnonzero(buf == ord(","))
     if (np.diff(np.searchsorted(commas, edges))[lines] != width - 1).any():
         return None
-    # An empty cell after a comma becomes nan. An empty time cell, first in
-    # its line, stays empty, and loadtxt rejects it. A comma that ends the
-    # body is its own next byte here, and it does open an empty cell.
-    after = buf[np.minimum(commas + 1, buf.size - 1)]
-    holes = (commas[(after == ord(",")) | (after == ord("\n"))] + 1).tolist()
-    if holes:
-        view = memoryview(raw)
-        cuts = [0, *holes, buf.size]
-        raw = b"nan".join([view[i:j] for i, j in zip(cuts, cuts[1:])])
+    # Cell c of data row i runs from bounds[i, c] + 1 up to bounds[i, c + 1]:
+    # the newline before the row, its commas, and the newline after it (or
+    # the end of the body).
+    bounds = np.column_stack(
+        (edges[:-1][lines], commas.reshape(n, width - 1), edges[1:][lines])
+    )
     markers = _select(marker_cols, columns)
     analogs = _select(analog_cols, columns)
     used = _used(markers, analogs)
+    first = bounds[:, used] + 1
+    size = bounds[:, np.add(used, 1)] - first
+    empty = size == 0
+    if empty[:, 0].any():
+        return None  # the column reader names the empty time cell
+    if len(used) < width:
+        # The used cells alone, each followed by a delimiter and 'nan'
+        # (copied from past the end of the body) standing in for an empty
+        # cell, make a table of their own, so numpy's tokenizer splits no
+        # other cell.
+        first[empty] = buf.size
+        size[empty] = 3
+        first, size = first.ravel(), size.ravel() + 1
+        stop = np.cumsum(size)
+        index = np.arange(stop[-1]) + np.repeat(first - (stop - size), size)
+        table = np.append(buf, np.frombuffer(b"nan,", np.uint8))[index]
+        table[stop - 1] = ord(",")
+        table[stop[len(used) - 1 :: len(used)] - 1] = ord("\n")
+        raw = table.tobytes()
+    elif empty.any():
+        # Every cell is used: write 'nan' into the body's empty cells.
+        view = memoryview(raw)
+        cuts = [0, *first[empty].tolist(), buf.size]
+        raw = b"nan".join([view[i:j] for i, j in zip(cuts, cuts[1:])])
     try:
         data = np.loadtxt(
             io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
-            encoding="ascii", usecols=used,
+            encoding="ascii",
         )
     except ValueError:
         return None
     if data.shape != (n, len(used)):
         return None
 
-    # No cell can spell nan, so a NaN is an empty cell. A triple's three
-    # columns are neighbours in used.
+    # A triple's three columns are neighbours in used.
     at = {c: j for j, c in enumerate(used)}
-    empty = np.isnan(data)
     coords = {}
     valid = {}
     for lab, c in markers:

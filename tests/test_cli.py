@@ -511,18 +511,21 @@ def test_csv_commands_hand_loadtxt_only_their_columns(tmp_path, monkeypatch,
     _write_events(tmp_path / "events.csv")
     monkeypatch.chdir(tmp_path)
     loadtxt = np.loadtxt
-    usecols = []
+    tables = []
 
-    def spy(*args, **kwargs):
-        usecols.append(sorted(kwargs["usecols"]))
-        return loadtxt(*args, **kwargs)
+    def spy(source, **kwargs):
+        lines = source.getvalue().decode("ascii").splitlines()
+        tables.append((len(lines), {line.count(",") for line in lines},
+                       lines[0], kwargs.get("usecols")))
+        return loadtxt(source, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", spy)
     assert run(["inspect", "walk.csv"]) == 0
     assert run(_LAB_ANALYZE) == 0
     capsys.readouterr()
-    # time only; then time, RANK.x/y/z and analog:moment
-    assert usecols == [[0], [0, 4, 5, 6, 8]]
+    # time only; then time, RANK.x/y/z and analog:moment, 321 rows each
+    assert tables == [(321, {0}, "0.00", None),
+                      (321, {4}, "0.00,0.0000,3.0,4.0,0.0000", None)]
 
 
 def test_analyze_requires_signal(tmp_path, capsys):
