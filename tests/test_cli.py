@@ -505,6 +505,20 @@ def test_unread_bad_cell_leaves_inspect_and_analyze(tmp_path, monkeypatch,
             encoding="utf-8"))
 
 
+@pytest.mark.parametrize("argv", [["inspect", "walk.csv"], _LAB_ANALYZE])
+def test_duplicate_marker_label_is_one_error_line(argv, tmp_path, monkeypatch,
+                                                  capsys):
+    lines = ["time,A.x,A.y,A.z,A.x,A.y,A.z"]
+    lines += [f"{i / 100:.2f},1,2,3,4,5,6" for i in range(5)]
+    (tmp_path / "walk.csv").write_text("\n".join(lines) + "\n",
+                                       encoding="utf-8")
+    _write_events(tmp_path / "events.csv")
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert _error_line(capsys) == (
+        "exogait: error: duplicate marker label 'A'\n")
+
+
 def test_csv_commands_hand_loadtxt_only_their_columns(tmp_path, monkeypatch,
                                                       capsys):
     _write_lab_trial(tmp_path / "walk.csv")
