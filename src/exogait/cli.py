@@ -38,7 +38,7 @@ from .assist import (
     TorqueProfile,
 )
 from .c3d import read_c3d
-from .csvio import _read as _read_csv, read_csv_trial, read_events_csv
+from .csvio import _read as _read_csv, read_events_csv
 from .cycles import (
     NormalizedCycle,
     ensemble,
@@ -351,12 +351,14 @@ def _require(values: dict, *names: str) -> None:
             raise _UsageError(f"{flag} is required")
 
 
-def _load_trial(path: str, columns) -> Trial:
-    """The trial at path; a CSV trial converts only the marker and analog
-    columns labelled in columns."""
+def _load_trial(path: str, columns):
+    """The trial at path with every marker and analog label in it; a CSV
+    trial converts only the marker and analog columns labelled in columns."""
     if path.lower().endswith(".c3d"):
-        return read_c3d(Path(path).read_bytes())
-    return read_csv_trial(Path(path).read_text(encoding="utf-8"), columns)
+        trial = read_c3d(Path(path).read_bytes())
+        return (trial, [m.label for m in trial.markers],
+                [c.label for c in trial.analogs])
+    return _read_csv(Path(path).read_text(encoding="utf-8"), columns)
 
 
 def _load_events(trial: Trial, events_path: str | None) -> list:
@@ -398,15 +400,9 @@ def _emit_json(obj, path: str | None) -> None:
 
 def _cmd_inspect(values: dict) -> int:
     path = values["input"]
-    if path.lower().endswith(".c3d"):
-        trial = read_c3d(Path(path).read_bytes())
-        markers = [m.label for m in trial.markers]
-        analogs = [c.label for c in trial.analogs]
-    else:
-        # Labels from the header; no marker or analog cell is converted.
-        trial, markers, analogs = _read_csv(
-            Path(path).read_text(encoding="utf-8"), ()
-        )
+    # A CSV trial's labels come from its header; no marker or analog cell
+    # is converted.
+    trial, markers, analogs = _load_trial(path, ())
     events = _load_events(trial, values["events"])
     print(f"file: {path}")
     print(
@@ -475,7 +471,7 @@ def _cmd_analyze(values: dict) -> int:
             columns.add(name)
             if _marker_axis(name) is not None:
                 columns.add(_marker_axis(name)[0])
-    trial = _load_trial(values["input"], columns)
+    trial = _load_trial(values["input"], columns)[0]
     events = _load_events(trial, values["events"])
     if not events:
         raise EmptyResult("trial has no gait events; nothing to segment")

@@ -6,10 +6,10 @@ Trial grammar (header row, then one row per point frame):
 
 Marker columns come in x/y/z triples sharing a label; analog columns are
 single ``analog:<name>`` columns. An empty x,y,z triple marks a gap frame;
-analog cells must always be numeric. The time column fixes the sampling
-rate (first two rows) and the clock origin (first value, rounded to the
-frame grid with frame 1 at t = 0) and is otherwise nominal, but every time
-must be finite.
+the cells of an analog column that is read must be numeric. The time
+column fixes the sampling rate (first two rows) and the clock origin
+(first value, rounded to the frame grid with frame 1 at t = 0) and is
+otherwise nominal, but every time must be finite.
 
 A read scans the whole table once: the header plan (with its duplicate
 label check), the csv field limit, the width of every row and the time
@@ -241,28 +241,20 @@ def _parse_plain(text: str, columns):
     empty = size == 0
     if empty[:, 0].any():
         return None  # the column reader names the empty time cell
-    if len(used) < width:
-        # The used cells alone, each followed by a delimiter and 'nan'
-        # (copied from past the end of the body) standing in for an empty
-        # cell, make a table of their own, so numpy's tokenizer splits no
-        # other cell.
-        first[empty] = buf.size
-        size[empty] = 3
-        first, size = first.ravel(), size.ravel() + 1
-        stop = np.cumsum(size)
-        index = np.arange(stop[-1]) + np.repeat(first - (stop - size), size)
-        table = np.append(buf, np.frombuffer(b"nan,", np.uint8))[index]
-        table[stop - 1] = ord(",")
-        table[stop[len(used) - 1 :: len(used)] - 1] = ord("\n")
-        raw = table.tobytes()
-    elif empty.any():
-        # Every cell is used: write 'nan' into the body's empty cells.
-        view = memoryview(raw)
-        cuts = [0, *first[empty].tolist(), buf.size]
-        raw = b"nan".join([view[i:j] for i, j in zip(cuts, cuts[1:])])
+    # The used cells alone, each followed by a delimiter and 'nan' (copied
+    # from past the end of the body) standing in for an empty cell, make a
+    # table of their own, so numpy's tokenizer splits no other cell.
+    first[empty] = buf.size
+    size[empty] = 3
+    first, size = first.ravel(), size.ravel() + 1
+    stop = np.cumsum(size)
+    index = np.arange(stop[-1]) + np.repeat(first - (stop - size), size)
+    table = np.append(buf, np.frombuffer(b"nan,", np.uint8))[index]
+    table[stop - 1] = ord(",")
+    table[stop[len(used) - 1 :: len(used)] - 1] = ord("\n")
     try:
         data = np.loadtxt(
-            io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
+            io.BytesIO(table.tobytes()), delimiter=",", comments=None, ndmin=2,
             encoding="ascii",
         )
     except ValueError:
