@@ -135,8 +135,11 @@ class ComplexityInputs:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("w_limbs", "w_dof", "w_sensors", "w_actuators"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            weight = getattr(self, name)
+            if not 0 <= weight < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {weight}"
+                )
 
 
 def complexity_index(inputs: ComplexityInputs) -> float:
@@ -358,7 +361,7 @@ def _load_trial(path: str, columns):
         trial = read_c3d(Path(path).read_bytes())
         return (trial, [m.label for m in trial.markers],
                 [c.label for c in trial.analogs])
-    return _read_csv(Path(path).read_text(encoding="utf-8"), columns)
+    return _read_csv(Path(path).read_bytes(), columns)
 
 
 def _load_events(trial: Trial, events_path: str | None) -> list:
@@ -459,8 +462,11 @@ def _cmd_analyze(values: dict) -> int:
     side_key = values["side"]
     if side_key not in _SIDES:
         raise _UsageError(f"--side must be left, right, or both, got {side_key!r}")
-    if values["target_mse"] < 0:
-        raise _UsageError("--target-mse must be >= 0")
+    target_mse = values["target_mse"]
+    if not 0 <= target_mse < math.inf:
+        raise _UsageError(
+            f"--target-mse must be finite and >= 0, got {target_mse}"
+        )
     if values["max_gap"] < 1:
         raise _UsageError("--max-gap must be >= 1")
     gap_fill = GapFillSpec(max_gap=values["max_gap"])
@@ -483,9 +489,9 @@ def _cmd_analyze(values: dict) -> int:
         trial, values["signal"], gap_fill
     )
     origin = (trial.first_frame - 1) / trial.point_rate
-    if values["target_mse"] > 0:
+    if target_mse > 0:
         samples, achieved, met = smooth_to_mse(
-            samples, rate, SmoothingSpec(target_mse=values["target_mse"])
+            samples, rate, SmoothingSpec(target_mse=target_mse)
         )
         state = "met" if met else "not met"
         print(f"smoothing: residual MSE {_fmt(achieved)} (target {state})")

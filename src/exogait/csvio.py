@@ -16,11 +16,11 @@ label check), the csv field limit, the width of every row and the time
 column (rate, origin, every time finite, at least two rows). It then
 converts only the requested marker triples and analog columns; a cell in
 any other column is never parsed, so it cannot fail the read. Plain
-numeric text (see _parse_plain) is read by one np.loadtxt call over a
-copy of the time and requested cells; any other text, or plain text that
-call cannot take as it is, goes through csv.reader and a column-by-column
-conversion. Both give the arrays and the errors of a cell-by-cell read of
-the requested columns.
+numeric text (see _parse_plain) is read from its UTF-8 bytes by one
+np.loadtxt call over a copy of the time and requested cells; any other
+text, or plain text that call cannot take as it is, goes through
+csv.reader and a column-by-column conversion. Both give the arrays and
+the errors of a cell-by-cell read of the requested columns.
 
 Events travel in a separate sidecar CSV (CSV trials have nowhere to put
 them): header ``time,context,label``, one event per row, using the same
@@ -35,7 +35,13 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import BadHeaderRow, MalformedCsv, NonNumericCell, RaggedRows
+from .errors import (
+    BadHeaderRow,
+    MalformedCsv,
+    NonNumericCell,
+    RaggedRows,
+    UnknownEventLabel,
+)
 from .trial import AnalogChannel, GaitEvent, MarkerTrajectory, Trial
 from .c3d import map_event
 
@@ -187,8 +193,9 @@ def _used(marker_cols, analog_cols) -> list[int]:
 _PLAIN_BYTES = b"0123456789.eE+-,\n"
 
 
-def _parse_plain(text: str, columns):
-    """Plan and arrays of a plain numeric table, or None.
+def _parse_plain(data: bytes, columns):
+    """Plan and arrays of a plain numeric table, given as UTF-8 bytes, or
+    None.
 
     The table is plain when its first line is the header, with no quote,
     and the body holds only digits, '.', 'e', 'E', '+', '-', commas and
@@ -203,18 +210,22 @@ def _parse_plain(text: str, columns):
     analog cell, a partly empty requested triple) returns None, so every
     error comes from the column reader.
     """
-    head, newline, body = text.partition("\n")
-    if not newline or '"' in head or not body.isascii():
+    cut = data.find(b"\n")
+    head = data[:cut]
+    if cut < 0 or b'"' in head:
         return None
-    raw = body.encode("ascii")
-    if raw.translate(None, _PLAIN_BYTES):
+    # The body is plain when deleting the plain bytes from the whole table
+    # leaves what they leave of the header: no copy of the body is made.
+    kept = data.translate(None, _PLAIN_BYTES)
+    if kept != head.translate(None, _PLAIN_BYTES):
         return None
     try:
+        head = head.decode("utf-8")
         width, marker_cols, analog_cols = _plan(next(csv.reader([head])))
-    except (csv.Error, BadHeaderRow):
+    except (UnicodeDecodeError, csv.Error, BadHeaderRow):
         return None
 
-    buf = np.frombuffer(raw, np.uint8)
+    buf = np.frombuffer(data, np.uint8, offset=cut + 1)
     edges = np.concatenate(
         ([-1], np.flatnonzero(buf == ord("\n")), [buf.size])
     )
@@ -299,17 +310,27 @@ def _parse_rows(text: str, columns):
     )
 
 
-def _read(text: str, columns):
+def _read(text: str | bytes, columns):
     """Trial of the requested columns, and every marker and analog label.
 
-    One scan of the whole table for either route (see the module
-    docstring); only the requested columns are converted. The labels are
-    those of the header, requested or not.
+    text is the table as str, or as the bytes of a UTF-8 file, which is
+    decoded as a text-mode read would be (universal newlines) unless the
+    plain route takes it. One scan of the whole table for either route (see
+    the module docstring); only the requested columns are converted. The
+    labels are those of the header, requested or not.
     """
     if columns is not None:
         columns = frozenset(columns)
-    parsed = _parse_plain(text, columns)
+    if isinstance(text, str):
+        # A lone surrogate passes into bytes that are not UTF-8, which the
+        # plain route refuses, so the column reader gets the str as it is.
+        data = text.encode("utf-8", "surrogatepass")
+    else:
+        data, text = text, None
+    parsed = _parse_plain(data, columns)
     if parsed is None:
+        if text is None:
+            text = io.StringIO(data.decode("utf-8"), newline=None).read()
         parsed = _parse_rows(text, columns)
     marker_cols, analog_cols, times, coords, valid, analog = parsed
     n = len(times)
@@ -376,5 +397,8 @@ def read_events_csv(text: str) -> list[GaitEvent]:
         if len(row) != 3:
             raise RaggedRows(f"events row {r} has {len(row)} cells")
         t = _cell_float(row[0].strip(), r, "time")
-        events.append(map_event(row[1], row[2], t))
+        try:
+            events.append(map_event(row[1], row[2], t))
+        except (UnknownEventLabel, ValueError) as exc:
+            raise type(exc)(f"events row {r}: {exc}") from None
     return sorted(events)

@@ -10,6 +10,9 @@ residual mean squared error hits a prescribed target, which is how a fixed
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +20,9 @@ import numpy as np
 from .errors import NonUniformSampling, SeriesTooShort, TooFewValidFrames
 from .trial import MarkerTrajectory
 
-# scipy's LAPACK wrappers are imported in the functions that call them:
-# the import is slow, and most commands neither smooth nor fill gaps.
+# The LAPACK routines come from scipy's extension module, loaded by
+# _lapack() when first called: most commands neither smooth nor fill gaps,
+# and importing scipy.linalg would take most of a cold analyze.
 
 LAMBDA_LO = 1e-12
 LAMBDA_HI = 1e12
@@ -88,6 +92,42 @@ def fill_gaps(series: MarkerTrajectory, spec: GapFillSpec) -> MarkerTrajectory:
     return MarkerTrajectory(label=series.label, coords=coords, valid=valid)
 
 
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK module, the source of dgtsv, dpbtrf and dpbtrs.
+
+    The extension file is loaded under its real name, scipy.linalg._flapack,
+    without running the package inits of scipy and scipy.linalg; its
+    routines are the objects scipy.linalg.lapack exports. Loading leaves
+    the module in sys.modules, where scipy.linalg's own import would find it
+    and never set it as the package's attribute, so the entry is dropped;
+    that import then reuses the same routines. Without the file, the
+    routines come from scipy.linalg.lapack.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    from importlib import machinery, util
+    try:
+        scipy = util.find_spec("scipy")
+        if scipy is None or not scipy.submodule_search_locations:
+            raise ImportError("scipy is not installed")
+        finder = machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "linalg"),
+            (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {name} extension in scipy")
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        from scipy.linalg import lapack
+        return lapack
+    sys.modules.pop(name, None)
+    return module
+
+
 def _not_a_knot(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Values at q of the not-a-knot cubic spline through (x, y[:, k]).
 
@@ -98,8 +138,6 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
     knot (the leading 0.0 + turns a -0.0 into +0.0, as PPoly does).
     x is strictly increasing with at least 4 knots.
     """
-    from scipy.linalg.lapack import dgtsv
-
     dx = np.diff(x)
     dxr = dx[:, None]
     slope = np.diff(y, axis=0) / dxr
@@ -114,7 +152,7 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
             + dxr[0]**2 * slope[1]) / d0
     b[-1] = (dxr[-1]**2 * slope[-2]
              + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-    *_, s, info = dgtsv(dl, d, du, b)
+    *_, s, info = _lapack().dgtsv(dl, d, du, b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
@@ -146,8 +184,6 @@ def smooth_with_lambda(
     Non-finite input or lambda raises ValueError; a matrix that is not
     positive definite falls back to the least-squares quadratic.
     """
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
-
     y = np.asarray(samples, dtype=float)
     n = y.size
     h = 1.0 / rate
@@ -165,14 +201,14 @@ def smooth_with_lambda(
     # is factored, as scipy's banded solvers do.
     np.asarray_chkfinite(ab)
     np.asarray_chkfinite(d3y)
-    chol, info = dpbtrf(ab)
+    chol, info = _lapack().dpbtrf(ab)
     if info > 0:
         return _quadratic_limit(y)
-    z = dpbtrs(chol, d3y)[0]
+    z = _lapack().dpbtrs(chol, d3y)[0]
     # (D3 D3^T) z as the middle m entries of the full product; mode="same"
     # would return 7 entries when m < 7.
     residual = d3y - (z + c * np.convolve(z, _D3_AUTOCORR)[3:3 + m])
-    z = z + dpbtrs(chol, np.asarray_chkfinite(residual))[0]
+    z = z + _lapack().dpbtrs(chol, np.asarray_chkfinite(residual))[0]
     return y - c * np.convolve(z, _D3_STENCIL, mode="full")
 
 

@@ -122,6 +122,28 @@ def test_complexity_missing_flag(capsys):
     assert "--weights" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("weights, message", [
+    ((math.nan, 1, 1, 1), "w_limbs must be finite and >= 0, got nan"),
+    ((1, math.inf, 1, 1), "w_dof must be finite and >= 0, got inf"),
+    ((1, 1, -math.inf, 1), "w_sensors must be finite and >= 0, got -inf"),
+    ((1, 1, 1, -0.5), "w_actuators must be finite and >= 0, got -0.5"),
+])
+def test_complexity_weight_must_be_finite_and_non_negative(
+        weights, message, source, tmp_path, capsys):
+    # A nan weight used to print nan and an inf weight inf, with exit 0.
+    argv = ["complexity", "--limbs", "2", "--dof", "1", "--sensors", "4",
+            "--actuators", "2"]
+    if source == "flag":
+        argv += ["--weights", ",".join(str(float(w)) for w in weights)]
+    else:
+        config = tmp_path / "cx.json"
+        config.write_text(json.dumps({"weights": weights}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"exogait: error: {message}\n")
+
+
 def test_complexity_wrong_weight_count(capsys):
     code = run(["complexity", "--limbs", "2", "--dof", "1", "--sensors", "4",
                 "--actuators", "2", "--weights", "1,0"])
@@ -201,10 +223,23 @@ _SCIPY_MODULES = (
     "print(json.dumps(sorted(loaded)))\n"
     "sys.exit(code)\n"
 )
+# The same, where an extension module found by a FileFinder made after
+# exogait's import fails to load, so that the LAPACK routines have to come
+# from scipy.linalg.lapack.
+_SCIPY_MODULES_NO_FILE_LOAD = _SCIPY_MODULES.replace(
+    "from exogait.cli import run\n",
+    "from exogait.cli import run\n"
+    "import importlib.abc\n"  # registers the real loader classes first
+    "from importlib import machinery\n"
+    "class Unloadable(machinery.ExtensionFileLoader):\n"
+    "    def create_module(self, spec):\n"
+    "        raise ImportError(f'cannot load {spec.origin}')\n"
+    "machinery.ExtensionFileLoader = Unloadable\n",
+)
 
 
-def _scipy_after(argv, cwd) -> set[str]:
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *argv],
+def _scipy_after(argv, cwd, script=_SCIPY_MODULES) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=_child_env(),
                           cwd=cwd)
     assert proc.returncode == 0, proc.stderr
@@ -226,16 +261,24 @@ def test_import_inspect_and_simulate_load_no_scipy(tmp_path):
         assert _scipy_after(argv, tmp_path) == set(), argv
 
 
-def test_analyze_and_compare_load_no_interpolate(tmp_path):
-    """A marker signal is gap-filled and smoothed through LAPACK alone, and
-    compare needs only scipy.special, so scipy.interpolate stays unloaded."""
+def _analyze_marker_argv(tmp_path, name):
+    """analyze on a marker trial that needs both a gap fill and smoothing,
+    writing name_s.csv and name_e.csv."""
     _write_marker_trial(tmp_path / "marker.csv")
     _write_events(tmp_path / "events.csv")
-    loaded = _scipy_after(
-        ["analyze", "marker.csv", "--events", "events.csv",
-         "--signal", "ANK.z", "--max-gap", "20", "--condition", "NoExo",
-         "--out-strides", "a.csv", "--out-ensemble", "ea.csv"], tmp_path)
-    assert "scipy.linalg.lapack" in loaded
+    return ["analyze", "marker.csv", "--events", "events.csv",
+            "--signal", "ANK.z", "--max-gap", "20", "--condition", "NoExo",
+            "--out-strides", f"{name}_s.csv", "--out-ensemble", f"{name}_e.csv"]
+
+
+def test_analyze_and_compare_load_no_interpolate(tmp_path):
+    """A marker signal is gap-filled and smoothed through scipy's LAPACK
+    extension alone, loaded without the scipy.linalg package or scipy's
+    helpers, and compare needs only scipy.special, so scipy.interpolate
+    stays unloaded."""
+    loaded = _scipy_after(_analyze_marker_argv(tmp_path, "a"), tmp_path)
+    assert "scipy.linalg" not in loaded
+    assert "scipy._lib" not in loaded
     assert "scipy.interpolate" not in loaded
     _write_strides(tmp_path / "s.csv",
                    [("t1", "NoExo", 30.0), ("t2", "NoExo", 31.0),
@@ -244,6 +287,50 @@ def test_analyze_and_compare_load_no_interpolate(tmp_path):
                           tmp_path)
     assert "scipy.special" in loaded
     assert "scipy.interpolate" not in loaded
+
+
+def test_analyze_without_the_lapack_file_load_writes_the_same_bytes(tmp_path):
+    """When scipy's LAPACK extension cannot be loaded from its file, analyze
+    takes the routines from scipy.linalg.lapack, with the same output."""
+    outputs = {}
+    for name, script in (("file", _SCIPY_MODULES),
+                         ("package", _SCIPY_MODULES_NO_FILE_LOAD)):
+        loaded = _scipy_after(_analyze_marker_argv(tmp_path, name), tmp_path,
+                              script)
+        assert ("scipy.linalg" in loaded) == (name == "package")
+        outputs[name] = [(tmp_path / f"{name}_{kind}.csv").read_bytes()
+                         for kind in "se"]
+    assert outputs["file"] == outputs["package"]
+
+
+# Runs analyze before or after importing scipy.linalg.lapack, then checks
+# that the routines analyze used are scipy's own and that the package's
+# _flapack attribute and module entry resolve to the same module.
+_LAPACK_ORDER = (
+    "import sys\n"
+    "from exogait.cli import run\n"
+    "from exogait.preprocess import _lapack\n"
+    "if sys.argv[1] == 'scipy-first':\n"
+    "    import scipy.linalg.lapack\n"
+    "assert run(sys.argv[2:]) == 0\n"
+    "import scipy.linalg.lapack\n"
+    "from scipy.linalg import _flapack\n"
+    "flapack = sys.modules['scipy.linalg._flapack']\n"
+    "assert _flapack is flapack is scipy.linalg._flapack\n"
+    "for name in ('dgtsv', 'dpbtrf', 'dpbtrs'):\n"
+    "    routine = getattr(_lapack(), name)\n"
+    "    assert routine is getattr(scipy.linalg.lapack, name), name\n"
+    "    assert routine is getattr(flapack, name), name\n"
+)
+
+
+@pytest.mark.parametrize("order", ["analyze-first", "scipy-first"])
+def test_lapack_routines_are_scipys_in_either_import_order(order, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAPACK_ORDER, order,
+         *_analyze_marker_argv(tmp_path, "a")],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- inspect ---------------------------------------------------------------------
@@ -332,7 +419,7 @@ def _non_finite_event_c3d(path, word):
 
 
 @pytest.mark.parametrize("command", ["inspect", "analyze"])
-@pytest.mark.parametrize("time", ["inf", "nan"])
+@pytest.mark.parametrize("time", ["inf", "nan", "-1"])
 @pytest.mark.parametrize("route", ["csv", "c3d"])
 def test_non_finite_event_time_is_one_error_line(route, time, command,
                                                  tmp_path, capsys):
@@ -358,6 +445,9 @@ def test_non_finite_event_time_is_one_error_line(route, time, command,
     assert err.startswith("exogait: error: ")
     assert err.count("\n") == 1
     assert f"time {time}" in err or f"got {time}" in err
+    if route == "csv":
+        # The appended row follows the header and _write_events' 7 rows.
+        assert err.startswith("exogait: error: events row 9: ")
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -557,6 +647,33 @@ def test_analyze_bad_side(tmp_path, capsys):
                 "--side", "upward"])
     assert code == 1
     _error_line(capsys)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_analyze_target_mse_must_be_finite_and_non_negative(value, source,
+                                                           tmp_path, capsys):
+    # nan compares false both ways, so it used to turn smoothing off; inf
+    # used to smooth to the quadratic limit and report the target met.
+    trial, events = tmp_path / "walk01.csv", tmp_path / "walk01_events.csv"
+    _write_trial(trial)
+    _write_events(events)
+    if source == "flag":
+        extra = [f"--target-mse={value}"]
+    else:
+        config = tmp_path / "analyze.json"
+        # json writes nan and inf as NaN and Infinity, which it reads back.
+        config.write_text(json.dumps({"target_mse": float(value)}),
+                          encoding="utf-8")
+        extra = ["--config", str(config)]
+    code, strides, ens = _analyze(trial, events, tmp_path, "w", "NoExo",
+                                  extra)
+    assert code == 1
+    assert _error_line(capsys) == (
+        "exogait: error: --target-mse must be finite and >= 0, "
+        f"got {float(value)}\n"
+    )
+    assert not strides.exists() and not ens.exists()
 
 
 # --- compare ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the CSV trial grammar and the events sidecar."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -169,6 +170,20 @@ def test_events_non_finite_time_rejected(time):
         read_events_csv(f"time,context,label\n{time},Left,Foot Strike\n")
     with pytest.raises(ValueError, match="event time must be finite"):
         GaitEvent(float(time), Side.LEFT, EventKind.FOOT_STRIKE)
+
+
+@pytest.mark.parametrize("row, error, message", [
+    ("-1,Left,Foot Strike", ValueError,
+     "event time must be finite and >= 0, got -1.0"),
+    ("1.0,Middle,Foot Strike", UnknownEventLabel,
+     "unknown event context 'Middle'"),
+    ("1.0,Left,Jump", UnknownEventLabel, "unknown event label 'Jump'"),
+])
+def test_events_error_names_its_row(row, error, message):
+    text = f"time,context,label\n0.5,Left,Foot Strike\n{row}\n"
+    with pytest.raises(error) as raised:
+        read_events_csv(text)
+    assert str(raised.value) == f"events row 3: {message}"
 
 
 @pytest.mark.parametrize("reader, header", [
@@ -417,6 +432,36 @@ def test_reader_matches_oracle_on_plain_text(table, data):
     assert _outcome(read_csv_trial, text) == _outcome(
         oracle_read_csv_trial, text
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_plain_trial(), data=st.data())
+def test_file_bytes_read_as_text_mode_read(table, data):
+    """A trial given as a file's bytes reads as the text a text-mode open
+    gives (UTF-8, universal newlines), plain or not."""
+    header, rows = table
+    for kind in data.draw(st.lists(st.sampled_from(_NEAR_MISSES), max_size=1)):
+        if kind != "leading blank line":
+            _near_miss(header, rows, kind, data)
+    if data.draw(st.booleans()):
+        header = [h.replace("analog:A", "analog:Ä") for h in header]
+    bom = data.draw(st.sampled_from(["", "\ufeff"]))
+    end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    raw = (bom + end.join(",".join(row) for row in [header, *rows])
+           + end).encode()
+    if data.draw(st.integers(0, 4)) == 0:
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    labels = [h[len("analog:"):] if h.startswith("analog:") else h[:-2]
+              for h in header[1:]]
+    columns = data.draw(st.sampled_from([None, (), labels[-1:]]))
+
+    def text_mode(raw):
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        return csvio._read(text, columns)[0]
+
+    assert _outcome(lambda raw: csvio._read(raw, columns)[0], raw) == \
+        _outcome(text_mode, raw)
 
 
 @pytest.mark.parametrize("analogs_first", [False, True],
