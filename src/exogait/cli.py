@@ -22,11 +22,8 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +35,12 @@ from .assist import (
     TorqueProfile,
 )
 from .c3d import read_c3d
-from .csvio import _read as _read_csv, read_events_csv
+from .csvio import (
+    _feature_values,
+    _read as _read_csv,
+    _read_strides_csv,
+    read_events_csv,
+)
 from .cycles import (
     NormalizedCycle,
     ensemble,
@@ -52,10 +54,7 @@ from .errors import (
     EmptyResult,
     ExogaitError,
     InvalidProfile,
-    MalformedCsv,
     MissingFootOff,
-    NonNumericCell,
-    BadHeaderRow,
     StrideOutsideSeries,
 )
 from .phase import FsrConfig
@@ -73,24 +72,6 @@ SCHEMA_VERSION = 1
 
 # Ticks converted to Python numbers at a time when writing a --trace CSV.
 _TRACE_CHUNK = 512
-# Strides CSV rows tokenized at a time by compare.
-_ROW_CHUNK = 4096
-# Bytes of a plain strides CSV split at a time by compare.
-_PLAIN_BLOCK = 1 << 20
-# Bytes a strides CSV needs for compare to try it as plain. csv.reader
-# reads a smaller file quicker than numpy's fixed costs allow, and reads a
-# pipe (size 0), which can be read only once.
-_PLAIN_MIN_BYTES = 8192
-# A plain block whose cells, padded to the longest, would take more than
-# this many bytes per byte of the block is left to csv.reader.
-_BYTES_PAD = 8
-# Bytes csv.reader gives a meaning of their own besides ',' and '\n': the
-# quote, the carriage return and, before Python 3.11, NUL.
-_NOT_PLAIN = (b'"', b"\r") + ((b"\0",) if sys.version_info < (3, 11) else ())
-# The bytes of a plain decimal feature cell, which numpy parses, and the
-# newline that ends each cell from _cells.
-_DECIMAL = np.zeros(256, bool)
-_DECIMAL[np.frombuffer(b"0123456789.eE+-\n", np.uint8)] = True
 
 STRIDE_COLUMNS = [
     "trial_id",
@@ -163,7 +144,7 @@ def _as_int(name, value) -> int:
         if isinstance(value, bool):
             raise ValueError
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int() of a JSON 1e400
         raise _UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
@@ -172,7 +153,7 @@ def _as_float(name, value) -> float:
         if isinstance(value, bool):
             raise ValueError
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float() of a JSON 10**400
         raise _UsageError(f"{name} must be a number, got {value!r}") from None
 
 
@@ -587,298 +568,6 @@ def _cmd_analyze(values: dict) -> int:
     print(f"strides: {len(kept_rows)} kept, {excluded} excluded")
     print(f"wrote {values['out_strides']} and {values['out_ensemble']}")
     return 0
-
-
-def _read_strides_csv(paths, labels, features) -> tuple:
-    """The labelled rows of every strides CSV, in file order:
-    (conditions, trial_codes, trial_names, cells).
-
-    A row is labelled when its condition cell is labels[0] (condition 0) or
-    labels[1] (condition 1); other rows are dropped. trial_names holds the
-    trial ids of labelled rows in order of first appearance, and
-    trial_codes[i] indexes it. cells[feature] is a list of pieces for
-    _feature_values, in row order.
-
-    Rows read as csv.DictReader reads them: blank lines are skipped, a
-    repeated header name reads its last column, and a cell past the end of
-    a short row, or in a column the file lacks, is missing (None, or empty
-    in a plain file). A plain file (see _read_plain) is split at its commas
-    and newlines; any other is read by csv.reader, _ROW_CHUNK rows at a
-    time. Every file is read before any feature cell is parsed.
-    """
-    features = list(dict.fromkeys(features))
-    trials: dict[str, int] = {}
-    conditions = [np.empty(0, np.intp)]
-    trial_codes = [np.empty(0, np.intp)]
-    cells: dict[str, list] = {name: [] for name in features}
-    for path in paths:
-        blocks = _read_plain(path, labels, features)
-        if blocks is None:
-            blocks = _read_rows(path, labels, features)
-        for block_conditions, names, codes, block_cells in blocks:
-            recode = np.array(
-                [trials.setdefault(name, len(trials)) for name in names],
-                np.intp,
-            )
-            conditions.append(block_conditions)
-            trial_codes.append(recode[codes])
-            for piece, pieces in zip(block_cells, cells.values()):
-                pieces.append(piece)
-    return (np.concatenate(conditions), np.concatenate(trial_codes),
-            list(trials), cells)
-
-
-# A block, as _read_rows and _read_plain give it, holds the labelled rows
-# of some lines of a file: (conditions, names, codes, cells), with the
-# condition of each row, the block's trial ids in order of first
-# appearance, each row's index into them, and one piece of cells per
-# feature.
-
-
-def _read_rows(path, labels, features) -> list[tuple]:
-    """The blocks of a strides CSV read by csv.reader."""
-    blocks = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or "trial_id" not in header or \
-                    "condition" not in header:
-                raise BadHeaderRow(
-                    f"{path}: strides CSV needs trial_id and condition "
-                    "columns"
-                )
-            where = {name: j for j, name in enumerate(header)}
-            while chunk := list(islice(reader, _ROW_CHUNK)):
-                rows = [row for row in chunk if row]
-                width = min(map(len, rows), default=0)
-                blocks.append(_string_block([
-                    _column(rows, where.get(name), width)
-                    for name in ("condition", "trial_id", *features)
-                ], labels))
-        except csv.Error as exc:
-            raise MalformedCsv(
-                f"{path}: line {reader.line_num}: {exc}"
-            ) from None
-    return blocks
-
-
-def _column(rows, j, width) -> list:
-    """Cell j of every row, None past the end of a short row or when j is
-    None; width is the length of the shortest row."""
-    if j is None:
-        return [None] * len(rows)
-    if j < width:
-        return list(map(itemgetter(j), rows))
-    return [row[j] if j < len(row) else None for row in rows]
-
-
-def _string_block(columns, labels) -> tuple:
-    """The block of rows given as columns of strings (None for a missing
-    cell): their conditions, their trial ids, then one per feature."""
-    coding = {label: code for code, label in enumerate(labels)}
-    coded = list(map(coding.get, columns[0]))
-    labelled = [code is not None for code in coded]
-    # str() of a missing cell, as DictReader gave it
-    ids = ["None" if t is None else t for t in compress(columns[1], labelled)]
-    names = list(dict.fromkeys(ids))
-    index = {name: code for code, name in enumerate(names)}
-    return (
-        np.array(list(compress(coded, labelled)), np.intp),
-        names,
-        np.fromiter(map(index.__getitem__, ids), np.intp, len(ids)),
-        [list(compress(column, labelled)) for column in columns[2:]],
-    )
-
-
-def _read_plain(path, labels, features) -> list[tuple] | None:
-    """The blocks of a plain strides CSV, or None for any other file.
-
-    A file is plain when it is UTF-8 without the bytes in _NOT_PLAIN, its
-    header line names trial_id and condition, every other line is blank or
-    holds exactly as many commas as the header, and no line is longer than
-    the csv field limit. csv.reader splits such a file at its commas and
-    newlines, so those are all that is looked for. The file is taken apart
-    on its bytes (see _split_plain and _bytes_block) in blocks of whole
-    lines, about _PLAIN_BLOCK bytes each. A file smaller than
-    _PLAIN_MIN_BYTES is not looked at.
-    """
-    if os.stat(path).st_size < _PLAIN_MIN_BYTES:
-        return None
-    limit = csv.field_size_limit()
-    with open(path, "rb") as fh:
-        head = fh.readline(limit + 1).removesuffix(b"\n")
-        try:
-            header = head.decode().split(",")
-        except UnicodeDecodeError:
-            return None
-        if len(head) > limit or any(byte in head for byte in _NOT_PLAIN) \
-                or "trial_id" not in header or "condition" not in header:
-            return None
-        where = {name: j for j, name in enumerate(header)}
-        columns = [where.get(name)
-                   for name in ("condition", "trial_id", *features)]
-        width = len(header)
-        blocks = []
-        rest = b""
-        while True:
-            chunk = fh.read(_PLAIN_BLOCK)
-            if chunk:
-                block = rest + chunk
-                cut = block.rfind(b"\n") + 1
-                block, rest = block[:cut], block[cut:]
-            elif rest:  # a last line without its newline
-                block, rest = rest + b"\n", b""
-            else:
-                return blocks
-            if any(byte in block for byte in _NOT_PLAIN) or len(rest) > limit:
-                return None
-            try:
-                block.decode()
-            except UnicodeDecodeError:
-                return None
-            split = _split_plain(np.frombuffer(block, np.uint8), width,
-                                 columns)
-            if split is None:
-                return None
-            blocks.append(_bytes_block(*split, labels))
-
-
-def _split_plain(buf, width, columns) -> tuple | None:
-    """(buf, starts, lengths) of the bytes of a block of whole lines that
-    holds no byte of _NOT_PLAIN: its bytes without blank lines, and where
-    the cells of the given columns start and how long they are, a row per
-    line. A column the file lacks (None) has empty cells. None when a line
-    does not hold width - 1 commas or is longer than the field limit, or
-    when padding the cells to the longest would take more than _BYTES_PAD
-    bytes per byte of the block."""
-    newline = buf == ord("\n")
-    # A newline first or right after another ends a blank line, which holds
-    # no row.
-    blank = newline.copy()
-    blank[1:] &= newline[:-1]
-    if blank.any():
-        buf = buf[~blank]
-        newline = buf == ord("\n")
-    seps = (newline | (buf == ord(","))).nonzero()[0]
-    n = int(np.count_nonzero(newline))
-    # Groups of width separators, each ending at a newline: every line
-    # holds width - 1 commas.
-    line_ends = seps[width - 1::width]
-    if seps.size != n * width or not newline[line_ends].all():
-        return None
-    limit = csv.field_size_limit()
-    if buf.size > limit and np.diff(line_ends, prepend=-1).max() > limit + 1:
-        return None
-    # A cell ends at its separator and starts after the one before.
-    before = np.empty_like(seps)
-    before[:1] = -1
-    before[1:] = seps[:-1]
-    take = [j or 0 for j in columns]
-    starts = before.reshape(n, width)[:, take] + 1
-    lengths = seps.reshape(n, width)[:, take] - starts
-    lengths[:, [j is None for j in columns]] = 0
-    padded = lengths.size * (int(lengths.max(initial=0)) + 1)
-    if padded > _BYTES_PAD * buf.size:
-        return None
-    return buf, starts, lengths
-
-
-def _bytes_block(buf, starts, lengths, labels) -> tuple:
-    """The block of a split plain block's rows, taken apart on its bytes.
-
-    The columns are those of _string_block. A row is labelled when its
-    condition cell has the UTF-8 bytes of a label; a label that UTF-8
-    cannot spell, such as a lone surrogate, matches no cell. Trial ids are
-    told apart on their bytes, and only the distinct ones are decoded. A
-    feature column whose cells hold nothing but [0-9.eE+-] stays a bytes
-    array, which _feature_values hands to numpy; any other is decoded into
-    strings.
-    """
-    cells = _cells(buf, starts, lengths)
-    coded = np.full(len(cells), -1, np.intp)
-    for code, label in enumerate(labels):
-        try:
-            coded[cells[:, 0] == label.encode() + b"\n"] = code
-        except UnicodeEncodeError:
-            pass
-    labelled = coded >= 0
-    cells, lengths = cells[labelled], lengths[labelled]
-    distinct, first, codes = np.unique(cells[:, 1], return_index=True,
-                                       return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    names = [name[:-1].decode() for name in distinct[order].tolist()]
-    pieces = []
-    for k in range(2, cells.shape[1]):
-        column = cells[:, k].copy()
-        # Every byte of the cells in [0-9.eE+-]? The newline after each
-        # cell counts as one such byte, the padding as none.
-        decimal = np.count_nonzero(_DECIMAL.take(column.view(np.uint8)))
-        if decimal != lengths[:, k].sum() + column.size:
-            column = [cell[:-1].decode() for cell in column.tolist()]
-        pieces.append(column)
-    return coded[labelled], names, rank[codes], pieces
-
-
-def _cells(buf, starts, lengths) -> np.ndarray:
-    """The cells buf[start:start + length], in the shape of starts, as a
-    numpy bytes array with a newline after each cell. No plain cell holds a
-    newline, and it keeps a cell's own trailing NULs, which a bytes array
-    would drop, part of the cell."""
-    width = int(lengths.max(initial=0)) + 1
-    short = int(starts.max(initial=0)) + width - buf.size
-    if short > 0:  # the windows of the last cells run past the block
-        buf = np.concatenate((buf, np.zeros(short, np.uint8)))
-    windows = np.ndarray((buf.size - width + 1, width), np.uint8, buf,
-                         strides=(1, 1))
-    cells = windows[starts]
-    cells *= np.arange(width) < lengths[..., None]
-    cells.reshape(-1, width)[np.arange(lengths.size), lengths.ravel()] = \
-        ord("\n")
-    return cells.view(f"S{width}")[..., 0]
-
-
-def _feature_values(
-    feature: str, pieces: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, keep): the cells that are not empty once stripped, as
-    floats, and a mask of which cells they are.
-
-    A piece is a list of cells, str or None for a missing one, or a bytes
-    array from _bytes_block of cells that hold only [0-9.eE+-], each
-    followed by a newline. numpy's cast parses those as float() does.
-    """
-    values, keeps = [np.empty(0)], [np.empty(0, bool)]
-    for cells in pieces:
-        if isinstance(cells, np.ndarray):
-            keep = cells != b"\n"
-            try:
-                with np.errstate(over="ignore"):  # 1e309 reads as inf
-                    values.append(cells[keep].astype(float))
-                keeps.append(keep)
-                continue
-            except ValueError:  # name the first cell float() rejects
-                cells = [cell[:-1].decode() for cell in cells.tolist()]
-        if None in cells:
-            cells = [cell or "" for cell in cells]
-        stripped = list(map(str.strip, cells))
-        keep = list(map(bool, stripped))
-        kept = list(compress(stripped, keep))
-        try:
-            values.append(np.fromiter(map(float, kept), float, len(kept)))
-        except ValueError:
-            for cell in kept:
-                try:
-                    float(cell)
-                except ValueError:
-                    raise NonNumericCell(
-                        f"feature {feature!r}: cannot parse {cell!r}"
-                    ) from None
-            raise
-        keeps.append(np.array(keep, dtype=bool))
-    return np.concatenate(values), np.concatenate(keeps)
 
 
 def _cmd_compare(values: dict) -> int:

@@ -1,4 +1,5 @@
-"""CSV fallback reader, so the pipeline is usable without binary fixtures.
+"""CSV readers, so the pipeline is usable without binary fixtures: trials,
+the strides tables that compare pools, and the events sidecar.
 
 Trial grammar (header row, then one row per point frame):
 
@@ -11,16 +12,23 @@ column fixes the sampling rate (first two rows) and the clock origin
 (first value, rounded to the frame grid with frame 1 at t = 0) and is
 otherwise nominal, but every time must be finite.
 
-A read scans the whole table once: the header plan (with its duplicate
-label check), the csv field limit, the width of every row and the time
-column (rate, origin, every time finite, at least two rows). It then
-converts only the requested marker triples and analog columns; a cell in
-any other column is never parsed, so it cannot fail the read. Plain
-numeric text (see _parse_plain) is read from its UTF-8 bytes by one
-np.loadtxt call over a copy of the time and requested cells; any other
-text, or plain text that call cannot take as it is, goes through
-csv.reader and a column-by-column conversion. Both give the arrays and
-the errors of a cell-by-cell read of the requested columns.
+A trial read scans the whole table once: the header plan (with its
+duplicate label check), the csv field limit, the width of every row and
+the time column (rate, origin, every time finite, at least two rows). It
+then converts only the requested marker triples and analog columns; a
+cell in any other column is never parsed, so it cannot fail the read.
+Plain numeric text (see _parse_plain) is taken apart on its UTF-8 bytes;
+any other text, or plain text the byte route cannot take as it is, goes
+through csv.reader and a column-by-column conversion. Both give the arrays
+and the errors of a cell-by-cell read of the requested columns.
+
+A strides table is read as csv.DictReader reads it (see
+_read_strides_csv): on its bytes when plain, else by csv.reader. Both byte
+routes use one splitter, _split, which finds the newlines, counts each
+line's commas, skips blank lines where they are and places the cells of
+the requested columns, and one gather, _cells, which copies just those
+cells into a numpy bytes array. numpy's bytes to float64 cast reads a cell
+of [0-9.eE+-] as float() does, and fails where float() fails.
 
 Events travel in a separate sidecar CSV (CSV trials have nowhere to put
 them): header ``time,context,label``, one event per row, using the same
@@ -31,7 +39,10 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import compress
+import os
+import sys
+from itertools import compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,6 +55,80 @@ from .errors import (
 )
 from .trial import AnalogChannel, GaitEvent, MarkerTrajectory, Trial
 from .c3d import map_event
+
+# The bytes of a plain trial body.
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
+# Strides CSV rows tokenized at a time by csv.reader.
+_ROW_CHUNK = 4096
+# Bytes of a plain strides CSV split at a time.
+_PLAIN_BLOCK = 1 << 20
+# Bytes a strides CSV needs to be tried as plain. csv.reader reads a
+# smaller file quicker than numpy's fixed costs allow, and reads a pipe
+# (size 0), which can be read only once.
+_PLAIN_MIN_BYTES = 8192
+# A plain block whose requested cells, padded to the longest, would take
+# more than this many bytes per byte of the block is left to csv.reader.
+_BYTES_PAD = 8
+# Bytes csv.reader gives a meaning of their own besides ',' and '\n': the
+# quote, the carriage return and, before Python 3.11, NUL.
+_NOT_PLAIN = (b'"', b"\r") + ((b"\0",) if sys.version_info < (3, 11) else ())
+# The bytes of a plain decimal feature cell, which numpy parses, and the
+# newline that ends each cell from _cells.
+_DECIMAL = np.zeros(256, bool)
+_DECIMAL[np.frombuffer(b"0123456789.eE+-\n", np.uint8)] = True
+
+
+def _split(buf, width, columns) -> tuple | None:
+    """(starts, lengths) of the cells of the given columns in buf, a uint8
+    array of CSV lines without the bytes of _NOT_PLAIN, or None.
+
+    Blank lines hold no row and are skipped where they are; there is a row
+    per other line, and a column the file lacks (None) has empty cells.
+    None when a line does not hold width - 1 commas or is longer than the
+    field limit, or when padding the cells to the longest would take more
+    than _BYTES_PAD bytes per byte of buf.
+    """
+    edges = np.concatenate(
+        ([-1], np.flatnonzero(buf == ord("\n")), [buf.size])
+    )
+    sizes = np.diff(edges) - 1
+    if sizes.max() > csv.field_size_limit():
+        return None
+    lines = sizes > 0
+    commas = np.flatnonzero(buf == ord(","))
+    if (np.diff(np.searchsorted(commas, edges))[lines] != width - 1).any():
+        return None
+    # Cell c of a row runs from bounds[c] + 1 up to bounds[c + 1]: the
+    # newline before the line, its commas, and the newline after it (or the
+    # end of buf).
+    n = int(np.count_nonzero(lines))
+    bounds = [edges[:-1][lines], *commas.reshape(n, width - 1).T,
+              edges[1:][lines]]
+    take = [j or 0 for j in columns]
+    starts = np.column_stack([bounds[j] for j in take]) + 1
+    lengths = np.column_stack([bounds[j + 1] for j in take]) - starts
+    lengths[:, [j is None for j in columns]] = 0
+    if lengths.size * (lengths.max(initial=0) + 1) > _BYTES_PAD * buf.size:
+        return None
+    return starts, lengths
+
+
+def _cells(buf, starts, lengths) -> np.ndarray:
+    """The cells buf[start:start + length], in the shape of starts, as a
+    numpy bytes array with a newline after each cell. No plain cell holds a
+    newline, and it keeps a cell's own trailing NULs, which a bytes array
+    would drop, part of the cell."""
+    width = int(lengths.max(initial=0)) + 1
+    short = int(starts.max(initial=0)) + width - buf.size
+    if short > 0:  # the windows of the last cells run past the block
+        buf = np.concatenate((buf, np.zeros(short, np.uint8)))
+    windows = np.ndarray((buf.size - width + 1, width), np.uint8, buf,
+                         strides=(1, 1))
+    cells = windows[starts]
+    cells *= np.arange(width) < lengths[..., None]
+    cells.reshape(-1, width)[np.arange(lengths.size), lengths.ravel()] = \
+        ord("\n")
+    return cells.view(f"S{width}")[..., 0]
 
 
 def _rows(text: str) -> list[list[str]]:
@@ -190,29 +275,22 @@ def _used(marker_cols, analog_cols) -> list[int]:
                    *(c for _, c in analog_cols)])
 
 
-_PLAIN_BYTES = b"0123456789.eE+-,\n"
-
-
 def _parse_plain(data: bytes, columns):
     """Plan and arrays of a plain numeric table, given as UTF-8 bytes, or
     None.
 
     The table is plain when its first line is the header, with no quote,
     and the body holds only digits, '.', 'e', 'E', '+', '-', commas and
-    newlines, with no line longer than the csv field limit. csv.reader
-    then splits each line at its commas, and numpy's tokenizer reads each
-    cell with the same strtod as float(). The commas of every line are
-    counted, which places every cell; the time and requested cells, with
-    'nan' for an empty one, are copied into a table of their own, and one
-    np.loadtxt call over that table gives the column reader's arrays.
-    Whatever it cannot take as it is (a ragged row, fewer than two rows, an
-    unparseable or empty time cell, an unparseable or empty requested
-    analog cell, a partly empty requested triple) returns None, so every
-    error comes from the column reader.
+    newlines, which csv.reader splits at its commas: _split places the time
+    and requested cells, _cells gathers them and numpy's cast reads the
+    non-empty ones. Whatever that cannot take as it is (a long header, a
+    line _split refuses, fewer than two rows, an empty time or requested
+    analog cell, a partly empty requested triple, a cell the cast fails on)
+    returns None, so every error comes from the column reader.
     """
     cut = data.find(b"\n")
     head = data[:cut]
-    if cut < 0 or b'"' in head:
+    if cut < 0 or b'"' in head or cut > csv.field_size_limit():
         return None
     # The body is plain when deleting the plain bytes from the whole table
     # leaves what they leave of the header: no copy of the body is made.
@@ -224,73 +302,41 @@ def _parse_plain(data: bytes, columns):
         width, marker_cols, analog_cols = _plan(next(csv.reader([head])))
     except (UnicodeDecodeError, csv.Error, BadHeaderRow):
         return None
-
-    buf = np.frombuffer(data, np.uint8, offset=cut + 1)
-    edges = np.concatenate(
-        ([-1], np.flatnonzero(buf == ord("\n")), [buf.size])
-    )
-    lengths = np.diff(edges) - 1
-    lines = lengths > 0
-    n = np.count_nonzero(lines)
-    limit = csv.field_size_limit()
-    if n < 2 or len(head) > limit or lengths.max() > limit:
-        return None
-    commas = np.flatnonzero(buf == ord(","))
-    if (np.diff(np.searchsorted(commas, edges))[lines] != width - 1).any():
-        return None
-    # Cell c of data row i runs from bounds[i, c] + 1 up to bounds[i, c + 1]:
-    # the newline before the row, its commas, and the newline after it (or
-    # the end of the body).
-    bounds = np.column_stack(
-        (edges[:-1][lines], commas.reshape(n, width - 1), edges[1:][lines])
-    )
     markers = _select(marker_cols, columns)
     analogs = _select(analog_cols, columns)
     used = _used(markers, analogs)
-    first = bounds[:, used] + 1
-    size = bounds[:, np.add(used, 1)] - first
-    empty = size == 0
+    buf = np.frombuffer(data, np.uint8, offset=cut + 1)
+    split = _split(buf, width, used)
+    if split is None or len(split[0]) < 2:
+        return None
+    starts, lengths = split
+    empty = lengths == 0
     if empty[:, 0].any():
         return None  # the column reader names the empty time cell
-    # The used cells alone, each followed by a delimiter and 'nan' (copied
-    # from past the end of the body) standing in for an empty cell, make a
-    # table of their own, so numpy's tokenizer splits no other cell.
-    first[empty] = buf.size
-    size[empty] = 3
-    first, size = first.ravel(), size.ravel() + 1
-    stop = np.cumsum(size)
-    index = np.arange(stop[-1]) + np.repeat(first - (stop - size), size)
-    table = np.append(buf, np.frombuffer(b"nan,", np.uint8))[index]
-    table[stop - 1] = ord(",")
-    table[stop[len(used) - 1 :: len(used)] - 1] = ord("\n")
+    cells = _cells(buf, starts, lengths)
+    values = np.full(cells.shape, np.nan)
     try:
-        data = np.loadtxt(
-            io.BytesIO(table.tobytes()), delimiter=",", comments=None, ndmin=2,
-            encoding="ascii",
-        )
+        with np.errstate(over="ignore"):  # 1e309 reads as inf
+            values[~empty] = cells[~empty].astype(float)
     except ValueError:
-        return None
-    if data.shape != (n, len(used)):
         return None
 
     # A triple's three columns are neighbours in used.
     at = {c: j for j, c in enumerate(used)}
-    coords = {}
-    valid = {}
+    coords, valid, analog = {}, {}, {}
     for lab, c in markers:
         j = at[c]
         gap = empty[:, j]
         if (empty[:, j + 1 : j + 3] != gap[:, None]).any():
             return None
-        coords[lab] = data[:, j : j + 3].copy()
+        coords[lab] = values[:, j : j + 3].copy()
         valid[lab] = ~gap
-    analog = {}
     for lab, c in analogs:
         j = at[c]
         if empty[:, j].any():
             return None
-        analog[lab] = data[:, j].copy()
-    return marker_cols, analog_cols, data[:, 0].copy(), coords, valid, analog
+        analog[lab] = values[:, j].copy()
+    return marker_cols, analog_cols, values[:, 0].copy(), coords, valid, analog
 
 
 def _parse_rows(text: str, columns):
@@ -380,6 +426,230 @@ def read_csv_trial(text: str, columns=None) -> Trial:
     takes every column. The whole table is checked either way.
     """
     return _read(text, columns)[0]
+
+
+def _read_strides_csv(paths, labels, features) -> tuple:
+    """The labelled rows of every strides CSV, in file order:
+    (conditions, trial_codes, trial_names, cells).
+
+    A row is labelled when its condition cell is labels[0] (condition 0) or
+    labels[1] (condition 1); other rows are dropped. trial_names holds the
+    trial ids of labelled rows in order of first appearance, and
+    trial_codes[i] indexes it. cells[feature] is a list of pieces for
+    _feature_values, in row order.
+
+    Rows read as csv.DictReader reads them: blank lines are skipped, a
+    repeated header name reads its last column, and a cell past the end of
+    a short row, or in a column the file lacks, is missing (None, or empty
+    in a plain file). A file is read in blocks, by _read_plain or else
+    _read_rows: (conditions, names, codes, cells) of the labelled rows of
+    some of its lines, with the block's trial ids in order of first
+    appearance and one piece of cells per feature. Every file is read
+    before any feature cell is parsed.
+    """
+    features = list(dict.fromkeys(features))
+    trials: dict[str, int] = {}
+    conditions = [np.empty(0, np.intp)]
+    trial_codes = [np.empty(0, np.intp)]
+    cells: dict[str, list] = {name: [] for name in features}
+    for path in paths:
+        blocks = _read_plain(path, labels, features)
+        if blocks is None:
+            blocks = _read_rows(path, labels, features)
+        for block_conditions, names, codes, block_cells in blocks:
+            recode = np.array([trials.setdefault(name, len(trials))
+                               for name in names], np.intp)
+            conditions.append(block_conditions)
+            trial_codes.append(recode[codes])
+            for piece, pieces in zip(block_cells, cells.values()):
+                pieces.append(piece)
+    return (np.concatenate(conditions), np.concatenate(trial_codes),
+            list(trials), cells)
+
+
+def _read_rows(path, labels, features) -> list[tuple]:
+    """The blocks of a strides CSV read by csv.reader, _ROW_CHUNK rows at a
+    time."""
+    blocks = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or "trial_id" not in header or \
+                    "condition" not in header:
+                raise BadHeaderRow(f"{path}: strides CSV needs trial_id and "
+                                   "condition columns")
+            where = {name: j for j, name in enumerate(header)}
+            while chunk := list(islice(reader, _ROW_CHUNK)):
+                rows = [row for row in chunk if row]
+                width = min(map(len, rows), default=0)
+                blocks.append(_string_block([
+                    _column(rows, where.get(name), width)
+                    for name in ("condition", "trial_id", *features)
+                ], labels))
+        except csv.Error as exc:
+            raise MalformedCsv(
+                f"{path}: line {reader.line_num}: {exc}"
+            ) from None
+    return blocks
+
+
+def _column(rows, j, width) -> list:
+    """Cell j of every row, None past the end of a short row or when j is
+    None; width is the length of the shortest row."""
+    if j is None:
+        return [None] * len(rows)
+    if j < width:
+        return list(map(itemgetter(j), rows))
+    return [row[j] if j < len(row) else None for row in rows]
+
+
+def _string_block(columns, labels) -> tuple:
+    """The block of rows given as columns of strings (None for a missing
+    cell): their conditions, their trial ids, then one per feature."""
+    coding = {label: code for code, label in enumerate(labels)}
+    coded = list(map(coding.get, columns[0]))
+    labelled = [code is not None for code in coded]
+    # str() of a missing cell, as DictReader gave it
+    ids = ["None" if t is None else t for t in compress(columns[1], labelled)]
+    names = list(dict.fromkeys(ids))
+    index = {name: code for code, name in enumerate(names)}
+    return (
+        np.array(list(compress(coded, labelled)), np.intp),
+        names,
+        np.fromiter(map(index.__getitem__, ids), np.intp, len(ids)),
+        [list(compress(column, labelled)) for column in columns[2:]],
+    )
+
+
+def _read_plain(path, labels, features) -> list[tuple] | None:
+    """The blocks of a plain strides CSV, or None for any other file.
+
+    A file is plain when it is UTF-8 without the bytes in _NOT_PLAIN, its
+    header line names trial_id and condition, every other line is blank or
+    holds exactly as many commas as the header, and no line is longer than
+    the csv field limit. csv.reader splits such a file at its commas and
+    newlines, so those are all that is looked for. The file is taken apart
+    on its bytes (see _split and _bytes_block) in blocks of whole lines,
+    about _PLAIN_BLOCK bytes each. A file smaller than _PLAIN_MIN_BYTES is
+    not looked at.
+    """
+    if os.stat(path).st_size < _PLAIN_MIN_BYTES:
+        return None
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        head = fh.readline(limit + 1).removesuffix(b"\n")
+        try:
+            header = head.decode().split(",")
+        except UnicodeDecodeError:
+            return None
+        if len(head) > limit or any(byte in head for byte in _NOT_PLAIN) \
+                or "trial_id" not in header or "condition" not in header:
+            return None
+        where = {name: j for j, name in enumerate(header)}
+        columns = [where.get(name)
+                   for name in ("condition", "trial_id", *features)]
+        width = len(header)
+        blocks = []
+        rest = b""
+        while True:
+            chunk = fh.read(_PLAIN_BLOCK)
+            if chunk:
+                block = rest + chunk
+                cut = block.rfind(b"\n") + 1
+                block, rest = block[:cut], block[cut:]
+            elif rest:  # a last line without its newline
+                block, rest = rest, b""
+            else:
+                return blocks
+            if any(byte in block for byte in _NOT_PLAIN) or len(rest) > limit:
+                return None
+            try:
+                block.decode()
+            except UnicodeDecodeError:
+                return None
+            buf = np.frombuffer(block, np.uint8)
+            split = _split(buf, width, columns)
+            if split is None:
+                return None
+            blocks.append(_bytes_block(buf, *split, labels))
+
+
+def _bytes_block(buf, starts, lengths, labels) -> tuple:
+    """The block of a split plain block's rows, taken apart on its bytes.
+
+    The columns are those of _string_block. A row is labelled when its
+    condition cell has the UTF-8 bytes of a label; a label that UTF-8
+    cannot spell, such as a lone surrogate, matches no cell. Trial ids are
+    told apart on their bytes, and only the distinct ones are decoded. A
+    feature column whose cells hold nothing but [0-9.eE+-] stays a bytes
+    array, which _feature_values hands to numpy; any other is decoded into
+    strings.
+    """
+    cells = _cells(buf, starts, lengths)
+    coded = np.full(len(cells), -1, np.intp)
+    for code, label in enumerate(labels):
+        try:
+            coded[cells[:, 0] == label.encode() + b"\n"] = code
+        except UnicodeEncodeError:
+            pass
+    labelled = coded >= 0
+    cells, lengths = cells[labelled], lengths[labelled]
+    distinct, first, codes = np.unique(cells[:, 1], return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    names = [name[:-1].decode() for name in distinct[order].tolist()]
+    pieces = []
+    for k in range(2, cells.shape[1]):
+        column = cells[:, k].copy()
+        # Every byte of the cells in [0-9.eE+-]? The newline after each
+        # cell counts as one such byte, the padding as none.
+        decimal = np.count_nonzero(_DECIMAL.take(column.view(np.uint8)))
+        if decimal != lengths[:, k].sum() + column.size:
+            column = [cell[:-1].decode() for cell in column.tolist()]
+        pieces.append(column)
+    return coded[labelled], names, rank[codes], pieces
+
+
+def _feature_values(feature, pieces) -> tuple[np.ndarray, np.ndarray]:
+    """(values, keep): the cells that are not empty once stripped, as
+    floats, and a mask of which cells they are.
+
+    A piece is a list of cells, str or None for a missing one, or a bytes
+    array from _bytes_block of cells that hold only [0-9.eE+-], each
+    followed by a newline. numpy's cast parses those as float() does.
+    """
+    values, keeps = [np.empty(0)], [np.empty(0, bool)]
+    for cells in pieces:
+        if isinstance(cells, np.ndarray):
+            keep = cells != b"\n"
+            try:
+                with np.errstate(over="ignore"):  # 1e309 reads as inf
+                    values.append(cells[keep].astype(float))
+                keeps.append(keep)
+                continue
+            except ValueError:  # name the first cell float() rejects
+                cells = [cell[:-1].decode() for cell in cells.tolist()]
+        if None in cells:
+            cells = [cell or "" for cell in cells]
+        stripped = list(map(str.strip, cells))
+        keep = list(map(bool, stripped))
+        kept = list(compress(stripped, keep))
+        try:
+            values.append(np.fromiter(map(float, kept), float, len(kept)))
+        except ValueError:
+            for cell in kept:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise NonNumericCell(
+                        f"feature {feature!r}: cannot parse {cell!r}"
+                    ) from None
+            raise
+        keeps.append(np.array(keep, dtype=bool))
+    return np.concatenate(values), np.concatenate(keeps)
 
 
 def read_events_csv(text: str) -> list[GaitEvent]:

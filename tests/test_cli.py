@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import exogait
 from compare_oracle import oracle_cmd_compare
-from exogait import cli
+from exogait import cli, csvio
 from exogait.c3d import write_c3d
 from exogait.cli import STRIDE_COLUMNS, ComplexityInputs, complexity_index, run
 from exogait.trial import EventKind, GaitEvent, MarkerTrajectory, Side, Trial
@@ -609,27 +609,30 @@ def test_duplicate_marker_label_is_one_error_line(argv, tmp_path, monkeypatch,
         "exogait: error: duplicate marker label 'A'\n")
 
 
-def test_csv_commands_hand_loadtxt_only_their_columns(tmp_path, monkeypatch,
-                                                      capsys):
+def test_csv_commands_gather_only_their_columns(tmp_path, monkeypatch,
+                                                capsys):
     _write_lab_trial(tmp_path / "walk.csv")
     _write_events(tmp_path / "events.csv")
     monkeypatch.chdir(tmp_path)
-    loadtxt = np.loadtxt
+    gather = csvio._cells
     tables = []
 
-    def spy(source, **kwargs):
-        lines = source.getvalue().decode("ascii").splitlines()
+    def spy(buf, starts, lengths):
+        cells = gather(buf, starts, lengths)
+        # each cell ends with a newline
+        lines = [b",".join(cell[:-1] for cell in row).decode("ascii")
+                 for row in cells.tolist()]
         tables.append((len(lines), {line.count(",") for line in lines},
-                       lines[0], kwargs.get("usecols")))
-        return loadtxt(source, **kwargs)
+                       lines[0]))
+        return cells
 
-    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr(csvio, "_cells", spy)
     assert run(["inspect", "walk.csv"]) == 0
     assert run(_LAB_ANALYZE) == 0
     capsys.readouterr()
     # time only; then time, RANK.x/y/z and analog:moment, 321 rows each
-    assert tables == [(321, {0}, "0.00", None),
-                      (321, {4}, "0.00,0.0000,3.0,4.0,0.0000", None)]
+    assert tables == [(321, {0}, "0.00"),
+                      (321, {4}, "0.00,0.0000,3.0,4.0,0.0000")]
 
 
 def test_analyze_requires_signal(tmp_path, capsys):
@@ -919,16 +922,16 @@ def _run_captured(argv):
 
 
 def _patched(**consts):
-    """Module constants of cli replaced for a with block."""
+    """Module constants of csvio replaced for a with block."""
     if not consts:
         return contextlib.nullcontext()
-    return mock.patch.multiple(cli, **consts)
+    return mock.patch.multiple(csvio, **consts)
 
 
 def _compare_with_oracle(files, args, to_stdout=True, **consts):
     """The CLI's and the oracle's outcome of one compare over files (text
     or bytes): each the _run_captured tuple and the --out bytes, or None.
-    consts replace module constants of cli for the run, such as
+    consts replace module constants of csvio for the run, such as
     _PLAIN_MIN_BYTES=0 to take every plain file apart on its bytes.
 
     The CLI's own outcome must be a clean one: exit 0, 1 or 2, no warning,
@@ -977,7 +980,7 @@ def _compare_with_oracle(files, args, to_stdout=True, **consts):
                             ("--treatment", "\udcff"),
                             ("--treatment", "NoExo")]),
     to_stdout=st.booleans(),
-    # A plain file of cli._PLAIN_MIN_BYTES or more is taken apart on its
+    # A plain file of csvio._PLAIN_MIN_BYTES or more is taken apart on its
     # bytes, a smaller one is left to csv.reader; 0 takes every plain file
     # apart on its bytes. Blocks of 64 bytes split a file into many.
     consts=st.fixed_dictionaries({}, optional={
@@ -1091,7 +1094,7 @@ def test_compare_plain_feature_reaches_numpy_only_when_decimal(tmp_path):
     a.write_text("\n".join(lines) + "\n", encoding="utf-8")
     features = ["rom", "cycle_duration"]
     with _patched(_PLAIN_MIN_BYTES=0):
-        [(_, _, _, (rom, duration))] = cli._read_plain(
+        [(_, _, _, (rom, duration))] = csvio._read_plain(
             a, ("NoExo", "ExoOff"), features)
     assert isinstance(rom, np.ndarray) and isinstance(duration, list)
     got, want = _compare_with_oracle(
@@ -1110,7 +1113,7 @@ def test_compare_leaves_a_wide_plain_block_to_csv_reader(tmp_path):
         a = tmp_path / "a.csv"
         a.write_text(text, encoding="utf-8")
         with _patched(_PLAIN_MIN_BYTES=0):
-            blocks = cli._read_plain(a, ("NoExo", "ExoOff"), ["rom"])
+            blocks = csvio._read_plain(a, ("NoExo", "ExoOff"), ["rom"])
         assert (blocks is not None) == plain
         got, want = _compare_with_oracle([text], ["--features", "rom"],
                                          _PLAIN_MIN_BYTES=0)
@@ -1125,7 +1128,7 @@ def test_compare_reads_a_pipe(quoted, tmp_path, capsys):
     text = _plain_strides(400)
     if quoted:
         text = text.replace("t1,", '"t1",')
-    assert cli._PLAIN_MIN_BYTES < len(text) < 65536  # fits a pipe's buffer
+    assert csvio._PLAIN_MIN_BYTES < len(text) < 65536  # fits a pipe's buffer
     a = tmp_path / "a.csv"
     a.write_text(text, encoding="utf-8")
     assert run(["compare", str(a), "--features", "rom"]) == 0
@@ -1158,15 +1161,31 @@ def test_compare_rejects_bad_option_values(flag, value, tmp_path, capsys):
 
 
 def test_bytes_cast_parses_cells_as_float_does():
-    """compare's byte path hands cells of [0-9.eE+-] to numpy's bytes to
-    float64 cast and relies on it giving float()'s value, and failing where
-    float() fails. Checked on the installed numpy for every such cell of up
-    to 3 characters, bare and with the newline the byte path appends; the
-    accepted cells are cast together, so shorter ones carry NUL padding."""
+    """Both CSV readers hand cells of [0-9.eE+-] to numpy's bytes to float64
+    cast and rely on it giving float()'s value, and failing where float()
+    fails: compare's byte path for feature cells, and the plain trial route
+    for every time, marker and analog cell it reads. Checked on the installed
+    numpy for every such cell of up to 3 characters, and for seeded draws of
+    longer ones (number-shaped and not, up to 40 characters), bare and with
+    the newline the byte path appends; the accepted cells are cast together,
+    so shorter ones carry NUL padding."""
     alphabet = "0123456789.eE+-"
     cells = ["".join(chars) for k in (1, 2, 3)
              for chars in itertools.product(alphabet, repeat=k)]
     assert len(cells) == 3615
+    rng = np.random.default_rng(15)
+    digits = np.array(list("0123456789"))
+    for _ in range(2000):
+        mantissa = "".join(rng.choice(digits, rng.integers(1, 18)))
+        point = rng.integers(0, len(mantissa) + 1)
+        exponent = rng.choice(["e", "E"]) + rng.choice(["", "-", "+"]) \
+            + str(rng.integers(0, 400))
+        cells.append(rng.choice(["", "-", "+"]) + mantissa[:point] + "."
+                     + mantissa[point:] + rng.choice(["", exponent]))
+        cells.append("".join(rng.choice(list(alphabet),
+                                        rng.integers(4, 41))))
+    cells += ["-1234.5678", "1.2345678901234567e-300", "1e309", "-1e309",
+              "4.9e-324", "2.4703282292062327e-324", "1.7976931348623157e308"]
     for end in ("", "\n"):
         accepted, values = [], []
         for cell in cells:
@@ -1177,7 +1196,9 @@ def test_bytes_cast_parses_cells_as_float_does():
                     np.array([(cell + end).encode()]).astype(float)
             else:
                 accepted.append((cell + end).encode())
-        cast = np.array(accepted).astype(float)
+        assert sum(len(cell) > 4 for cell in accepted) > 1500
+        with np.errstate(over="ignore"):  # 1e309 reads as inf
+            cast = np.array(accepted).astype(float)
         assert cast.tobytes() == np.array(values).tobytes()
 
 
@@ -1367,6 +1388,23 @@ def test_config_invalid_json(tmp_path, capsys):
     code = run(["complexity", "--config", str(cfg)])
     assert code == 1
     _error_line(capsys)
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["simulate"], '{"cycles": 1e400}', "cycles must be an integer, got inf"),
+    (["analyze", "walk.csv"], '{"max_gap": -1e999}',
+     "max_gap must be an integer, got -inf"),
+    (["compare", "strides.csv"], '{"alpha": 1' + "0" * 400 + "}",
+     "alpha must be a number, got 1" + "0" * 400),
+], ids=["int_inf", "int_minus_inf", "float_10_to_400"])
+def test_config_value_out_of_range_is_a_usage_error(argv, config, message,
+                                                    tmp_path, capsys):
+    # JSON reads 1e400 as inf, which int() cannot take, and 10**400 as an
+    # int, which float() cannot take.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config, encoding="utf-8")
+    assert run([*argv, "--config", str(cfg)]) == 1
+    assert _error_line(capsys) == f"exogait: error: {message}\n"
 
 
 def test_config_for_simulate(tmp_path, capsys):

@@ -325,14 +325,14 @@ _PLAIN_NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(-2000.0, 2000.0).map(lambda v: f"{v:.4f}"),
     st.sampled_from([
-        "1e999", "-1e999", "1e-400", "1E5", "2.5e+3", "+1.5", "-0", ".5",
-        "5.", "0001",
+        "1e999", "-1e999", "1e309", "-1e309", "1e-400", "1E5", "2.5e+3",
+        "+1.5", "-0", ".5", "5.", "0001",
     ]),
 )
 _NEAR_MISSES = [
     "blank line", "leading blank line", "comma row", "partial triple",
     "empty time", "empty analog", "extra cell", "missing cell", "long field",
-    "spelled triple", "quoted header", "carriage return",
+    "spelled triple", "quoted header", "carriage return", "wide cell",
 ]
 
 # Plain bytes that do not spell a number.
@@ -412,6 +412,11 @@ def _near_miss(header, rows, kind, data):
         limit = csv.field_size_limit()
         c = data.draw(st.integers(0, width - 1))
         row[c] = "1" * data.draw(st.sampled_from([limit, limit + 1]))
+    elif kind == "wide cell":
+        # Leading zeros make the time cell about 8 times as long as the
+        # rest of the body, which often fails the plain route's padding
+        # check (csvio._BYTES_PAD).
+        row[0] = "0" * (8 * sum(len(",".join(r)) + 1 for r in rows)) + row[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -468,7 +473,8 @@ def test_file_bytes_read_as_text_mode_read(table, data):
                          ids=["gap_mid_line", "gap_at_line_end"])
 def test_plain_text_skips_the_column_reader(monkeypatch, analogs_first):
     """Text shaped like a lab export (fixed decimals, gap frames, analog
-    columns) is parsed in one pass; the column reader is never reached."""
+    columns), with blank lines and cells that overflow to inf, is parsed in
+    one pass; the column reader is never reached."""
     rng = np.random.default_rng(7)
     markers = ["time"]
     for m in ("LHEE", "RHEE", "RANK"):
@@ -484,9 +490,13 @@ def test_plain_text_skips_the_column_reader(monkeypatch, analogs_first):
                 cells += ["", "", ""]
             else:
                 cells += [f"{v:.4f}" for v in rng.uniform(-900, 900, 3)]
+        if i == 10:
+            cells[0], cells[2] = "1e309", "-1e309"  # angle, LHEE.x
         if not analogs_first:
             cells = cells[2:] + cells[:2]
         lines.append(",".join([f"{i / 100:.2f}", *cells]))
+        if i in (30, 31, 45):
+            lines.append("")
     # the last line, a gap frame, ends the text
     text = "\n".join(lines) + ("" if analogs_first else "\n")
     expected = _outcome(oracle_read_csv_trial, text)
@@ -496,7 +506,32 @@ def test_plain_text_skips_the_column_reader(monkeypatch, analogs_first):
 
     monkeypatch.setattr(csvio, "_parse_columns", column_reader)
     assert _outcome(read_csv_trial, text) == expected
-    assert read_csv_trial(text).markers[2].valid.sum() == 53
+    trial = read_csv_trial(text)
+    assert trial.markers[2].valid.sum() == 53
+    assert trial.analogs[0].samples[10] == np.inf
+    assert trial.markers[0].coords[10, 0] == -np.inf
+
+
+def test_plain_text_with_a_wide_read_cell_goes_to_the_column_reader(
+        monkeypatch):
+    """A read cell so wide that padding every read cell to it would take
+    more than csvio._BYTES_PAD bytes per byte of the body is left to the
+    column reader; the same cell in a column that is not read is not."""
+    text = _selective_text("0" * 4000 + "2.5")  # LANK.y of row 6
+    calls = []
+    parse_columns = csvio._parse_columns
+
+    def column_reader(*args):
+        calls.append(args)
+        return parse_columns(*args)
+
+    monkeypatch.setattr(csvio, "_parse_columns", column_reader)
+    for columns, reached in ((None, True), ({"RANK", "moment"}, False)):
+        calls.clear()
+        got, expected = _selective_outcomes(text, columns)
+        assert got == expected
+        assert not isinstance(got[0], type)
+        assert bool(calls) == reached
 
 
 # --- selective reads against the per-cell oracle ------------------------------
