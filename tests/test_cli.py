@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exogait
+from analyze_oracle import oracle_cmd_analyze
 from compare_oracle import oracle_cmd_compare
 from exogait import cli, csvio
 from exogait.c3d import write_c3d
@@ -677,6 +678,141 @@ def test_analyze_target_mse_must_be_finite_and_non_negative(value, source,
         f"got {float(value)}\n"
     )
     assert not strides.exists() and not ens.exists()
+
+
+def _gapped(n, gaps):
+    """Valid mask of n frames with the (start, length) gaps cut out."""
+    valid = np.ones(n, dtype=bool)
+    for start, length in gaps:
+        valid[start:start + length] = False
+    return valid
+
+
+@st.composite
+def _analyze_case(draw):
+    """Input files and argv of one analyze run: markers ANK and TOE with
+    gaps of every length, analogs angle and moment, and strides of both
+    sides that may lack a foot off or reach past the series."""
+    route = draw(st.sampled_from(["csv", "c3d"]))
+    rate = draw(st.sampled_from([100.0, 100.0, 50.0]))
+    spf = 1 if route == "csv" else draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(40, 240))
+    first = draw(st.sampled_from([1, 1, 1, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gap = st.tuples(st.integers(0, n - 1),
+                    st.sampled_from([1, 2, 3, 5, 9, 10, 11, 14, 25]))
+    t = (first - 1 + np.arange(n)) / rate
+    markers = []
+    for label in ("ANK", "TOE"):
+        coords = np.round(
+            rng.uniform(-50, 50, 3) + 30 * np.sin(2 * np.pi * t[:, None]
+                                                  + rng.uniform(0, 6, 3))
+            + rng.normal(0, 2, (n, 3)), 4)
+        valid = _gapped(n, draw(st.lists(gap, max_size=3)))
+        markers.append(MarkerTrajectory(label, coords, valid))
+    ta = (first - 1) / rate + np.arange(n * spf) / (rate * spf)
+    angle = np.round(20 * np.sin(2 * np.pi * ta) + rng.normal(0, 1, ta.size),
+                     4)
+    analogs = [exogait.AnalogChannel("angle", angle, rate * spf),
+               exogait.AnalogChannel("moment", np.round(0.08 * angle, 4),
+                                     rate * spf)]
+    events = []
+    for side in (Side.LEFT, Side.RIGHT):
+        time = draw(st.sampled_from([0.0, 0.03, 0.25, 0.5]))
+        end = t[-1] + draw(st.sampled_from([-0.2, 0.0, 0.3]))
+        while time <= end:
+            events.append(GaitEvent(time, side, EventKind.FOOT_STRIKE))
+            duration = draw(st.sampled_from([0.3, 0.55, 0.8, 1.0]))
+            for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+                fraction = draw(st.sampled_from([0.4, 0.6, 0.62]))
+                events.append(GaitEvent(round(time + fraction * duration, 2),
+                                        side, EventKind.FOOT_OFF))
+            time = round(time + duration, 2)
+    sidecar = route == "csv" or draw(st.booleans())
+    if draw(st.sampled_from([False] * 15 + [True])):
+        events = []
+    trial = Trial(markers=markers, analogs=analogs,
+                  events=[] if sidecar else events, point_rate=rate,
+                  analog_rate=rate * spf, first_frame=first,
+                  last_frame=first + n - 1)
+    files = {}
+    if route == "c3d":
+        files["walk.c3d"] = write_c3d(trial)
+    else:
+        header = ["time"] + [f"{m.label}.{a}" for m in markers for a in "xyz"]
+        lines = [",".join(header + ["analog:angle", "analog:moment"])]
+        for i in range(n):
+            cells = [f"{t[i]:.2f}"]
+            for m in markers:
+                cells += ([repr(v) for v in m.coords[i].tolist()]
+                          if m.valid[i] else ["", "", ""])
+            cells += [repr(float(a.samples[i])) for a in analogs]
+            lines.append(",".join(cells))
+        files["walk.csv"] = ("\n".join(lines) + "\n").encode("ascii")
+    argv = ["analyze", next(iter(files))]
+    if sidecar:
+        rows = ["time,context,label"] + [
+            f"{e.time!r},{e.side.value.title()},"
+            f"{'Foot Strike' if e.kind is EventKind.FOOT_STRIKE else 'Foot Off'}"
+            for e in events]
+        files["events.csv"] = ("\n".join(rows) + "\n").encode("ascii")
+        argv += ["--events", "events.csv"]
+    argv += ["--signal", draw(st.sampled_from(
+        ["angle"] * 3 + ["ANK.x"] * 2 + ["ANK.z", "TOE.y", "ANK", "bogus"]))]
+    moment = draw(st.sampled_from([None, None, "moment", "TOE.z", "ANK.y",
+                                   "bogus"]))
+    if moment is not None:
+        argv += ["--moment", moment]
+    side = draw(st.sampled_from([None, "left", "right", "both"]))
+    if side is not None:
+        argv += ["--side", side]
+    argv += ["--target-mse", draw(st.sampled_from(["0", "0", "0.5", "4",
+                                                   "1e6"]))]
+    max_gap = draw(st.sampled_from([None, "0", "1", "3", "10", "12", "30"]))
+    if max_gap is not None:
+        argv += ["--max-gap", max_gap]
+    if draw(st.booleans()):
+        argv += ["--trial-id", "t1", "--condition", "ExoOff"]
+    return files, argv + ["--out-strides", "s.csv", "--out-ensemble", "e.csv"]
+
+
+def _drop_smoothing(out):
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("smoothing: "))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_analyze_case())
+def test_analyze_matches_oracle(case):
+    """cli._cmd_analyze and the inline orchestration of analyze_oracle give
+    the same exit code, stderr, stdout and CSV bytes. A run that fails after
+    smoothing may leave the smoothing line out of its stdout."""
+    files, argv = case
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        # Every file name in argv is one of files or an output.
+        argv = [str(Path(tmp) / a) if a in files or a in ("s.csv", "e.csv")
+                else a for a in argv]
+        for command in (cli._cmd_analyze, oracle_cmd_analyze):
+            with mock.patch.dict(cli._DISPATCH, {"analyze": command}):
+                outcome = _run_captured(argv)
+            written = []
+            for name in ("s.csv", "e.csv"):
+                path = Path(tmp) / name
+                written.append(path.read_bytes() if path.exists() else None)
+                path.unlink(missing_ok=True)
+            results.append((outcome, written))
+    ((code, out, err, caught), written), \
+        ((want_code, want_out, want_err, _), want_written) = results
+    assert code in (0, 1, 2)
+    assert caught == []
+    if code:
+        assert err.startswith("exogait: error: ") and err.count("\n") == 1
+        out, want_out = _drop_smoothing(out), _drop_smoothing(want_out)
+    assert (code, err, out, written) == \
+        (want_code, want_err, want_out, want_written)
 
 
 # --- compare ---------------------------------------------------------------------
