@@ -16,52 +16,40 @@ from . import errors
 from .assist import (
     DEFAULT_MOMENT_ARM,
     DEFAULT_PROFILE,
-    G_STANDARD,
     TensionConversion,
     TorqueProfile,
     reference_tension,
     torque_at,
-    torque_to_tension,
 )
 from .c3d import map_event, read_c3d, write_c3d
 from .csvio import read_csv_trial, read_events_csv
 from .cycles import (
-    N_SAMPLES,
     CycleFeatures,
     NormalizedCycle,
     Stride,
     TemporalFeatures,
-    cycle_features,
+    analyze_trial,
     ensemble,
     normalize_cycle,
-    segment_strides,
     temporal_params,
 )
 from .errors import ExogaitError
 from .phase import (
-    DEFAULT_STRIDE_S,
     FsrConfig,
     PhaseState,
     StrikeDetector,
     detect_heel_strikes,
     update_phase,
 )
-from .preprocess import (
-    GapFillSpec,
-    SmoothingSpec,
-    fill_gaps,
-    smooth_to_mse,
-    smooth_with_lambda,
-)
+from .preprocess import fill_gaps, smooth_to_mse, smooth_with_lambda
 from .simulate import (
     DEFAULT_GAINS,
-    CycleSummary,
     PidGains,
     PlantParams,
     SimResult,
     run_simulation,
 )
-from .stats import LmeFit, TostResult, tost_welch, wald_p
+from .stats import LmeFit, TostResult, tost_welch
 from .trial import (
     AnalogChannel,
     EventKind,
@@ -76,27 +64,21 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalogChannel",
     "CycleFeatures",
-    "CycleSummary",
     "DEFAULT_GAINS",
     "DEFAULT_MOMENT_ARM",
     "DEFAULT_PROFILE",
-    "DEFAULT_STRIDE_S",
     "EventKind",
     "ExogaitError",
     "FsrConfig",
-    "G_STANDARD",
     "GaitEvent",
-    "GapFillSpec",
     "LmeFit",
     "MarkerTrajectory",
-    "N_SAMPLES",
     "NormalizedCycle",
     "PhaseState",
     "PidGains",
     "PlantParams",
     "SimResult",
     "Side",
-    "SmoothingSpec",
     "Stride",
     "StrikeDetector",
     "TemporalFeatures",
@@ -104,7 +86,7 @@ __all__ = [
     "TorqueProfile",
     "TostResult",
     "Trial",
-    "cycle_features",
+    "analyze_trial",
     "detect_heel_strikes",
     "ensemble",
     "errors",
@@ -116,14 +98,11 @@ __all__ = [
     "read_events_csv",
     "reference_tension",
     "run_simulation",
-    "segment_strides",
     "smooth_to_mse",
     "smooth_with_lambda",
     "temporal_params",
     "torque_at",
-    "torque_to_tension",
     "tost_welch",
     "update_phase",
-    "wald_p",
     "write_c3d",
 ]

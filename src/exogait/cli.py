@@ -41,24 +41,9 @@ from .csvio import (
     _read_strides_csv,
     read_events_csv,
 )
-from .cycles import (
-    NormalizedCycle,
-    ensemble,
-    cycle_features,
-    normalize_cycle,
-    segment_strides,
-    temporal_params,
-)
-from .errors import (
-    AllWeightsZero,
-    EmptyResult,
-    ExogaitError,
-    InvalidProfile,
-    MissingFootOff,
-    StrideOutsideSeries,
-)
+from .cycles import analyze_trial
+from .errors import AllWeightsZero, ExogaitError, InvalidProfile
 from .phase import FsrConfig
-from .preprocess import GapFillSpec, SmoothingSpec, fill_gaps, smooth_to_mse
 from .simulate import (
     DEFAULT_GAINS,
     PidGains,
@@ -141,10 +126,11 @@ def _as_str(name, value) -> str:
 
 def _as_int(name, value) -> int:
     try:
-        if isinstance(value, bool):
+        # int() would truncate a JSON 2.5 and take a JSON true as 1.
+        if isinstance(value, (bool, float)):
             raise ValueError
         return int(value)
-    except (TypeError, ValueError, OverflowError):  # int() of a JSON 1e400
+    except (TypeError, ValueError):
         raise _UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
@@ -305,7 +291,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
-            except json.JSONDecodeError as exc:
+            # Malformed JSON, bytes that are not UTF-8, or an integer past
+            # Python's digit limit for int().
+            except ValueError as exc:
                 raise _UsageError(f"config {args.config}: {exc}") from None
         if not isinstance(config, dict):
             raise _UsageError("config must be a JSON object")
@@ -410,34 +398,6 @@ def _cmd_inspect(values: dict) -> int:
     return 0
 
 
-def _marker_axis(name: str):
-    """(marker label, axis index) of '<label>.x', '.y' or '.z', else None."""
-    if len(name) > 2 and name[-2] == "." and name[-1] in "xyz":
-        return name[:-2], "xyz".index(name[-1])
-    return None
-
-
-def _resolve_series(trial: Trial, name: str, gap_fill: GapFillSpec):
-    """(samples, rate, validity) for an analog label or marker axis."""
-    for ch in trial.analogs:
-        if ch.label == name:
-            return np.asarray(ch.samples, float), float(ch.rate), None
-    marker_axis = _marker_axis(name)
-    if marker_axis is not None:
-        label, axis = marker_axis
-        for mk in trial.markers:
-            if mk.label == label:
-                filled = fill_gaps(mk, gap_fill)
-                return (
-                    filled.coords[:, axis].copy(),
-                    float(trial.point_rate),
-                    filled.valid,
-                )
-    raise ValueError(
-        f"signal {name!r} matches no analog channel and no marker axis"
-    )
-
-
 def _cmd_analyze(values: dict) -> int:
     _require(values, "signal")
     side_key = values["side"]
@@ -450,86 +410,32 @@ def _cmd_analyze(values: dict) -> int:
         )
     if values["max_gap"] < 1:
         raise _UsageError("--max-gap must be >= 1")
-    gap_fill = GapFillSpec(max_gap=values["max_gap"])
     # The analog and the marker that each series name can select.
-    columns = set()
-    for name in (values["signal"], values["moment"]):
-        if name is not None:
-            columns.add(name)
-            if _marker_axis(name) is not None:
-                columns.add(_marker_axis(name)[0])
+    columns = {name for name in (values["signal"], values["moment"])
+               if name is not None}
+    columns |= {name[:-2] for name in columns
+                if name[-2:] in (".x", ".y", ".z")}
     trial = _load_trial(values["input"], columns)[0]
-    events = _load_events(trial, values["events"])
-    if not events:
-        raise EmptyResult("trial has no gait events; nothing to segment")
+    result = analyze_trial(
+        trial, _load_events(trial, values["events"]), values["signal"],
+        moment=values["moment"], sides=_SIDES[side_key],
+        max_gap=values["max_gap"], target_mse=target_mse,
+    )
     trial_id = values["trial_id"]
     if trial_id is None:
         trial_id = Path(values["input"]).stem
 
-    samples, rate, validity = _resolve_series(
-        trial, values["signal"], gap_fill
-    )
-    origin = (trial.first_frame - 1) / trial.point_rate
-    if target_mse > 0:
-        samples, achieved, met = smooth_to_mse(
-            samples, rate, SmoothingSpec(target_mse=target_mse)
-        )
+    if result.smoothing is not None:
+        achieved, met = result.smoothing
         state = "met" if met else "not met"
         print(f"smoothing: residual MSE {_fmt(achieved)} (target {state})")
-    moment = None
-    if values["moment"] is not None:
-        m_samples, m_rate, m_valid = _resolve_series(
-            trial, values["moment"], gap_fill
-        )
-        moment = (m_samples, m_rate, m_valid)
-
-    kept_rows: list[list[str]] = []
-    angle_cycles: list[NormalizedCycle] = []
-    moment_cycles: list[NormalizedCycle] = []
-    excluded = 0
-
-    def window_valid(valid, series_rate, stride) -> bool:
-        if valid is None:
-            return True
-        i0 = int(np.floor((stride.start_time - origin) * series_rate))
-        i1 = int(np.ceil((stride.end_time - origin) * series_rate))
-        i0 = max(i0, 0)
-        i1 = min(i1, len(valid) - 1)
-        if i1 < i0:
-            return False
-        return bool(valid[i0 : i1 + 1].all())
-
-    for side in _SIDES[side_key]:
-        for index, stride in enumerate(segment_strides(events, side)):
-            ok = window_valid(validity, rate, stride)
-            if moment is not None:
-                ok = ok and window_valid(moment[2], moment[1], stride)
-            if not ok:
-                excluded += 1
-                continue
-            try:
-                angle = normalize_cycle(
-                    samples, rate, stride, start_time=origin,
-                    variable=values["signal"], units="deg",
-                )
-                m_cycle = None
-                if moment is not None:
-                    m_cycle = normalize_cycle(
-                        moment[0], moment[1], stride, start_time=origin,
-                        variable=values["moment"], units="Nm/kg",
-                    )
-            except StrideOutsideSeries:
-                excluded += 1
-                continue
-            try:
-                temporal = temporal_params(stride)
-            except MissingFootOff:
-                temporal = None
-            features = cycle_features(angle, m_cycle)
-            angle_cycles.append(angle)
-            if m_cycle is not None:
-                moment_cycles.append(m_cycle)
-            kept_rows.append([
+    kept = [entry for entry in result.strides if entry[3] is None]
+    with open(values["out_strides"], "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(STRIDE_COLUMNS)
+        for (side, index, stride, _), features, temporal in zip(
+                kept, result.features, result.temporal):
+            writer.writerow([
                 trial_id,
                 values["condition"],
                 side.value,
@@ -545,27 +451,19 @@ def _cmd_analyze(values: dict) -> int:
                 _fmt(temporal.swing_pct if temporal else None),
             ])
 
-    if not angle_cycles:
-        raise EmptyResult("no stride survived quality checks")
-    with open(values["out_strides"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STRIDE_COLUMNS)
-        writer.writerows(kept_rows)
-
-    mean_c, sd_c = ensemble(angle_cycles)
     header = ["gc", "angle_mean", "angle_sd"]
-    columns = [mean_c.samples, sd_c.samples]
-    if moment_cycles:
-        m_mean, m_sd = ensemble(moment_cycles)
+    columns = [cycle.samples for cycle in result.angle_ensemble]
+    if result.moment_ensemble is not None:
         header += ["moment_mean", "moment_sd"]
-        columns += [m_mean.samples, m_sd.samples]
+        columns += [cycle.samples for cycle in result.moment_ensemble]
     with open(values["out_ensemble"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(len(mean_c.samples)):
+        for i in range(len(columns[0])):
             writer.writerow([str(i)] + [_fmt(col[i]) for col in columns])
 
-    print(f"strides: {len(kept_rows)} kept, {excluded} excluded")
+    excluded = len(result.strides) - len(kept)
+    print(f"strides: {len(kept)} kept, {excluded} excluded")
     print(f"wrote {values['out_strides']} and {values['out_ensemble']}")
     return 0
 

@@ -1,4 +1,5 @@
-"""Stride segmentation, 101-sample time normalization, and cycle features.
+"""Stride segmentation, 101-sample time normalization, cycle features, and
+analyze_trial, the per-trial pipeline that joins them.
 
 Sign conventions (documented, since figures cannot be machine-read): joint
 angles are degrees with dorsiflexion positive and plantarflexion negative;
@@ -17,7 +18,8 @@ from .errors import (
     MixedVariables,
     StrideOutsideSeries,
 )
-from .trial import EventKind, GaitEvent, Side
+from .preprocess import fill_gaps, smooth_to_mse
+from .trial import EventKind, GaitEvent, Side, Trial
 
 N_SAMPLES = 101  # 0..100 % gait cycle inclusive
 
@@ -65,7 +67,6 @@ class NormalizedCycle:
 
 @dataclass(frozen=True)
 class TemporalFeatures:
-    cycle_duration: float
     stance_duration: float
     swing_duration: float
     stance_pct: float
@@ -153,7 +154,6 @@ def temporal_params(stride: Stride) -> TemporalFeatures:
     stance_pct = 100.0 * stance / cycle
     swing_pct = 100.0 - stance_pct
     return TemporalFeatures(
-        cycle_duration=cycle,
         stance_duration=stance,
         swing_duration=swing,
         stance_pct=stance_pct,
@@ -202,4 +202,132 @@ def ensemble(
     return (
         NormalizedCycle(variable=variable, units=units, samples=mean),
         NormalizedCycle(variable=variable, units=units, samples=sd),
+    )
+
+
+@dataclass(frozen=True)
+class AnalysisResult:
+    """What analyze_trial found in one trial.
+
+    strides has one (side, index, stride, excluded) entry per segmented
+    stride, side by side in the order asked for: index counts the side's
+    strides from 0, and excluded is None for a kept stride, "gap" when a
+    series is invalid somewhere in the stride's window, or "outside-series"
+    when the window reaches past a series. features and temporal have one
+    entry per kept stride, in the same order; temporal is None for a stride
+    without a usable foot off. Each ensemble is a (mean, sd) pair of
+    cycles, and moment_ensemble is None without a moment series. smoothing
+    is (achieved MSE, target met), or None when smoothing was off.
+    """
+
+    strides: list[tuple[Side, int, Stride, str | None]]
+    features: list[CycleFeatures]
+    temporal: list[TemporalFeatures | None]
+    angle_ensemble: tuple[NormalizedCycle, NormalizedCycle]
+    moment_ensemble: tuple[NormalizedCycle, NormalizedCycle] | None
+    smoothing: tuple[float, bool] | None
+
+
+def _series(trial: Trial, name: str, max_gap: int):
+    """(samples, rate, validity) of an analog label or of a marker axis
+    '<label>.x', '.y' or '.z'; validity is None for an analog channel."""
+    for ch in trial.analogs:
+        if ch.label == name:
+            return np.asarray(ch.samples, float), float(ch.rate), None
+    if len(name) > 2 and name[-2] == "." and name[-1] in "xyz":
+        for mk in trial.markers:
+            if mk.label == name[:-2]:
+                filled = fill_gaps(mk, max_gap)
+                return (
+                    filled.coords[:, "xyz".index(name[-1])].copy(),
+                    float(trial.point_rate),
+                    filled.valid,
+                )
+    raise ValueError(
+        f"signal {name!r} matches no analog channel and no marker axis"
+    )
+
+
+def _window_valid(valid, rate: float, stride: Stride, origin: float) -> bool:
+    """Whether every sample of the stride's window is valid."""
+    if valid is None:
+        return True
+    i0 = max(int(np.floor((stride.start_time - origin) * rate)), 0)
+    i1 = min(int(np.ceil((stride.end_time - origin) * rate)), len(valid) - 1)
+    return i0 <= i1 and bool(valid[i0 : i1 + 1].all())
+
+
+def analyze_trial(
+    trial: Trial,
+    events: list[GaitEvent],
+    signal: str,
+    *,
+    moment: str | None = None,
+    sides: tuple[Side, ...] = (Side.LEFT, Side.RIGHT),
+    max_gap: int = 10,
+    target_mse: float = 10.0,
+) -> AnalysisResult:
+    """Strides, features and ensembles of one trial: what analyze runs.
+
+    signal (the joint angle, degrees) and moment name an analog channel or
+    a marker axis '<label>.x', '.y' or '.z'. A marker is gap-filled by
+    fill_gaps(marker, max_gap) first; a frame the fill leaves invalid
+    excludes every stride whose window holds it. Unless target_mse is 0,
+    the signal series is smoothed by smooth_to_mse; the moment series never
+    is. Each side's strides come
+    from segment_strides(events, side), with event times in seconds from
+    the trial's frame 1. Raises EmptyResult when events is empty or no
+    stride is kept; lookup, fill and smoothing errors pass through.
+    """
+    if not events:
+        raise EmptyResult("trial has no gait events; nothing to segment")
+    samples, rate, validity = _series(trial, signal, max_gap)
+    origin = (trial.first_frame - 1) / trial.point_rate
+    smoothing = None
+    if target_mse != 0:
+        samples, achieved, met = smooth_to_mse(samples, rate, target_mse)
+        smoothing = (achieved, met)
+    # (samples, rate, validity, variable, units) of each series
+    series = [(samples, rate, validity, signal, "deg")]
+    if moment is not None:
+        series.append((*_series(trial, moment, max_gap), moment, "Nm/kg"))
+
+    strides, features, temporal = [], [], []
+    cycles: list[list[NormalizedCycle]] = [[] for _ in series]
+    for side in sides:
+        for index, stride in enumerate(segment_strides(events, side)):
+            excluded = None
+            if not all(_window_valid(valid, r, stride, origin)
+                       for _, r, valid, _, _ in series):
+                excluded = "gap"
+            else:
+                try:
+                    normalized = [
+                        normalize_cycle(y, r, stride, start_time=origin,
+                                        variable=variable, units=units)
+                        for y, r, _, variable, units in series
+                    ]
+                except StrideOutsideSeries:
+                    excluded = "outside-series"
+            strides.append((side, index, stride, excluded))
+            if excluded is not None:
+                continue
+            try:
+                temporal.append(temporal_params(stride))
+            except MissingFootOff:
+                temporal.append(None)
+            features.append(cycle_features(*normalized))
+            for kept, cycle in zip(cycles, normalized):
+                kept.append(cycle)
+
+    if not features:
+        raise EmptyResult("no stride survived quality checks")
+    ensembles = [ensemble(kept) for kept in cycles]
+    return AnalysisResult(
+        strides=strides,
+        features=features,
+        temporal=temporal,
+        angle_ensemble=ensembles[0],
+        moment_ensemble=ensembles[1] if moment is not None else None,
+        smoothing=smoothing,
     )

@@ -65,10 +65,6 @@ class SeriesTooShort(ExogaitError):
     """Series is shorter than the smoothing penalty's support."""
 
 
-class NonUniformSampling(ExogaitError):
-    """Sample times are not uniformly spaced within tolerance."""
-
-
 # --- gait cycles ------------------------------------------------------------
 
 class StrideOutsideSeries(ExogaitError):

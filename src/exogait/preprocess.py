@@ -13,11 +13,10 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUniformSampling, SeriesTooShort, TooFewValidFrames
+from .errors import SeriesTooShort, TooFewValidFrames
 from .trial import MarkerTrajectory
 
 # The LAPACK routines come from scipy's extension module, loaded by
@@ -32,31 +31,7 @@ _MAX_ITERATIONS = 200
 _MSE_TOLERANCE = 0.05
 
 
-@dataclass(frozen=True)
-class SmoothingSpec:
-    """Residual-MSE target for the smoother.
-
-    target_mse is in squared data units (mm^2 for marker coordinates); an
-    achieved MSE within target_mse * (1 +/- _MSE_TOLERANCE) counts as met.
-    """
-
-    target_mse: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not self.target_mse > 0:
-            raise ValueError(f"target_mse must be > 0, got {self.target_mse}")
-
-
-@dataclass(frozen=True)
-class GapFillSpec:
-    max_gap: int = 10
-
-    def __post_init__(self) -> None:
-        if self.max_gap < 1:
-            raise ValueError(f"max_gap must be >= 1, got {self.max_gap}")
-
-
-def fill_gaps(series: MarkerTrajectory, spec: GapFillSpec) -> MarkerTrajectory:
+def fill_gaps(series: MarkerTrajectory, max_gap: int) -> MarkerTrajectory:
     """Fill interior gaps of up to max_gap frames by cubic interpolation.
 
     The interpolant is the not-a-knot cubic spline through every valid
@@ -65,8 +40,10 @@ def fill_gaps(series: MarkerTrajectory, spec: GapFillSpec) -> MarkerTrajectory:
     are returned bit-identical; only interior gap frames of admissible
     length get new coordinates. Leading and trailing gaps stay invalid (no
     extrapolation), as do interior gaps longer than max_gap. With no
-    admissible gap, no spline is fitted.
+    admissible gap, no spline is fitted. max_gap must be >= 1.
     """
+    if max_gap < 1:
+        raise ValueError(f"max_gap must be >= 1, got {max_gap}")
     valid_idx = np.flatnonzero(series.valid)
     if valid_idx.size < 4:
         raise TooFewValidFrames(
@@ -76,7 +53,7 @@ def fill_gaps(series: MarkerTrajectory, spec: GapFillSpec) -> MarkerTrajectory:
     coords = series.coords.copy()
     valid = series.valid.copy()
     gap = np.diff(valid_idx) - 1
-    fillable = (gap > 0) & (gap <= spec.max_gap)
+    fillable = (gap > 0) & (gap <= max_gap)
     if fillable.any():
         knots = series.coords[valid_idx, :]
         if not np.isfinite(knots).all():
@@ -222,7 +199,7 @@ def _quadratic_limit(y: np.ndarray) -> np.ndarray:
     return v @ coef
 
 
-def _check_series(samples, rate, times) -> np.ndarray:
+def _check_series(samples, rate) -> np.ndarray:
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1:
         raise ValueError("samples must be 1-D")
@@ -232,37 +209,26 @@ def _check_series(samples, rate, times) -> np.ndarray:
         raise ValueError("series contains non-finite values; fill gaps first")
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    if times is not None:
-        t = np.asarray(times, dtype=float)
-        if t.shape != y.shape:
-            raise ValueError("times must match samples in length")
-        dt = np.diff(t)
-        if dt.size and (np.any(dt <= 0) or np.ptp(dt) > 1e-6 * abs(dt[0])):
-            raise NonUniformSampling("sample times are not uniformly spaced")
-        if dt.size and abs(dt[0] * rate - 1.0) > 1e-6:
-            raise NonUniformSampling(
-                f"times imply rate {1.0 / dt[0]:g}, got {rate:g}"
-            )
     return y
 
 
 def smooth_to_mse(
-    samples: np.ndarray,
-    rate: float,
-    spec: SmoothingSpec,
-    times: np.ndarray | None = None,
+    samples: np.ndarray, rate: float, target_mse: float
 ) -> tuple[np.ndarray, float, bool]:
-    """Smooth a series so its residual MSE hits spec.target_mse.
+    """Smooth a series so its residual MSE hits target_mse.
 
-    Returns (smoothed, achieved_mse, met_target). Residual MSE grows
-    monotonically with lambda, so a bisection on log lambda over
+    target_mse is in squared data units (mm^2 for marker coordinates) and
+    must be > 0; an achieved MSE within target_mse * (1 +/- _MSE_TOLERANCE)
+    counts as met. Returns (smoothed, achieved_mse, met_target). Residual
+    MSE grows monotonically with lambda, so a bisection on log lambda over
     [1e-12, 1e12] brackets the target whenever it is reachable. When even
     the lambda -> infinity limit (the least-squares quadratic) leaves the
     residual below target, that limit is returned with met_target False.
     """
-    y = _check_series(samples, rate, times)
-    target = spec.target_mse
-    tol = _MSE_TOLERANCE * target
+    if not target_mse > 0:
+        raise ValueError(f"target_mse must be > 0, got {target_mse}")
+    y = _check_series(samples, rate)
+    tol = _MSE_TOLERANCE * target_mse
 
     def mse_of(f: np.ndarray) -> float:
         r = y - f
@@ -270,29 +236,29 @@ def smooth_to_mse(
 
     f_quad = _quadratic_limit(y)
     mse_quad = mse_of(f_quad)
-    if mse_quad <= target + tol:
+    if mse_quad <= target_mse + tol:
         # Even infinite stiffness cannot push the residual above the target;
         # report the limit itself.
-        return f_quad, mse_quad, abs(mse_quad - target) <= tol
+        return f_quad, mse_quad, abs(mse_quad - target_mse) <= tol
 
     lo, hi = LAMBDA_LO, LAMBDA_HI
     f_lo = smooth_with_lambda(y, rate, lo)
     mse_lo = mse_of(f_lo)
-    if mse_lo >= target:
-        return f_lo, mse_lo, abs(mse_lo - target) <= tol
+    if mse_lo >= target_mse:
+        return f_lo, mse_lo, abs(mse_lo - target_mse) <= tol
     f_hi = smooth_with_lambda(y, rate, hi)
     mse_hi = mse_of(f_hi)
-    if mse_hi <= target:
-        return f_hi, mse_hi, abs(mse_hi - target) <= tol
+    if mse_hi <= target_mse:
+        return f_hi, mse_hi, abs(mse_hi - target_mse) <= tol
 
     f_mid, mse_mid = f_lo, mse_lo
     for _ in range(_MAX_ITERATIONS):
         mid = np.sqrt(lo * hi)
         f_mid = smooth_with_lambda(y, rate, mid)
         mse_mid = mse_of(f_mid)
-        if abs(mse_mid - target) <= tol:
+        if abs(mse_mid - target_mse) <= tol:
             return f_mid, mse_mid, True
-        if mse_mid < target:
+        if mse_mid < target_mse:
             lo = mid
         else:
             hi = mid

@@ -32,7 +32,7 @@ from exogait.cycles import (
     temporal_params,
 )
 from exogait.errors import EmptyResult, MissingFootOff, StrideOutsideSeries
-from exogait.preprocess import GapFillSpec, SmoothingSpec, fill_gaps, smooth_to_mse
+from exogait.preprocess import fill_gaps, smooth_to_mse
 
 
 def _marker_axis(name):
@@ -76,7 +76,7 @@ def oracle_cmd_analyze(values):
         )
     if values["max_gap"] < 1:
         raise _UsageError("--max-gap must be >= 1")
-    gap_fill = GapFillSpec(max_gap=values["max_gap"])
+    gap_fill = values["max_gap"]
     columns = set()
     for name in (values["signal"], values["moment"]):
         if name is not None:
@@ -96,9 +96,7 @@ def oracle_cmd_analyze(values):
     )
     origin = (trial.first_frame - 1) / trial.point_rate
     if target_mse > 0:
-        samples, achieved, met = smooth_to_mse(
-            samples, rate, SmoothingSpec(target_mse=target_mse)
-        )
+        samples, achieved, met = smooth_to_mse(samples, rate, target_mse)
         state = "met" if met else "not met"
         print(f"smoothing: residual MSE {_fmt(achieved)} (target {state})")
     moment = None

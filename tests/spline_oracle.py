@@ -14,7 +14,7 @@ from exogait.errors import TooFewValidFrames
 from exogait.trial import MarkerTrajectory
 
 
-def oracle_fill_gaps(series, spec):
+def oracle_fill_gaps(series, max_gap):
     """Same arguments and result as fill_gaps."""
     valid_idx = np.flatnonzero(series.valid)
     if valid_idx.size < 4:
@@ -27,7 +27,7 @@ def oracle_fill_gaps(series, spec):
     spline = CubicSpline(valid_idx, series.coords[valid_idx, :], axis=0)
     for a, b in zip(valid_idx[:-1], valid_idx[1:]):
         gap = b - a - 1
-        if 0 < gap <= spec.max_gap:
+        if 0 < gap <= max_gap:
             idx = np.arange(a + 1, b)
             coords[idx, :] = spline(idx)
             valid[idx] = True

@@ -25,7 +25,7 @@ from exogait.c3d import read_c3d, write_c3d
 from exogait.cycles import NormalizedCycle, Stride, normalize_cycle, temporal_params
 from exogait.errors import MalformedHeader, TruncatedData
 from exogait.phase import FsrConfig, PhaseState, StrikeDetector, detect_heel_strikes, update_phase
-from exogait.preprocess import SmoothingSpec, smooth_to_mse, smooth_with_lambda
+from exogait.preprocess import smooth_to_mse, smooth_with_lambda
 from exogait.simulate import DEFAULT_GAINS, PlantParams, run_simulation
 from exogait.stats import tost_welch
 from exogait.trial import (
@@ -196,7 +196,7 @@ def test_criterion_07_smoothing_mse_and_monotonicity():
         t = np.arange(500) / 100.0
         clean = 50.0 * np.sin(2.0 * np.pi * t)
         noisy = clean + rng.normal(0.0, math.sqrt(10.0), t.size)
-        _, mse, met = smooth_to_mse(noisy, 100.0, SmoothingSpec(target_mse=10.0))
+        _, mse, met = smooth_to_mse(noisy, 100.0, 10.0)
         assert met
         assert 9.5 <= mse <= 10.5
 

@@ -699,9 +699,32 @@ def _analyze_case(draw):
     n = draw(st.integers(40, 240))
     first = draw(st.sampled_from([1, 1, 1, 7]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    gap = st.tuples(st.integers(0, n - 1),
-                    st.sampled_from([1, 2, 3, 5, 9, 10, 11, 14, 25]))
     t = (first - 1 + np.arange(n)) / rate
+    events = []
+    for side in (Side.LEFT, Side.RIGHT):
+        time = draw(st.sampled_from([0.0, 0.03, 0.25, 0.5, 0.004]))
+        end = t[-1] + draw(st.sampled_from([-0.2, 0.0, 0.3]))
+        while time <= end:
+            events.append(GaitEvent(time, side, EventKind.FOOT_STRIKE))
+            duration = draw(st.sampled_from([0.3, 0.55, 0.8, 1.0, 0.617]))
+            for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+                fraction = draw(st.sampled_from([0.4, 0.6, 0.62]))
+                events.append(GaitEvent(round(time + fraction * duration, 3),
+                                        side, EventKind.FOOT_OFF))
+            time = round(time + duration, 3)
+    # Gaps start anywhere, or on the frames around a stride's first and
+    # last sample.
+    edges = sorted({
+        min(max(k, 0), n - 1)
+        for e in events if e.kind is EventKind.FOOT_STRIKE
+        for x in [(e.time - t[0]) * rate]
+        for k in (math.floor(x) - 1, math.floor(x), math.ceil(x),
+                  math.ceil(x) + 1)
+    })
+    start = st.integers(0, n - 1)
+    if edges:
+        start |= st.sampled_from(edges)
+    gap = st.tuples(start, st.sampled_from([1, 2, 3, 5, 9, 10, 11, 14, 25]))
     markers = []
     for label in ("ANK", "TOE"):
         coords = np.round(
@@ -716,18 +739,6 @@ def _analyze_case(draw):
     analogs = [exogait.AnalogChannel("angle", angle, rate * spf),
                exogait.AnalogChannel("moment", np.round(0.08 * angle, 4),
                                      rate * spf)]
-    events = []
-    for side in (Side.LEFT, Side.RIGHT):
-        time = draw(st.sampled_from([0.0, 0.03, 0.25, 0.5]))
-        end = t[-1] + draw(st.sampled_from([-0.2, 0.0, 0.3]))
-        while time <= end:
-            events.append(GaitEvent(time, side, EventKind.FOOT_STRIKE))
-            duration = draw(st.sampled_from([0.3, 0.55, 0.8, 1.0]))
-            for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
-                fraction = draw(st.sampled_from([0.4, 0.6, 0.62]))
-                events.append(GaitEvent(round(time + fraction * duration, 2),
-                                        side, EventKind.FOOT_OFF))
-            time = round(time + duration, 2)
     sidecar = route == "csv" or draw(st.booleans())
     if draw(st.sampled_from([False] * 15 + [True])):
         events = []
@@ -1532,15 +1543,35 @@ def test_config_invalid_json(tmp_path, capsys):
      "max_gap must be an integer, got -inf"),
     (["compare", "strides.csv"], '{"alpha": 1' + "0" * 400 + "}",
      "alpha must be a number, got 1" + "0" * 400),
-], ids=["int_inf", "int_minus_inf", "float_10_to_400"])
+    (["simulate"], '{"cycles": 2.5, "seed": 1}',
+     "cycles must be an integer, got 2.5"),
+    (["simulate"], '{"cycles": 2.0, "seed": 1}',
+     "cycles must be an integer, got 2.0"),
+], ids=["int_inf", "int_minus_inf", "float_10_to_400", "int_2_5", "int_2_0"])
 def test_config_value_out_of_range_is_a_usage_error(argv, config, message,
                                                     tmp_path, capsys):
     # JSON reads 1e400 as inf, which int() cannot take, and 10**400 as an
-    # int, which float() cannot take.
+    # int, which float() cannot take. An integer option takes no JSON
+    # float, as its flag takes no "2.5" or "2.0".
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config, encoding="utf-8")
     assert run([*argv, "--config", str(cfg)]) == 1
     assert _error_line(capsys) == f"exogait: error: {message}\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"cycles": 1' + b"0" * 5000 + b"}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+    (b'{"trace": "\xff.csv"}',
+     "'utf-8' codec can't decode byte 0xff in position 11"),
+], ids=["int_past_digit_limit", "not_utf8"])
+def test_config_json_cannot_read_is_a_usage_error(data, message, tmp_path,
+                                                  capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    assert run(["simulate", "--config", str(cfg)]) == 1
+    assert _error_line(capsys).startswith(
+        f"exogait: error: config {cfg}: {message}")
 
 
 def test_config_for_simulate(tmp_path, capsys):

@@ -11,6 +11,7 @@ from exogait.cycles import (
     N_SAMPLES,
     NormalizedCycle,
     Stride,
+    analyze_trial,
     cycle_features,
     ensemble,
     normalize_cycle,
@@ -23,7 +24,14 @@ from exogait.errors import (
     MixedVariables,
     StrideOutsideSeries,
 )
-from exogait.trial import EventKind, GaitEvent, Side
+from exogait.trial import (
+    AnalogChannel,
+    EventKind,
+    GaitEvent,
+    MarkerTrajectory,
+    Side,
+    Trial,
+)
 
 
 def _ev(time, side, kind):
@@ -166,7 +174,6 @@ def test_temporal_fixture():
         side=Side.LEFT, start_time=0.0, end_time=0.980, foot_off_time=0.559
     )
     t = temporal_params(stride)
-    assert t.cycle_duration == pytest.approx(0.980, abs=1e-12)
     assert t.stance_duration == pytest.approx(0.559, abs=1e-12)
     assert t.swing_duration == pytest.approx(0.421, abs=1e-12)
     assert t.stance_pct == pytest.approx(100.0 * 0.559 / 0.980, abs=1e-9)
@@ -186,7 +193,8 @@ def test_temporal_identities_exact():
         t = temporal_params(stride)
         # Identities hold exactly because swing values are computed by
         # subtraction, not independently.
-        assert t.stance_duration + t.swing_duration == t.cycle_duration
+        assert t.stance_duration + t.swing_duration == \
+            stride.end_time - stride.start_time
         assert t.stance_pct + t.swing_pct == 100.0
 
 
@@ -272,3 +280,80 @@ def test_ensemble_rejects_mixed_variables():
 def test_ensemble_empty():
     with pytest.raises(EmptyResult):
         ensemble([])
+
+
+# --- analyze_trial ------------------------------------------------------
+
+
+def _walk():
+    """321 frames at 100 Hz: marker ANK with a 2-frame gap (frames 30-31)
+    and a 15-frame one (150-164), analogs angle and moment; left strikes
+    each second, right strikes at 2.2 s and at 3.5 s, past the series."""
+    t = np.arange(321) / 100.0
+    z = 10.0 * np.sin(2.0 * np.pi * t)
+    valid = np.ones(t.size, dtype=bool)
+    valid[30:32] = valid[150:165] = False
+    marker = MarkerTrajectory("ANK", np.column_stack([t, -t, z]), valid)
+    analogs = [AnalogChannel("angle", 2.0 * z, 100.0),
+               AnalogChannel("moment", 0.1 * z, 100.0)]
+    events = [_ev(float(k), Side.LEFT, EventKind.FOOT_STRIKE)
+              for k in range(4)]
+    events += [_ev(0.6, Side.LEFT, EventKind.FOOT_OFF),
+               _ev(1.6, Side.LEFT, EventKind.FOOT_OFF),
+               _ev(2.2, Side.RIGHT, EventKind.FOOT_STRIKE),
+               _ev(3.5, Side.RIGHT, EventKind.FOOT_STRIKE)]
+    trial = Trial(markers=[marker], analogs=analogs, events=[],
+                  point_rate=100.0, analog_rate=100.0, first_frame=1,
+                  last_frame=321)
+    return trial, sorted(events)
+
+
+def test_analyze_trial_names_each_exclusion():
+    trial, events = _walk()
+    result = analyze_trial(trial, events, "ANK.z", moment="moment",
+                           target_mse=0)
+    assert [(side, index, excluded)
+            for side, index, _, excluded in result.strides] == [
+        (Side.LEFT, 0, None), (Side.LEFT, 1, "gap"), (Side.LEFT, 2, None),
+        (Side.RIGHT, 0, "outside-series"),
+    ]
+    assert [stride.start_time for _, _, stride, _ in result.strides] == \
+        [0.0, 1.0, 2.0, 2.2]
+    assert len(result.features) == 2
+    assert result.features[0].peak_plantarflexion_moment is not None
+    assert result.temporal[0].stance_duration == pytest.approx(0.6)
+    assert result.temporal[1] is None  # no foot off in [2, 3]
+    assert result.smoothing is None
+    mean, sd = result.angle_ensemble
+    assert mean.variable == "ANK.z" and mean.units == "deg"
+    assert result.moment_ensemble[0].variable == "moment"
+
+
+def test_analyze_trial_smooths_the_signal_only():
+    trial, events = _walk()
+    result = analyze_trial(trial, events, "angle", moment="moment",
+                           sides=(Side.LEFT,), target_mse=1.0)
+    achieved, met = result.smoothing
+    assert met and achieved == pytest.approx(1.0, rel=0.05)
+    # Without a marker series, no window is invalid.
+    assert [e[3] for e in result.strides] == [None, None, None]
+    unsmoothed = analyze_trial(trial, events, "angle", moment="moment",
+                               sides=(Side.LEFT,), target_mse=0)
+    assert unsmoothed.moment_ensemble[0].samples.tobytes() == \
+        result.moment_ensemble[0].samples.tobytes()
+    assert unsmoothed.angle_ensemble[0].samples.tobytes() != \
+        result.angle_ensemble[0].samples.tobytes()
+    assert analyze_trial(trial, events, "angle").moment_ensemble is None
+
+
+def test_analyze_trial_errors():
+    trial, events = _walk()
+    with pytest.raises(EmptyResult, match="no gait events"):
+        analyze_trial(trial, [], "angle")
+    with pytest.raises(EmptyResult, match="no stride survived"):
+        analyze_trial(trial, events, "angle", sides=(Side.RIGHT,),
+                      target_mse=0)
+    with pytest.raises(ValueError, match="matches no analog channel"):
+        analyze_trial(trial, events, "ANK.w")
+    with pytest.raises(ValueError, match="target_mse must be > 0"):
+        analyze_trial(trial, events, "angle", target_mse=-1.0)

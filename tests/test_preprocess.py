@@ -9,14 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from exogait import preprocess
-from exogait.errors import NonUniformSampling, SeriesTooShort, TooFewValidFrames
-from exogait.preprocess import (
-    GapFillSpec,
-    SmoothingSpec,
-    fill_gaps,
-    smooth_to_mse,
-    smooth_with_lambda,
-)
+from exogait.errors import SeriesTooShort, TooFewValidFrames
+from exogait.preprocess import fill_gaps, smooth_to_mse, smooth_with_lambda
 from exogait.trial import MarkerTrajectory
 from smooth_oracle import oracle_smooth_with_lambda
 from spline_oracle import oracle_fill_gaps
@@ -48,7 +42,7 @@ def _noisy_sine(seed=0, rate=100.0, duration=5.0, amplitude=50.0, noise_sd=None)
 
 def test_constant_series_cannot_reach_target():
     y = np.full(100, 3.0)
-    smoothed, mse, met = smooth_to_mse(y, 100.0, SmoothingSpec())
+    smoothed, mse, met = smooth_to_mse(y, 100.0, 10.0)
     np.testing.assert_allclose(smoothed, y, atol=1e-9)
     assert mse == pytest.approx(0.0, abs=1e-18)
     assert not met
@@ -66,7 +60,7 @@ def test_quadratic_is_penalty_null_space():
 
 def test_noisy_sine_hits_target():
     y = _noisy_sine(seed=1)
-    smoothed, mse, met = smooth_to_mse(y, 100.0, SmoothingSpec(target_mse=10.0))
+    smoothed, mse, met = smooth_to_mse(y, 100.0, 10.0)
     assert met
     assert 9.5 <= mse <= 10.5
     assert roughness(smoothed, 100.0) < roughness(y, 100.0)
@@ -104,39 +98,30 @@ def test_solver_deterministic():
 
 def test_target_scaling():
     y = _noisy_sine(seed=4, noise_sd=5.0)
-    _, mse, met = smooth_to_mse(y, 100.0, SmoothingSpec(target_mse=4.0))
+    _, mse, met = smooth_to_mse(y, 100.0, 4.0)
     assert met
     assert abs(mse - 4.0) <= 0.2
 
 
-def test_non_uniform_times_rejected():
-    y = np.zeros(20)
-    t = np.arange(20) / 100.0
-    t[10] += 0.002
-    with pytest.raises(NonUniformSampling):
-        smooth_to_mse(y, 100.0, SmoothingSpec(), times=t)
-    with pytest.raises(NonUniformSampling):
-        # Uniform but implying a different rate than declared.
-        smooth_to_mse(y, 50.0, SmoothingSpec(), times=np.arange(20) / 100.0)
-
-
 def test_short_series_rejected():
     with pytest.raises(SeriesTooShort):
-        smooth_to_mse(np.zeros(6), 100.0, SmoothingSpec())
+        smooth_to_mse(np.zeros(6), 100.0, 10.0)
 
 
 def test_non_finite_rejected():
     y = np.zeros(20)
     y[3] = np.nan
     with pytest.raises(ValueError):
-        smooth_to_mse(y, 100.0, SmoothingSpec())
+        smooth_to_mse(y, 100.0, 10.0)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        SmoothingSpec(target_mse=0.0)
-    with pytest.raises(ValueError):
-        GapFillSpec(max_gap=0)
+def test_argument_range_checks():
+    with pytest.raises(ValueError,
+                       match=r"^target_mse must be > 0, got 0\.0$"):
+        smooth_to_mse(np.zeros(20), 100.0, 0.0)
+    coords = np.zeros((10, 3))
+    with pytest.raises(ValueError, match=r"^max_gap must be >= 1, got 0$"):
+        fill_gaps(_traj(coords, np.ones(10, dtype=bool)), 0)
 
 
 def test_fill_linear_ramp_gap_exactly():
@@ -147,7 +132,7 @@ def test_fill_linear_ramp_gap_exactly():
     valid[7:10] = False
     broken = coords.copy()
     broken[7:10] = 0.0
-    filled = fill_gaps(_traj(broken, valid), GapFillSpec())
+    filled = fill_gaps(_traj(broken, valid), 10)
     assert filled.valid.all()
     np.testing.assert_allclose(filled.coords, coords, atol=1e-9)
 
@@ -158,7 +143,7 @@ def test_fill_preserves_valid_frames_bit_identical():
     valid = np.ones(40, dtype=bool)
     valid[15:18] = False
     traj = _traj(coords, valid)
-    filled = fill_gaps(traj, GapFillSpec())
+    filled = fill_gaps(traj, 10)
     assert np.array_equal(filled.coords[valid], coords[valid])
 
 
@@ -166,7 +151,7 @@ def test_fill_skips_long_gap():
     coords = np.column_stack([np.arange(30, dtype=float)] * 3)
     valid = np.ones(30, dtype=bool)
     valid[8:20] = False  # 12-frame gap
-    filled = fill_gaps(_traj(coords, valid), GapFillSpec(max_gap=10))
+    filled = fill_gaps(_traj(coords, valid), 10)
     assert not filled.valid[8:20].any()
     assert filled.valid[:8].all() and filled.valid[20:].all()
 
@@ -176,7 +161,7 @@ def test_fill_leaves_leading_and_trailing_gaps():
     valid = np.ones(15, dtype=bool)
     valid[:3] = False
     valid[-2:] = False
-    filled = fill_gaps(_traj(coords, valid), GapFillSpec())
+    filled = fill_gaps(_traj(coords, valid), 10)
     assert not filled.valid[:3].any()
     assert not filled.valid[-2:].any()
 
@@ -186,7 +171,7 @@ def test_fill_needs_four_valid_frames():
     valid = np.zeros(10, dtype=bool)
     valid[[0, 4, 9]] = True
     with pytest.raises(TooFewValidFrames):
-        fill_gaps(_traj(coords, valid), GapFillSpec())
+        fill_gaps(_traj(coords, valid), 10)
 
 
 def test_fill_fits_no_spline_without_an_admissible_gap():
@@ -198,23 +183,23 @@ def test_fill_fits_no_spline_without_an_admissible_gap():
     valid[4:8] = False
     series = _traj(coords, valid)
     with mock.patch.object(preprocess, "_not_a_knot") as spline:
-        filled = fill_gaps(series, GapFillSpec(max_gap=3))
+        filled = fill_gaps(series, 3)
     spline.assert_not_called()
     assert filled.coords.tobytes() == coords.tobytes()
     assert filled.coords is not series.coords
     assert np.array_equal(filled.valid, valid)
     assert filled.valid is not series.valid
     with pytest.raises(ValueError, match="non-finite coordinates"):
-        fill_gaps(series, GapFillSpec(max_gap=4))
+        fill_gaps(series, 4)
 
 
 # --- gap filler against the CubicSpline oracle ----------------------------------
 
 
-def _fill_outcome(fill, series, spec):
+def _fill_outcome(fill, series, max_gap):
     """The filled bytes, or the type and message of what was raised."""
     try:
-        out = fill(series, spec)
+        out = fill(series, max_gap)
     except (TooFewValidFrames, ValueError) as exc:
         return type(exc), str(exc)
     return out.label, out.coords.tobytes(), out.valid.tobytes()
@@ -262,9 +247,8 @@ def _four_valid_frames(n):
 @example(drawn=_four_valid_frames(5))
 def test_fill_gaps_matches_cubic_spline_oracle(drawn):
     series, max_gap = drawn
-    spec = GapFillSpec(max_gap=max_gap)
-    got = _fill_outcome(fill_gaps, series, spec)
-    want = _fill_outcome(oracle_fill_gaps, series, spec)
+    got = _fill_outcome(fill_gaps, series, max_gap)
+    want = _fill_outcome(oracle_fill_gaps, series, max_gap)
     assert got == want
 
 
@@ -309,7 +293,7 @@ def test_smooth_to_mse_on_the_shortest_series(n):
     # smooth_to_mse takes 7 samples or more; on these few the quadratic
     # limit misses the target, so the search runs nonzero lambdas.
     y = np.random.default_rng(0).normal(0.0, 100.0, n)
-    smoothed, achieved, met = smooth_to_mse(y, 100.0, SmoothingSpec())
+    smoothed, achieved, met = smooth_to_mse(y, 100.0, 10.0)
     assert smoothed.shape == (n,)
     assert np.isfinite(smoothed).all()
     assert achieved == pytest.approx(np.mean((y - smoothed) ** 2))
@@ -318,10 +302,10 @@ def test_smooth_to_mse_on_the_shortest_series(n):
 @pytest.mark.parametrize("seed", range(6))
 def test_smooth_to_mse_matches_two_solve_oracle(seed):
     y = _noisy_sine(seed=seed, duration=2.0, noise_sd=1.0 + seed)
-    spec = SmoothingSpec(target_mse=float(1 + seed))
-    got = smooth_to_mse(y, 100.0, spec)
+    target = float(1 + seed)
+    got = smooth_to_mse(y, 100.0, target)
     with mock.patch.object(preprocess, "smooth_with_lambda",
                            oracle_smooth_with_lambda):
-        want = smooth_to_mse(y, 100.0, spec)
+        want = smooth_to_mse(y, 100.0, target)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]

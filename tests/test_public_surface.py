@@ -1,24 +1,66 @@
-"""Public-surface ratchet: every exported name has a user outside tests.
+"""Public-surface ratchets: every exported name has a user outside its own
+module and the tests, and no module reaches into another's private names.
 
-A name in ``exogait.__all__`` earns its place when the library itself, the
-README, the benchmark or the acceptance tests use it. A name that only the
-unit tests reach belongs in the tests.
+A name in ``exogait.__all__`` earns its place when another library module,
+the README, the benchmark or the acceptance tests use it, or when it is a
+class that a public library function returns. A name that only its own
+module and the unit tests reach belongs in that module alone.
 """
 
+import ast
 import re
 from pathlib import Path
 
 import exogait
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "exogait"
+
+# Relative imports of another module's private name, as (importing module,
+# imported module, name). Shrink this set; never grow it.
+_PRIVATE_IMPORTS = {
+    ("cli", "csvio", "_read"),
+    ("cli", "csvio", "_read_strides_csv"),
+    ("cli", "csvio", "_feature_values"),
+}
+
+
+def _modules():
+    """(stem, syntax tree) of each package module."""
+    return [(p.stem, ast.parse(p.read_text(encoding="utf-8")))
+            for p in sorted(PACKAGE.glob("*.py"))]
 
 
 def _sources():
-    package = ROOT / "src" / "exogait"
-    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    """(home module stem or None, lines) of each file whose uses count."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     paths += [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
     paths += sorted((ROOT / "bench").glob("*.py"))
-    return [p.read_text(encoding="utf-8") for p in paths]
+    return [(p.stem if p.parent == PACKAGE else None,
+             p.read_text(encoding="utf-8").splitlines()) for p in paths]
+
+
+def _defined_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _returned_names(tree):
+    """Names in the return annotations of the module's public functions."""
+    return {
+        word
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.returns is not None
+        for word in re.findall(r"\w+", ast.unparse(node.returns))
+    }
 
 
 def _defines(name, line):
@@ -26,15 +68,33 @@ def _defines(name, line):
 
 
 def test_every_export_is_used_outside_the_tests():
-    lines = [line for text in _sources() for line in text.splitlines()]
+    modules = _modules()
+    home = {name: stem for stem, tree in modules
+            for name in _defined_names(tree) | {stem}}
+    returned = set().union(*(_returned_names(tree) for _, tree in modules))
+    sources = _sources()
     unused = [
         name for name in exogait.__all__
-        if not any(re.search(rf"\b{name}\b", line) and not _defines(name, line)
-                   for line in lines)
+        if name not in returned
+        and not any(re.search(rf"\b{name}\b", line)
+                    and not _defines(name, line)
+                    for stem, lines in sources if stem != home[name]
+                    for line in lines)
     ]
     assert unused == []
 
 
 def test_export_count_is_capped():
     # Raise the cap only together with a deliberate new export.
-    assert len(exogait.__all__) <= 52
+    assert len(exogait.__all__) <= 43
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = {
+        (stem, node.module, alias.name)
+        for stem, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names if alias.name.startswith("_")
+    }
+    assert found == _PRIVATE_IMPORTS
