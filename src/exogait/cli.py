@@ -481,6 +481,18 @@ def _cmd_compare(values: dict) -> int:
     baseline, treatment = values["baseline"], values["treatment"]
     if baseline == treatment:
         raise _UsageError("condition labels must be distinct")
+    bounds = []
+    for feature in values["features"]:
+        if values["bound"] is not None:
+            bounds.append(values["bound"])
+        elif feature in _ANGLE_FEATURES:
+            bounds.append(values["angle_bound"])
+        elif feature in _DURATION_FEATURES:
+            bounds.append(values["duration_bound"])
+        else:
+            raise _UsageError(
+                f"feature {feature!r} has no default bound; pass --bound"
+            )
     conditions, trial_codes, trial_names, cells = _read_strides_csv(
         values["inputs"], (baseline, treatment), values["features"]
     )
@@ -491,17 +503,7 @@ def _cmd_compare(values: dict) -> int:
         "alpha": values["alpha"],
         "features": [],
     }
-    for feature in values["features"]:
-        if values["bound"] is not None:
-            bound = values["bound"]
-        elif feature in _ANGLE_FEATURES:
-            bound = values["angle_bound"]
-        elif feature in _DURATION_FEATURES:
-            bound = values["duration_bound"]
-        else:
-            raise _UsageError(
-                f"feature {feature!r} has no default bound; pass --bound"
-            )
+    for feature, bound in zip(values["features"], bounds):
         strides, keep = _feature_values(feature, cells[feature])
         kept_conditions = conditions[keep]
         fit, means_a, means_b = compare_trials(

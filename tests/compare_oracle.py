@@ -216,6 +216,18 @@ def oracle_cmd_compare(values):
     baseline, treatment = values["baseline"], values["treatment"]
     if baseline == treatment:
         raise _UsageError("condition labels must be distinct")
+    bounds = []
+    for feature in values["features"]:
+        if values["bound"] is not None:
+            bounds.append(values["bound"])
+        elif feature in _ANGLE_FEATURES:
+            bounds.append(values["angle_bound"])
+        elif feature in _DURATION_FEATURES:
+            bounds.append(values["duration_bound"])
+        else:
+            raise _UsageError(
+                f"feature {feature!r} has no default bound; pass --bound"
+            )
     rows = _read_strides_csv(values["inputs"])
     cond_code = {baseline: 0, treatment: 1}
     report = {
@@ -225,17 +237,7 @@ def oracle_cmd_compare(values):
         "alpha": values["alpha"],
         "features": [],
     }
-    for feature in values["features"]:
-        if values["bound"] is not None:
-            bound = values["bound"]
-        elif feature in _ANGLE_FEATURES:
-            bound = values["angle_bound"]
-        elif feature in _DURATION_FEATURES:
-            bound = values["duration_bound"]
-        else:
-            raise _UsageError(
-                f"feature {feature!r} has no default bound; pass --bound"
-            )
+    for feature, bound in zip(values["features"], bounds):
         observations = []
         for row in rows:
             condition = row.get("condition")

@@ -898,6 +898,17 @@ def test_compare_unknown_feature_needs_bound(tmp_path, capsys):
     assert "--bound" in _error_line(capsys)
 
 
+def test_compare_missing_bound_is_reported_before_a_file_is_read(
+        tmp_path, capsys):
+    # Used to exit 2 on the missing file, read before the bound was sought.
+    missing = tmp_path / "missing.csv"
+    code = run(["compare", str(missing), "--features", "wobble"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "exogait: error: feature 'wobble' has no default bound; pass --bound\n"
+    )
+
+
 def test_compare_non_numeric_cell(tmp_path, capsys):
     a = tmp_path / "a.csv"
     a.write_text(
