@@ -22,7 +22,7 @@ from .assist import (
     torque_at,
 )
 from .c3d import map_event, read_c3d, write_c3d
-from .csvio import read_csv_trial, read_events_csv
+from .csvio import compare_tables, read_csv_trial, read_events_csv
 from .cycles import (
     CycleFeatures,
     NormalizedCycle,
@@ -87,6 +87,7 @@ __all__ = [
     "TostResult",
     "Trial",
     "analyze_trial",
+    "compare_tables",
     "detect_heel_strikes",
     "ensemble",
     "errors",

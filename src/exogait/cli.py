@@ -23,10 +23,7 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .assist import (
     DEFAULT_MOMENT_ARM,
@@ -35,13 +32,8 @@ from .assist import (
     TorqueProfile,
 )
 from .c3d import read_c3d
-from .csvio import (
-    _feature_values,
-    _read as _read_csv,
-    _read_strides_csv,
-    read_events_csv,
-)
-from .cycles import analyze_trial
+from .csvio import _read as _read_csv, compare_tables, read_events_csv
+from .cycles import analyze_trial, marker_axis
 from .errors import AllWeightsZero, ExogaitError, InvalidProfile
 from .phase import FsrConfig
 from .simulate import (
@@ -50,7 +42,6 @@ from .simulate import (
     PlantParams,
     run_simulation,
 )
-from .stats import compare_trials, tost_welch
 from .trial import EventKind, Side, Trial
 
 SCHEMA_VERSION = 1
@@ -85,36 +76,21 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ComplexityInputs:
-    limbs: int
-    dof: int
-    sensors: int
-    actuators: int
-    w_limbs: float
-    w_dof: float
-    w_sensors: float
-    w_actuators: float
-
-    def __post_init__(self) -> None:
-        for name in ("limbs", "dof", "sensors", "actuators"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("w_limbs", "w_dof", "w_sensors", "w_actuators"):
-            weight = getattr(self, name)
-            if not 0 <= weight < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and >= 0, got {weight}"
-                )
+# The counts of the complexity index, in the order of its weights.
+_COUNTS = ("limbs", "dof", "sensors", "actuators")
 
 
-def complexity_index(inputs: ComplexityInputs) -> float:
-    """Weighted sum w_L*L + w_D*D + w_S*S + w_A*A."""
-    weights = (inputs.w_limbs, inputs.w_dof, inputs.w_sensors,
-               inputs.w_actuators)
+def complexity_index(counts, weights) -> float:
+    """Weighted sum w_L*L + w_D*D + w_S*S + w_A*A of the counts and weights,
+    each in the order of _COUNTS."""
+    for name, count in zip(_COUNTS, counts):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0")
+    for name, weight in zip(_COUNTS, weights):
+        if not 0 <= weight < math.inf:
+            raise ValueError(f"w_{name} must be finite and >= 0, got {weight}")
     if all(w == 0 for w in weights):
         raise AllWeightsZero("all four complexity weights are zero")
-    counts = (inputs.limbs, inputs.dof, inputs.sensors, inputs.actuators)
     return float(sum(w * c for w, c in zip(weights, counts)))
 
 
@@ -348,22 +324,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    return x
-
-
 def _emit_json(obj, path: str | None) -> None:
-    text = json.dumps(_jsonable(obj), indent=2) + "\n"
+    text = json.dumps(obj, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -413,8 +375,7 @@ def _cmd_analyze(values: dict) -> int:
     # The analog and the marker that each series name can select.
     columns = {name for name in (values["signal"], values["moment"])
                if name is not None}
-    columns |= {name[:-2] for name in columns
-                if name[-2:] in (".x", ".y", ".z")}
+    columns |= {marker_axis(name)[0] for name in columns} - {None}
     trial = _load_trial(values["input"], columns)[0]
     result = analyze_trial(
         trial, _load_events(trial, values["events"]), values["signal"],
@@ -493,34 +454,30 @@ def _cmd_compare(values: dict) -> int:
             raise _UsageError(
                 f"feature {feature!r} has no default bound; pass --bound"
             )
-    conditions, trial_codes, trial_names, cells = _read_strides_csv(
-        values["inputs"], (baseline, treatment), values["features"]
+    results = compare_tables(
+        values["inputs"], values["features"], bounds, baseline=baseline,
+        treatment=treatment, alpha=values["alpha"],
     )
     report = {
         "schema_version": SCHEMA_VERSION,
         "baseline": baseline,
         "treatment": treatment,
         "alpha": values["alpha"],
-        "features": [],
+        "features": [
+            {
+                "feature": result.feature,
+                "bound": result.tost.bound,
+                "n_strides": {"baseline": result.n_strides[0],
+                              "treatment": result.n_strides[1]},
+                "n_trials": {"baseline": result.n_trials[0],
+                             "treatment": result.n_trials[1]},
+                "lme": dataclasses.asdict(result.fit),
+                "tost": dataclasses.asdict(result.tost),
+                "equivalent": result.tost.equivalent,
+            }
+            for result in results
+        ],
     }
-    for feature, bound in zip(values["features"], bounds):
-        strides, keep = _feature_values(feature, cells[feature])
-        kept_conditions = conditions[keep]
-        fit, means_a, means_b = compare_trials(
-            strides, kept_conditions, trial_codes[keep], trial_names
-        )
-        tost = tost_welch(means_a, means_b, bound, alpha=values["alpha"])
-        n0 = int(np.count_nonzero(kept_conditions == 0))
-        report["features"].append({
-            "feature": feature,
-            "bound": bound,
-            "n_strides": {"baseline": n0, "treatment": len(strides) - n0},
-            "n_trials": {"baseline": len(means_a),
-                         "treatment": len(means_b)},
-            "lme": dataclasses.asdict(fit),
-            "tost": dataclasses.asdict(tost),
-            "equivalent": tost.equivalent,
-        })
     _emit_json(report, values["out"])
     return 0
 
@@ -597,22 +554,13 @@ def _cmd_simulate(values: dict) -> int:
 
 
 def _cmd_complexity(values: dict) -> int:
-    _require(values, "limbs", "dof", "sensors", "actuators", "weights")
-    weights = values["weights"]
+    _require(values, *_COUNTS, "weights")
     try:
-        inputs = ComplexityInputs(
-            limbs=values["limbs"],
-            dof=values["dof"],
-            sensors=values["sensors"],
-            actuators=values["actuators"],
-            w_limbs=weights[0],
-            w_dof=weights[1],
-            w_sensors=weights[2],
-            w_actuators=weights[3],
-        )
+        index = complexity_index([values[name] for name in _COUNTS],
+                                 values["weights"])
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    print(complexity_index(inputs))
+    print(index)
     return 0
 
 

@@ -228,21 +228,26 @@ class AnalysisResult:
     smoothing: tuple[float, bool] | None
 
 
+def marker_axis(name: str) -> tuple[str | None, int | None]:
+    """(marker label, axis index) that a series name '<label>.x', '.y' or
+    '.z' selects, or (None, None) for a name of no such form."""
+    if len(name) > 2 and name[-2] == "." and name[-1] in "xyz":
+        return name[:-2], "xyz".index(name[-1])
+    return None, None
+
+
 def _series(trial: Trial, name: str, max_gap: int):
     """(samples, rate, validity) of an analog label or of a marker axis
-    '<label>.x', '.y' or '.z'; validity is None for an analog channel."""
+    (see marker_axis); validity is None for an analog channel."""
     for ch in trial.analogs:
         if ch.label == name:
             return np.asarray(ch.samples, float), float(ch.rate), None
-    if len(name) > 2 and name[-2] == "." and name[-1] in "xyz":
-        for mk in trial.markers:
-            if mk.label == name[:-2]:
-                filled = fill_gaps(mk, max_gap)
-                return (
-                    filled.coords[:, "xyz".index(name[-1])].copy(),
-                    float(trial.point_rate),
-                    filled.valid,
-                )
+    label, axis = marker_axis(name)
+    for mk in trial.markers:
+        if mk.label == label:
+            filled = fill_gaps(mk, max_gap)
+            return (filled.coords[:, axis].copy(), float(trial.point_rate),
+                    filled.valid)
     raise ValueError(
         f"signal {name!r} matches no analog channel and no marker axis"
     )

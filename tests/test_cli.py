@@ -28,7 +28,7 @@ from analyze_oracle import oracle_cmd_analyze
 from compare_oracle import oracle_cmd_compare
 from exogait import cli, csvio
 from exogait.c3d import write_c3d
-from exogait.cli import STRIDE_COLUMNS, ComplexityInputs, complexity_index, run
+from exogait.cli import STRIDE_COLUMNS, complexity_index, run
 from exogait.trial import EventKind, GaitEvent, MarkerTrajectory, Side, Trial
 from test_c3d import _param_fields
 
@@ -103,10 +103,10 @@ def test_complexity_equal_weights(capsys):
 
 
 def test_complexity_index_linear_in_weights():
-    base = ComplexityInputs(2, 1, 4, 2, 0.5, 1.5, 0.25, 2.0)
-    doubled = ComplexityInputs(2, 1, 4, 2, 1.0, 3.0, 0.5, 4.0)
-    assert complexity_index(doubled) == pytest.approx(
-        2.0 * complexity_index(base))
+    counts = (2, 1, 4, 2)
+    base = complexity_index(counts, (0.5, 1.5, 0.25, 2.0))
+    doubled = complexity_index(counts, (1.0, 3.0, 0.5, 4.0))
+    assert doubled == pytest.approx(2.0 * base)
 
 
 def test_complexity_all_zero_weights(capsys):

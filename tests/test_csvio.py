@@ -1,4 +1,4 @@
-"""Tests for the CSV trial grammar and the events sidecar."""
+"""Tests for the CSV trial grammar, the events sidecar and compare_tables."""
 
 import csv
 import io
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from csv_oracle import oracle_read_csv_trial
 from exogait import csvio
 from exogait.c3d import read_c3d, write_c3d
-from exogait.csvio import read_csv_trial, read_events_csv
+from exogait.csvio import compare_tables, read_csv_trial, read_events_csv
 from exogait.errors import (
     BadHeaderRow,
     MalformedCsv,
@@ -706,3 +706,27 @@ def test_csv_and_c3d_routes_agree(seed, n_markers, n_frames, rate,
             a.coords[a.valid], b.coords[b.valid],
             rtol=np.finfo(np.float32).eps, atol=0.0,
         )
+
+
+def test_compare_tables(tmp_path):
+    path = tmp_path / "s.csv"
+    rows = ["trial_id,condition,rom,side"]
+    rows += [f"t{i % 4},{'NoExo' if i % 4 < 2 else 'ExoOff'},{10 + i % 3},x"
+             for i in range(24)]
+    rows += ["t9,Other,99,x", "t1,NoExo,,x"]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    results = compare_tables([path], ["rom", "rom"], [2.0, 0.5],
+                             baseline="NoExo", treatment="ExoOff", alpha=0.1)
+    assert [r.feature for r in results] == ["rom", "rom"]
+    first, second = results
+    # The other condition's row and the empty cell are dropped.
+    assert first.n_strides == (12, 12) and first.n_trials == (2, 2)
+    assert first.fit == second.fit
+    assert (first.tost.bound, second.tost.bound) == (2.0, 0.5)
+    assert first.tost.alpha == 0.1
+    with pytest.raises(ValueError, match="distinct"):
+        compare_tables([path], ["rom"], [2.0], baseline="NoExo",
+                       treatment="NoExo", alpha=0.1)
+    with pytest.raises(ValueError, match="1 features but 2 bounds"):
+        compare_tables([path], ["rom"], [2.0, 1.0], baseline="NoExo",
+                       treatment="ExoOff", alpha=0.1)
