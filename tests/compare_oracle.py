@@ -257,6 +257,14 @@ def oracle_cmd_compare(values):
                 condition=cond_code[condition],
                 trial_id=str(row["trial_id"]),
             ))
+        missing = [label for code, label in enumerate((baseline, treatment))
+                   if all(o.condition != code for o in observations)]
+        if len(missing) == 1:
+            raise SingularDesign(f"condition {missing[0]!r} has no strides")
+        if missing:
+            raise SingularDesign(
+                f"conditions {missing[0]!r} and {missing[1]!r} have no strides"
+            )
         fit = oracle_fit_lme(observations)
         means_a, means_b = oracle_trial_means(observations)
         tost = tost_welch(means_a, means_b, bound, alpha=values["alpha"])
