@@ -52,6 +52,7 @@ from .errors import (
     MalformedCsv,
     NonNumericCell,
     RaggedRows,
+    SingularDesign,
     UnknownEventLabel,
 )
 from .trial import AnalogChannel, GaitEvent, MarkerTrajectory, Trial
@@ -669,7 +670,8 @@ def compare_tables(paths, features, bounds, *, baseline: str, treatment: str,
     """One comparison per feature, in order, over the strides CSVs at paths:
     what compare runs. Rows of condition baseline are coded 0, of treatment
     1, and others dropped; compare_trials fits features[i] and tost_welch
-    tests its trial means against bounds[i] at alpha."""
+    tests its trial means against bounds[i] at alpha. A condition with no
+    strides of a feature raises SingularDesign naming its label."""
     if baseline == treatment:
         raise ValueError("condition labels must be distinct")
     if len(bounds) != len(features):
@@ -681,13 +683,22 @@ def compare_tables(paths, features, bounds, *, baseline: str, treatment: str,
     for feature, bound in zip(features, bounds):
         strides, keep = _feature_values(feature, cells[feature])
         kept_conditions = conditions[keep]
+        n0 = int(np.count_nonzero(kept_conditions == 0))
+        n_strides = (n0, len(strides) - n0)
+        empty = [label for label, n in zip((baseline, treatment), n_strides)
+                 if n == 0]
+        if len(empty) == 1:
+            raise SingularDesign(f"condition {empty[0]!r} has no strides")
+        if empty:
+            raise SingularDesign(
+                f"conditions {empty[0]!r} and {empty[1]!r} have no strides"
+            )
         fit, means_a, means_b = compare_trials(
             strides, kept_conditions, trial_codes[keep], trial_names
         )
-        n0 = int(np.count_nonzero(kept_conditions == 0))
         results.append(FeatureComparison(
             feature=feature,
-            n_strides=(n0, len(strides) - n0),
+            n_strides=n_strides,
             n_trials=(len(means_a), len(means_b)),
             fit=fit,
             tost=tost_welch(means_a, means_b, bound, alpha=alpha),

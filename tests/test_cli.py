@@ -1203,10 +1203,24 @@ def test_compare_label_matches_no_plain_row(labels):
             [data], ["--features", "rom", *labels], **consts)
         assert got == want
         (code, out, err, _), _ = got
-        missing = 1 if labels[0] == "--treatment" else 0
         assert (code, out) == (2, "")
-        assert err.startswith(f"exogait: error: condition(s) [{missing}] "
-                              "have no trials")
+        assert err == (f"exogait: error: condition {labels[1]!r} has no "
+                       "strides\n")
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["--baseline", "Nope"], "condition 'Nope' has no strides"),
+    (["--treatment", "Nope"], "condition 'Nope' has no strides"),
+    (["--baseline", "Nope", "--treatment", "Nah"],
+     "conditions 'Nope' and 'Nah' have no strides"),
+])
+def test_compare_names_a_condition_without_strides(labels, message):
+    """A label that matches no row is named as typed, not by its code."""
+    got, want = _compare_with_oracle(
+        [_plain_strides(12)], ["--features", "rom", *labels])
+    assert got == want
+    (code, out, err, _), _ = got
+    assert (code, out, err) == (2, "", f"exogait: error: {message}\n")
 
 
 def test_compare_invalid_utf8_after_first_8k():
