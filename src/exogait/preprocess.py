@@ -20,8 +20,8 @@ from .errors import SeriesTooShort, TooFewValidFrames
 from .trial import MarkerTrajectory
 
 # The LAPACK routines come from scipy's extension module, loaded by
-# _lapack() when first called: most commands neither smooth nor fill gaps,
-# and importing scipy.linalg would take most of a cold analyze.
+# scipy_extension() when first called: most commands neither smooth nor
+# fill gaps, and importing scipy.linalg would take most of a cold analyze.
 
 LAMBDA_LO = 1e-12
 LAMBDA_HI = 1e12
@@ -70,38 +70,59 @@ def fill_gaps(series: MarkerTrajectory, max_gap: int) -> MarkerTrajectory:
 
 
 @functools.cache
-def _lapack():
-    """scipy's f2py LAPACK module, the source of dgtsv, dpbtrf and dpbtrs.
+def scipy_extension(subpackage: str, name: str):
+    """scipy's extension module scipy.<subpackage>.<name>, loaded without
+    running the package init of scipy.<subpackage>.
 
-    The extension file is loaded under its real name, scipy.linalg._flapack,
-    without running the package inits of scipy and scipy.linalg; its
-    routines are the objects scipy.linalg.lapack exports. Loading leaves
-    the module in sys.modules, where scipy.linalg's own import would find it
-    and never set it as the package's attribute, so the entry is dropped;
-    that import then reuses the same routines. Without the file, the
-    routines come from scipy.linalg.lapack.
+    Three LAPACK routines (linalg._flapack) and one Student-t tail
+    (special._ufuncs) are all the commands use of scipy, and the inits of
+    scipy.linalg and scipy.special take longer than most commands' work.
+    The extension file is loaded under its real name beneath a bare
+    stand-in for its package, a module with only the package's __path__
+    and spec, through which the extension imports its sibling extensions.
+    The attribute scipy.<subpackage> is never read: scipy's lazy
+    __getattr__ would import the whole package. Afterwards the stand-in
+    and the extension's own sys.modules entry are dropped, each if it is
+    still the registered one, so that a later import of the real package
+    loads the extension itself and binds it as the package's attribute;
+    that load gives back the same routine objects. An imported package or
+    extension is reused. Where the file cannot be loaded, the extension
+    comes from an import of the package.
     """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    from importlib import machinery, util
+    package = f"scipy.{subpackage}"
+    qualname = f"{package}.{name}"
+    if qualname in sys.modules:
+        return sys.modules[qualname]
+    from importlib import import_module, machinery, util
+    if package in sys.modules:
+        return import_module(qualname)
     try:
         scipy = util.find_spec("scipy")
         if scipy is None or not scipy.submodule_search_locations:
             raise ImportError("scipy is not installed")
-        finder = machinery.FileFinder(
-            os.path.join(scipy.submodule_search_locations[0], "linalg"),
-            (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
-        )
-        spec = finder.find_spec(name)
+        path = os.path.join(scipy.submodule_search_locations[0], subpackage)
+        spec = machinery.FileFinder(
+            path, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+        ).find_spec(qualname)
         if spec is None:
-            raise ImportError(f"no {name} extension in scipy")
-        module = util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+            raise ImportError(f"no {qualname} extension in scipy")
+        stand_in = util.module_from_spec(
+            machinery.ModuleSpec(package, None, is_package=True)
+        )
+        stand_in.__path__.append(path)
+        sys.modules[package] = stand_in
+        module = None
+        try:
+            module = util.module_from_spec(spec)
+            sys.modules[qualname] = module
+            spec.loader.exec_module(module)
+        finally:
+            if sys.modules.get(package) is stand_in:
+                del sys.modules[package]
+            if module is not None and sys.modules.get(qualname) is module:
+                del sys.modules[qualname]
     except (ImportError, OSError):
-        from scipy.linalg import lapack
-        return lapack
-    sys.modules.pop(name, None)
+        return import_module(qualname)
     return module
 
 
@@ -129,7 +150,9 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
             + dxr[0]**2 * slope[1]) / d0
     b[-1] = (dxr[-1]**2 * slope[-2]
              + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-    *_, s, info = _lapack().dgtsv(dl, d, du, b)
+    *_, s, info = scipy_extension("linalg", "_flapack").dgtsv(
+        dl, d, du, b
+    )
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
@@ -178,14 +201,15 @@ def smooth_with_lambda(
     # is factored, as scipy's banded solvers do.
     np.asarray_chkfinite(ab)
     np.asarray_chkfinite(d3y)
-    chol, info = _lapack().dpbtrf(ab)
+    flapack = scipy_extension("linalg", "_flapack")
+    chol, info = flapack.dpbtrf(ab)
     if info > 0:
         return _quadratic_limit(y)
-    z = _lapack().dpbtrs(chol, d3y)[0]
+    z = flapack.dpbtrs(chol, d3y)[0]
     # (D3 D3^T) z as the middle m entries of the full product; mode="same"
     # would return 7 entries when m < 7.
     residual = d3y - (z + c * np.convolve(z, _D3_AUTOCORR)[3:3 + m])
-    z = z + _lapack().dpbtrs(chol, np.asarray_chkfinite(residual))[0]
+    z = z + flapack.dpbtrs(chol, np.asarray_chkfinite(residual))[0]
     return y - c * np.convolve(z, _D3_STENCIL, mode="full")
 
 

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DidNotConverge, SingularDesign
+from .preprocess import scipy_extension
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_LAM_LO = -12.0
@@ -315,9 +316,7 @@ def tost_welch(
         df = (ra + rb) ** 2 / (ra**2 / (a.size - 1) + rb**2 / (b.size - 1))
     t_upper = (diff + bound) / se
     t_lower = (diff - bound) / se
-    # Imported here: the import is slow, and only compare needs it.
-    from scipy.special import stdtr
-
+    stdtr = scipy_extension("special", "_ufuncs").stdtr
     p_upper = float(stdtr(df, -t_upper))  # upper tail via symmetry
     p_lower = float(stdtr(df, t_lower))
     return TostResult(

@@ -216,17 +216,23 @@ def test_console_script_on_path(tmp_path):
 
 # A child interpreter that runs the command line on its arguments (none:
 # only the import) and prints the scipy modules then loaded as its last line.
+# Every one of them must be a module loaded from its file: no bare stand-in
+# for a scipy package may be left behind.
 _SCIPY_MODULES = (
     "import json, sys\n"
     "from exogait.cli import run\n"
     "code = run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
     "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+    "stand_ins = [m for m in loaded if not getattr(sys.modules[m],\n"
+    "                                              '__file__', None)]\n"
+    "assert stand_ins == [], stand_ins\n"
     "print(json.dumps(sorted(loaded)))\n"
     "sys.exit(code)\n"
 )
 # The same, where an extension module found by a FileFinder made after
-# exogait's import fails to load, so that the LAPACK routines have to come
-# from scipy.linalg.lapack.
+# exogait's import fails to load, so that the LAPACK routines and the
+# Student-t tail have to come from imports of scipy.linalg and
+# scipy.special.
 _SCIPY_MODULES_NO_FILE_LOAD = _SCIPY_MODULES.replace(
     "from exogait.cli import run\n",
     "from exogait.cli import run\n"
@@ -275,19 +281,22 @@ def _analyze_marker_argv(tmp_path, name):
 def test_analyze_and_compare_load_no_interpolate(tmp_path):
     """A marker signal is gap-filled and smoothed through scipy's LAPACK
     extension alone, loaded without the scipy.linalg package or scipy's
-    helpers, and compare needs only scipy.special, so scipy.interpolate
-    stays unloaded."""
+    helpers, and compare takes the Student-t tail from scipy's ufunc
+    extension, loaded with its sibling extensions but without the
+    scipy.special package, so scipy.stats, scipy.linalg and
+    scipy.interpolate stay unloaded too."""
     loaded = _scipy_after(_analyze_marker_argv(tmp_path, "a"), tmp_path)
     assert "scipy.linalg" not in loaded
     assert "scipy._lib" not in loaded
     assert "scipy.interpolate" not in loaded
-    _write_strides(tmp_path / "s.csv",
-                   [("t1", "NoExo", 30.0), ("t2", "NoExo", 31.0),
-                    ("t3", "ExoOff", 30.5), ("t4", "ExoOff", 31.5)])
-    loaded = _scipy_after(["compare", "s.csv", "--features", "rom"],
-                          tmp_path)
-    assert "scipy.special" in loaded
-    assert "scipy.interpolate" not in loaded
+    loaded = _scipy_after(_compare_argv(tmp_path, "c"), tmp_path)
+    # _ufuncs itself is dropped from sys.modules after its load (see
+    # preprocess.scipy_extension); the extensions it imports stay.
+    assert {"scipy.special._ufuncs_cxx",
+            "scipy.special._special_ufuncs"} <= loaded
+    for package in ("scipy.special", "scipy.special._basic", "scipy.stats",
+                    "scipy.linalg", "scipy.interpolate"):
+        assert package not in loaded, package
 
 
 def test_analyze_without_the_lapack_file_load_writes_the_same_bytes(tmp_path):
@@ -310,7 +319,7 @@ def test_analyze_without_the_lapack_file_load_writes_the_same_bytes(tmp_path):
 _LAPACK_ORDER = (
     "import sys\n"
     "from exogait.cli import run\n"
-    "from exogait.preprocess import _lapack\n"
+    "from exogait.preprocess import scipy_extension\n"
     "if sys.argv[1] == 'scipy-first':\n"
     "    import scipy.linalg.lapack\n"
     "assert run(sys.argv[2:]) == 0\n"
@@ -319,7 +328,7 @@ _LAPACK_ORDER = (
     "flapack = sys.modules['scipy.linalg._flapack']\n"
     "assert _flapack is flapack is scipy.linalg._flapack\n"
     "for name in ('dgtsv', 'dpbtrf', 'dpbtrs'):\n"
-    "    routine = getattr(_lapack(), name)\n"
+    "    routine = getattr(scipy_extension('linalg', '_flapack'), name)\n"
     "    assert routine is getattr(scipy.linalg.lapack, name), name\n"
     "    assert routine is getattr(flapack, name), name\n"
 )
@@ -332,6 +341,55 @@ def test_lapack_routines_are_scipys_in_either_import_order(order, tmp_path):
          *_analyze_marker_argv(tmp_path, "a")],
         capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def _compare_argv(tmp_path, name):
+    """compare on a four-trial strides table, writing name_v.json."""
+    _write_strides(tmp_path / "s.csv",
+                   [("t1", "NoExo", 30.0), ("t2", "NoExo", 31.0),
+                    ("t3", "ExoOff", 30.5), ("t4", "ExoOff", 31.5)])
+    return ["compare", "s.csv", "--features", "rom",
+            "--out", f"{name}_v.json"]
+
+
+# Runs compare before or after importing scipy.special, then checks that the
+# Student-t tail compare used is scipy's own and that the package's _ufuncs
+# attribute is the extension module.
+_UFUNCS_ORDER = (
+    "import sys\n"
+    "from exogait.cli import run\n"
+    "from exogait.preprocess import scipy_extension\n"
+    "if sys.argv[1] == 'scipy-first':\n"
+    "    import scipy.special\n"
+    "assert run(sys.argv[2:]) == 0\n"
+    "import scipy.special\n"
+    "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+    "assert scipy.special._ufuncs is ufuncs\n"
+    "stdtr = scipy_extension('special', '_ufuncs').stdtr\n"
+    "assert stdtr is ufuncs.stdtr is scipy.special.stdtr\n"
+)
+
+
+@pytest.mark.parametrize("order", ["compare-first", "scipy-first"])
+def test_student_t_tail_is_scipys_in_either_import_order(order, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _UFUNCS_ORDER, order,
+         *_compare_argv(tmp_path, "c")],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_compare_without_the_ufunc_file_load_writes_the_same_bytes(tmp_path):
+    """When scipy's ufunc extension cannot be loaded from its file, compare
+    takes the Student-t tail from scipy.special, with the same verdict, and
+    leaves no stand-in for the package behind."""
+    outputs = {}
+    for name, script in (("file", _SCIPY_MODULES),
+                         ("package", _SCIPY_MODULES_NO_FILE_LOAD)):
+        loaded = _scipy_after(_compare_argv(tmp_path, name), tmp_path, script)
+        assert ("scipy.special" in loaded) == (name == "package")
+        outputs[name] = (tmp_path / f"{name}_v.json").read_bytes()
+    assert outputs["file"] == outputs["package"]
 
 
 # --- inspect ---------------------------------------------------------------------
