@@ -32,7 +32,7 @@ from .assist import (
     TorqueProfile,
 )
 from .c3d import read_c3d
-from .csvio import _read as _read_csv, compare_tables, read_events_csv
+from .csvio import compare_tables, read_csv_with_labels, read_events_csv
 from .cycles import analyze_trial, marker_axis
 from .errors import AllWeightsZero, ExogaitError, InvalidProfile
 from .phase import FsrConfig
@@ -306,7 +306,7 @@ def _load_trial(path: str, columns):
         trial = read_c3d(Path(path).read_bytes())
         return (trial, [m.label for m in trial.markers],
                 [c.label for c in trial.analogs])
-    return _read_csv(Path(path).read_bytes(), columns)
+    return read_csv_with_labels(Path(path).read_bytes(), columns)
 
 
 def _load_events(trial: Trial, events_path: str | None) -> list:

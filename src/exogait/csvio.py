@@ -359,8 +359,8 @@ def _parse_rows(text: str, columns):
     )
 
 
-def _read(text: str | bytes, columns):
-    """Trial of the requested columns, and every marker and analog label.
+def read_csv_with_labels(text: str | bytes, columns):
+    """(trial of the requested columns, marker labels, analog labels).
 
     text is the table as str, or as the bytes of a UTF-8 file, which is
     decoded as a text-mode read would be (universal newlines) unless the
@@ -428,7 +428,7 @@ def read_csv_trial(text: str, columns=None) -> Trial:
     channels converted and returned to those with a label in it; None
     takes every column. The whole table is checked either way.
     """
-    return _read(text, columns)[0]
+    return read_csv_with_labels(text, columns)[0]
 
 
 def _read_strides_csv(paths, labels, features) -> tuple:

@@ -463,10 +463,11 @@ def test_file_bytes_read_as_text_mode_read(table, data):
 
     def text_mode(raw):
         text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-        return csvio._read(text, columns)[0]
+        return csvio.read_csv_with_labels(text, columns)[0]
 
-    assert _outcome(lambda raw: csvio._read(raw, columns)[0], raw) == \
-        _outcome(text_mode, raw)
+    assert _outcome(
+        lambda raw: csvio.read_csv_with_labels(raw, columns)[0], raw
+    ) == _outcome(text_mode, raw)
 
 
 @pytest.mark.parametrize("analogs_first", [False, True],

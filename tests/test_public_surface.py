@@ -19,7 +19,7 @@ PACKAGE = ROOT / "src" / "exogait"
 # Uses of another module's private name, by import or as an attribute of
 # the module, as (using module, used module, name). Shrink this set; never
 # grow it.
-_PRIVATE_IMPORTS = {("cli", "csvio", "_read")}
+_PRIVATE_IMPORTS = set()
 
 
 def _modules():
@@ -98,7 +98,7 @@ def _private_uses(tree, stems):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             # from . import csvio, from exogait import csvio: a module;
-            # from .csvio import _read, from exogait.csvio import _read: a
+            # from .csvio import _split, from exogait.csvio import _split: a
             # module's name.
             module = "exogait" if node.level else ""
             if node.module:
@@ -124,7 +124,7 @@ def _private_uses(tree, stems):
             found.add((aliases[value.id], node.attr))
         elif isinstance(value, ast.Attribute) and value.attr in stems and \
                 ast.unparse(value.value) == "exogait":
-            found.add((value.attr, node.attr))  # exogait.csvio._read
+            found.add((value.attr, node.attr))  # exogait.csvio._split
     return found
 
 
