@@ -71,23 +71,20 @@ def fill_gaps(series: MarkerTrajectory, max_gap: int) -> MarkerTrajectory:
 
 @functools.cache
 def scipy_extension(subpackage: str, name: str):
-    """scipy's extension module scipy.<subpackage>.<name>, loaded without
-    running the package init of scipy.<subpackage>.
+    """scipy's extension module scipy.<subpackage>.<name>, without the
+    package init of scipy.<subpackage>, which takes longer than most
+    commands' work.
 
-    Three LAPACK routines (linalg._flapack) and one Student-t tail
-    (special._ufuncs) are all the commands use of scipy, and the inits of
-    scipy.linalg and scipy.special take longer than most commands' work.
-    The extension file is loaded under its real name beneath a bare
-    stand-in for its package, a module with only the package's __path__
-    and spec, through which the extension imports its sibling extensions.
-    The attribute scipy.<subpackage> is never read: scipy's lazy
-    __getattr__ would import the whole package. Afterwards the stand-in
-    and the extension's own sys.modules entry are dropped, each if it is
-    still the registered one, so that a later import of the real package
-    loads the extension itself and binds it as the package's attribute;
-    that load gives back the same routine objects. An imported package or
-    extension is reused. Where the file cannot be loaded, the extension
-    comes from an import of the package.
+    The file is loaded under its real name beneath a bare stand-in for the
+    package (only its __path__ and spec), through which the extension
+    imports its sibling extensions. The stand-in and the extension's own
+    sys.modules entry are then dropped, each if still registered, so that
+    a later import of the real package loads the extension again, gets the
+    same routine objects and binds it as the package's attribute. The
+    attribute scipy.<subpackage> is never read: scipy's lazy __getattr__
+    would import the whole package. An imported package or extension is
+    reused; where the file cannot be loaded, the extension comes from an
+    import of the package.
     """
     package = f"scipy.{subpackage}"
     qualname = f"{package}.{name}"
