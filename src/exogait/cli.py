@@ -225,17 +225,6 @@ _OPTION_TABLE: dict[str, dict[str, tuple]] = {
     },
 }
 
-# Per-command help and positional arguments (name -> nargs), in the order
-# the subcommands are listed.
-_COMMANDS: dict[str, tuple[str, dict]] = {
-    "inspect": ("print a trial summary", {"input": None}),
-    "analyze": ("per-stride features and ensemble curves", {"input": None}),
-    "compare": ("equivalence verdict over strides CSVs", {"inputs": "+"}),
-    "simulate": ("closed-loop tension simulation", {}),
-    "complexity": ("weighted complexity index", {}),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 via _UsageError, single line
         raise _UsageError(message)
@@ -244,7 +233,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="exogait", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, positionals) in _COMMANDS.items():
+    for command, (help_text, positionals, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name, nargs in positionals.items():
             p.add_argument(name, nargs=nargs)
@@ -252,11 +241,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--" + dest.replace("_", "-"), help=option_help)
         p.add_argument("--config", help="JSON file mirroring the flags")
     return parser
-
-
-# Built once: parse_args leaves the parser unchanged, and building it costs
-# milliseconds on every run() call.
-_PARSER = _build_parser()
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -564,13 +548,21 @@ def _cmd_complexity(values: dict) -> int:
     return 0
 
 
-_DISPATCH = {
-    "inspect": _cmd_inspect,
-    "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
-    "simulate": _cmd_simulate,
-    "complexity": _cmd_complexity,
+# Per-command help, positional arguments (name -> nargs) and handler, in
+# the order the subcommands are listed.
+_COMMANDS = {
+    "inspect": ("print a trial summary", {"input": None}, _cmd_inspect),
+    "analyze": ("per-stride features and ensemble curves", {"input": None},
+                _cmd_analyze),
+    "compare": ("equivalence verdict over strides CSVs", {"inputs": "+"},
+                _cmd_compare),
+    "simulate": ("closed-loop tension simulation", {}, _cmd_simulate),
+    "complexity": ("weighted complexity index", {}, _cmd_complexity),
 }
+
+# Built once: parse_args leaves the parser unchanged, and building it costs
+# milliseconds on every run() call.
+_PARSER = _build_parser()
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -584,7 +576,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         values = _resolve(args)
-        return _DISPATCH[args.command](values)
+        return _COMMANDS[args.command][2](values)
     except _UsageError as exc:
         print(f"exogait: error: {exc}", file=sys.stderr)
         return 1

@@ -19,16 +19,19 @@ then converts only the requested marker triples and analog columns; a
 cell in any other column is never parsed, so it cannot fail the read.
 Plain numeric text (see _parse_plain) is taken apart on its UTF-8 bytes;
 any other text, or plain text the byte route cannot take as it is, goes
-through csv.reader and a column-by-column conversion. Both give the arrays
-and the errors of a cell-by-cell read of the requested columns.
+through csv.reader and one conversion of the stripped requested columns.
+Both give the arrays and the errors of a cell-by-cell read of the
+requested columns.
 
 A strides table is read as csv.DictReader reads it (see
-_read_strides_csv): on its bytes when plain, else by csv.reader. Both byte
-routes use one splitter, _split, which finds the newlines, counts each
+_read_strides_csv): on its bytes when plain, else by csv.DictReader. Both
+byte routes use one splitter, _split, which finds the newlines, counts each
 line's commas, skips blank lines where they are and places the cells of
 the requested columns, and one gather, _cells, which copies just those
-cells into a numpy bytes array. numpy's bytes to float64 cast reads a cell
-of [0-9.eE+-] as float() does, and fails where float() fails.
+cells into a numpy bytes array. A file whose header line ends in \\r\\n may
+end any line so; a \\r anywhere else sends it to the csv module. numpy's
+bytes to float64 cast reads a cell of [0-9.eE+-] as float() does, and
+fails where float() fails.
 
 Events travel in a separate sidecar CSV (CSV trials have nowhere to put
 them): header ``time,context,label``, one event per row, using the same
@@ -43,7 +46,6 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import compress, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -61,7 +63,7 @@ from .stats import LmeFit, TostResult, compare_trials, tost_welch
 
 # The bytes of a plain trial body.
 _PLAIN_BYTES = b"0123456789.eE+-,\n"
-# Strides CSV rows tokenized at a time by csv.reader.
+# Strides CSV rows read at a time by csv.DictReader.
 _ROW_CHUNK = 4096
 # Bytes of a plain strides CSV split at a time.
 _PLAIN_BLOCK = 1 << 20
@@ -72,29 +74,37 @@ _PLAIN_MIN_BYTES = 8192
 # A plain block whose requested cells, padded to the longest, would take
 # more than this many bytes per byte of the block is left to csv.reader.
 _BYTES_PAD = 8
-# Bytes csv.reader gives a meaning of their own besides ',' and '\n': the
-# quote, the carriage return and, before Python 3.11, NUL.
-_NOT_PLAIN = (b'"', b"\r") + ((b"\0",) if sys.version_info < (3, 11) else ())
+# Bytes csv.reader gives a meaning of their own besides ',' and the line
+# ends, which _split takes: the quote and, before Python 3.11, NUL.
+_NOT_PLAIN = (b'"',) + ((b"\0",) if sys.version_info < (3, 11) else ())
 # The bytes of a plain decimal feature cell, which numpy parses, and the
 # newline that ends each cell from _cells.
 _DECIMAL = np.zeros(256, bool)
 _DECIMAL[np.frombuffer(b"0123456789.eE+-\n", np.uint8)] = True
 
 
-def _split(buf, width, columns) -> tuple | None:
+def _split(buf, width, columns, crlf) -> tuple | None:
     """(starts, lengths) of the cells of the given columns in buf, a uint8
     array of CSV lines without the bytes of _NOT_PLAIN, or None.
 
-    Blank lines hold no row and are skipped where they are; there is a row
-    per other line, and a column the file lacks (None) has empty cells.
-    None when a line does not hold width - 1 commas or is longer than the
-    field limit, or when padding the cells to the longest would take more
-    than _BYTES_PAD bytes per byte of buf.
+    buf holds no \\r when crlf is false. When it is true, a \\r directly
+    before a \\n ends the line with it. Blank lines hold no row and are
+    skipped where they are; there is a row per other line, and a column the
+    file lacks (None) has empty cells. None when buf holds any other \\r,
+    when a line does not hold width - 1 commas or is longer than the field
+    limit, or when padding the cells to the longest would take more than
+    _BYTES_PAD bytes per byte of buf.
     """
-    edges = np.concatenate(
-        ([-1], np.flatnonzero(buf == ord("\n")), [buf.size])
-    )
-    sizes = np.diff(edges) - 1
+    newlines = np.flatnonzero(buf == ord("\n"))
+    edges = np.concatenate(([-1], newlines, [buf.size]))
+    ends = edges[1:]  # of each line: its newline, or the end of buf
+    if crlf:
+        # The byte before each newline (a newline at 0 looks at itself).
+        cr = buf[np.maximum(newlines, 1) - 1] == ord("\r")
+        if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(cr):
+            return None
+        ends = ends - np.append(cr, False)
+    sizes = ends - edges[:-1] - 1
     if sizes.max() > csv.field_size_limit():
         return None
     lines = sizes > 0
@@ -102,11 +112,10 @@ def _split(buf, width, columns) -> tuple | None:
     if (np.diff(np.searchsorted(commas, edges))[lines] != width - 1).any():
         return None
     # Cell c of a row runs from bounds[c] + 1 up to bounds[c + 1]: the
-    # newline before the line, its commas, and the newline after it (or the
-    # end of buf).
+    # newline before the line, its commas, and the end of the line.
     n = int(np.count_nonzero(lines))
     bounds = [edges[:-1][lines], *commas.reshape(n, width - 1).T,
-              edges[1:][lines]]
+              ends[lines]]
     take = [j or 0 for j in columns]
     starts = np.column_stack([bounds[j] for j in take]) + 1
     lengths = np.column_stack([bounds[j + 1] for j in take]) - starts
@@ -187,23 +196,11 @@ def _parse_columns(data_rows, width, marker_cols, analog_cols):
     analog cell) to raise the first error.
     """
     if all(len(row) == width for row in data_rows):
-        columns = list(zip(*data_rows))
+        used = set(_used(marker_cols, analog_cols))
+        columns = [list(map(str.strip, col)) if c in used else col
+                   for c, col in enumerate(zip(*data_rows))]
         try:
             return _convert(columns, marker_cols, analog_cols)
-        except ValueError:
-            pass
-        # The raw pass is exact whenever it succeeds, but it can fail where a
-        # stripped read succeeds: float() keeps the separators \x1c-\x1f
-        # that str.strip() removes, and a whitespace-only triple is a gap
-        # only once stripped.
-        used = set(_used(marker_cols, analog_cols))
-        try:
-            return _convert(
-                [list(map(str.strip, col)) if c in used else col
-                 for c, col in enumerate(columns)],
-                marker_cols,
-                analog_cols,
-            )
         except ValueError:
             pass
     for r, row in enumerate(data_rows, start=2):
@@ -284,21 +281,28 @@ def _parse_plain(data: bytes, columns):
 
     The table is plain when its first line is the header, with no quote,
     and the body holds only digits, '.', 'e', 'E', '+', '-', commas and
-    newlines, which csv.reader splits at its commas: _split places the time
-    and requested cells, _cells gathers them and numpy's cast reads the
-    non-empty ones. Whatever that cannot take as it is (a long header, a
-    line _split refuses, fewer than two rows, an empty time or requested
-    analog cell, a partly empty requested triple, a cell the cast fails on)
-    returns None, so every error comes from the column reader.
+    newlines, which csv.reader splits at its commas; when the header line
+    ends in \\r\\n, the body may hold \\r too, each directly before a \\n.
+    _split places the time and requested cells, _cells gathers them and
+    numpy's cast reads the non-empty ones. Whatever that cannot take as it
+    is (a long header, a line _split refuses, fewer than two rows, an empty
+    time or requested analog cell, a partly empty requested triple, a cell
+    the cast fails on) returns None, so every error comes from the column
+    reader.
     """
     cut = data.find(b"\n")
     head = data[:cut]
     if cut < 0 or b'"' in head or cut > csv.field_size_limit():
         return None
+    plain = _PLAIN_BYTES
+    crlf = head.endswith(b"\r")
+    if crlf:  # _split takes the \r of the body
+        head = head[:-1]
+        plain += b"\r"
     # The body is plain when deleting the plain bytes from the whole table
     # leaves what they leave of the header: no copy of the body is made.
-    kept = data.translate(None, _PLAIN_BYTES)
-    if kept != head.translate(None, _PLAIN_BYTES):
+    kept = data.translate(None, plain)
+    if kept != head.translate(None, plain):
         return None
     try:
         head = head.decode("utf-8")
@@ -309,7 +313,7 @@ def _parse_plain(data: bytes, columns):
     analogs = _select(analog_cols, columns)
     used = _used(markers, analogs)
     buf = np.frombuffer(data, np.uint8, offset=cut + 1)
-    split = _split(buf, width, used)
+    split = _split(buf, width, used, crlf)
     if split is None or len(split[0]) < 2:
         return None
     starts, lengths = split
@@ -470,40 +474,27 @@ def _read_strides_csv(paths, labels, features) -> tuple:
 
 
 def _read_rows(path, labels, features) -> list[tuple]:
-    """The blocks of a strides CSV read by csv.reader, _ROW_CHUNK rows at a
-    time."""
+    """The blocks of a strides CSV read by csv.DictReader, _ROW_CHUNK rows
+    at a time."""
     blocks = []
+    names = ("condition", "trial_id", *features)
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.DictReader(fh)
         try:
-            header = next(reader, None)
+            header = reader.fieldnames
             if header is None or "trial_id" not in header or \
                     "condition" not in header:
                 raise BadHeaderRow(f"{path}: strides CSV needs trial_id and "
                                    "condition columns")
-            where = {name: j for j, name in enumerate(header)}
             while chunk := list(islice(reader, _ROW_CHUNK)):
-                rows = [row for row in chunk if row]
-                width = min(map(len, rows), default=0)
-                blocks.append(_string_block([
-                    _column(rows, where.get(name), width)
-                    for name in ("condition", "trial_id", *features)
-                ], labels))
+                rows = [list(map(row.get, names)) for row in chunk]
+                blocks.append(_string_block(list(zip(*rows)), labels))
         except csv.Error as exc:
+            # DictReader.line_num is not updated when a row raises.
             raise MalformedCsv(
-                f"{path}: line {reader.line_num}: {exc}"
+                f"{path}: line {reader.reader.line_num}: {exc}"
             ) from None
     return blocks
-
-
-def _column(rows, j, width) -> list:
-    """Cell j of every row, None past the end of a short row or when j is
-    None; width is the length of the shortest row."""
-    if j is None:
-        return [None] * len(rows)
-    if j < width:
-        return list(map(itemgetter(j), rows))
-    return [row[j] if j < len(row) else None for row in rows]
 
 
 def _string_block(columns, labels) -> tuple:
@@ -530,23 +521,29 @@ def _read_plain(path, labels, features) -> list[tuple] | None:
     A file is plain when it is UTF-8 without the bytes in _NOT_PLAIN, its
     header line names trial_id and condition, every other line is blank or
     holds exactly as many commas as the header, and no line is longer than
-    the csv field limit. csv.reader splits such a file at its commas and
-    newlines, so those are all that is looked for. The file is taken apart
-    on its bytes (see _split and _bytes_block) in blocks of whole lines,
-    about _PLAIN_BLOCK bytes each. A file smaller than _PLAIN_MIN_BYTES is
-    not looked at.
+    the csv field limit. It holds no \\r, or, when its header line ends in
+    \\r\\n, none but those directly before a \\n. csv.reader splits such a
+    file at its commas and line ends, so those are all that is looked for.
+    The file is taken apart on its bytes (see _split and _bytes_block) in
+    blocks of whole lines, about _PLAIN_BLOCK bytes each. A file smaller
+    than _PLAIN_MIN_BYTES is not looked at.
     """
     if os.stat(path).st_size < _PLAIN_MIN_BYTES:
         return None
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
-        head = fh.readline(limit + 1).removesuffix(b"\n")
+        head = fh.readline(limit + 1)
+        crlf = head.endswith(b"\r\n")
+        head = head.removesuffix(b"\r\n" if crlf else b"\n")
+        # _split takes the \r of a CRLF body; an LF file holds none.
+        not_plain = _NOT_PLAIN if crlf else (*_NOT_PLAIN, b"\r")
         try:
             header = head.decode().split(",")
         except UnicodeDecodeError:
             return None
         if len(head) > limit or any(byte in head for byte in _NOT_PLAIN) \
-                or "trial_id" not in header or "condition" not in header:
+                or b"\r" in head or "trial_id" not in header \
+                or "condition" not in header:
             return None
         where = {name: j for j, name in enumerate(header)}
         columns = [where.get(name)
@@ -564,14 +561,14 @@ def _read_plain(path, labels, features) -> list[tuple] | None:
                 block, rest = rest, b""
             else:
                 return blocks
-            if any(byte in block for byte in _NOT_PLAIN) or len(rest) > limit:
+            if any(byte in block for byte in not_plain) or len(rest) > limit:
                 return None
             try:
                 block.decode()
             except UnicodeDecodeError:
                 return None
             buf = np.frombuffer(block, np.uint8)
-            split = _split(buf, width, columns)
+            split = _split(buf, width, columns, crlf)
             if split is None:
                 return None
             blocks.append(_bytes_block(buf, *split, labels))

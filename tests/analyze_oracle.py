@@ -3,10 +3,10 @@
 This module keeps the `analyze` orchestration as the command line ran it
 before the pipeline became one library call: series lookup, gap filling,
 smoothing, the stride loop with its window-validity test, the features
-and the ensembles, inline. It is swapped in for cli._cmd_analyze through
-cli._DISPATCH; the CLI must exit with the same code, print the same stderr
-and stdout, and write byte-identical strides and ensemble CSVs. Only the
-calls into the library's leaf functions may change here.
+and the ensembles, inline. It is swapped in for cli._cmd_analyze as the
+handler in cli._COMMANDS; the CLI must exit with the same code, print the
+same stderr and stdout, and write byte-identical strides and ensemble
+CSVs. Only the calls into the library's leaf functions may change here.
 """
 
 import csv

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exogait import c3d
 from exogait.c3d import map_event, read_c3d, write_c3d
 from exogait.errors import (
     EmptyTrial,
@@ -312,6 +313,49 @@ def _param_fields(data):
         if offset == 0:
             return fields
         pos = after_name + 2 + offset
+
+
+def test_int16_point_storage():
+    """POINT:SCALE > 0 stores points as int16 words: coordinates are the
+    words times the float32 scale, and a frame is valid when its residual
+    word is not negative. The int8 ANALOG:OFFSET is read as signed bytes."""
+    rng = np.random.default_rng(5)
+    n_points, n_frames, scale = 2, 5, 0.1
+    points = rng.integers(-3000, 3000, (n_frames, n_points, 4)).astype("<i2")
+    points[..., 3] = rng.choice([-1, 0, 7], (n_frames, n_points))
+    points[0, :, 3] = -1, 0  # both kinds of frame in the file
+    analog = rng.integers(-500, 500, (n_frames, 1)).astype("<i2")
+    records = [
+        c3d._group_record(1, "POINT"),
+        c3d._int16_param(1, "USED", n_points),
+        c3d._float_param(1, "SCALE", scale),
+        c3d._float_param(1, "RATE", 100.0),
+        c3d._int16_param(1, "DATA_START", 3),
+        *c3d._records_for_char(1, "LABELS", ["HEE", "TOE"]),
+        c3d._group_record(2, "ANALOG"),
+        c3d._int16_param(2, "USED", 1),
+        c3d._float_param(2, "RATE", 100.0),
+        c3d._float_param(2, "GEN_SCALE", 0.5),
+        c3d._float_param(2, "SCALE", [2.0]),
+        c3d._param_record(2, "OFFSET", 1, [1], struct.pack("<b", -3)),
+        *c3d._records_for_char(2, "LABELS", ["FZ"]),
+    ]
+    params = c3d._assemble_params(records)
+    assert len(params) == c3d.BLOCK  # so the data starts at block 3
+    header = bytearray(c3d.BLOCK)
+    header[:2] = bytes([2, 0x50])
+    struct.pack_into("<4H", header, 2, n_points, 1, 1, n_frames)
+    struct.pack_into("<2H", header, 16, 3, 1)
+    frames = np.concatenate([points.reshape(n_frames, -1), analog], axis=1)
+    trial = read_c3d(bytes(header) + params + frames.tobytes())
+
+    assert [m.label for m in trial.markers] == ["HEE", "TOE"]
+    for i, marker in enumerate(trial.markers):
+        np.testing.assert_array_equal(
+            marker.coords, points[:, i, :3] * float(np.float32(scale)))
+        np.testing.assert_array_equal(marker.valid, points[:, i, 3] >= 0)
+    [fz] = trial.analogs
+    np.testing.assert_array_equal(fz.samples, (analog[:, 0] + 3) * 2.0 * 0.5)
 
 
 @pytest.mark.parametrize("name",

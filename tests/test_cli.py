@@ -865,7 +865,7 @@ def test_analyze_matches_oracle(case):
         argv = [str(Path(tmp) / a) if a in files or a in ("s.csv", "e.csv")
                 else a for a in argv]
         for command in (cli._cmd_analyze, oracle_cmd_analyze):
-            with mock.patch.dict(cli._DISPATCH, {"analyze": command}):
+            with _handled_by("analyze", command):
                 outcome = _run_captured(argv)
             written = []
             for name in ("s.csv", "e.csv"):
@@ -1137,6 +1137,14 @@ def _run_captured(argv):
         [(w.category, str(w.message)) for w in caught]
 
 
+def _handled_by(name, command):
+    """cli._COMMANDS with command as the handler of name, for a with
+    block."""
+    help_text, positionals, _ = cli._COMMANDS[name]
+    return mock.patch.dict(cli._COMMANDS,
+                           {name: (help_text, positionals, command)})
+
+
 def _patched(**consts):
     """Module constants of csvio replaced for a with block."""
     if not consts:
@@ -1166,7 +1174,7 @@ def _compare_with_oracle(files, args, to_stdout=True, **consts):
                               ("oracle", oracle_cmd_compare)):
             out = Path(tmp) / f"{name}.json"
             extra = [] if to_stdout else ["--out", str(out)]
-            with mock.patch.dict(cli._DISPATCH, {"compare": command}), \
+            with _handled_by("compare", command), \
                     _patched(**consts):
                 result = _run_captured(["compare", *paths, *args, *extra])
             written = out.read_bytes() if out.exists() else None
@@ -1348,6 +1356,25 @@ def test_compare_leaves_a_wide_plain_block_to_csv_reader(tmp_path):
         got, want = _compare_with_oracle([text], ["--features", "rom"],
                                          _PLAIN_MIN_BYTES=0)
         assert got == want
+
+
+@pytest.mark.parametrize("lone_cr", [False, True])
+def test_compare_takes_a_crlf_file_apart_on_its_bytes(lone_cr, tmp_path):
+    """A plain CRLF file of _PLAIN_MIN_BYTES or more is taken apart on its
+    bytes. A lone \\r, which csv.reader reads as a line end, leaves it to
+    csv.DictReader. The verdict is the oracle's either way."""
+    text = _plain_strides(600).replace("\n", "\r\n")
+    if lone_cr:  # the line keeps its comma count
+        text = text.replace(",left\r\n", "\r,left\r\n", 1)
+    assert len(text) >= csvio._PLAIN_MIN_BYTES
+    a = tmp_path / "a.csv"
+    a.write_bytes(text.encode("utf-8"))
+    blocks = csvio._read_plain(a, ("NoExo", "ExoOff"), ["rom"])
+    assert (blocks is None) == lone_cr
+    got, want = _compare_with_oracle([text], ["--features", "rom"])
+    assert got == want
+    (code, _, err, _), _ = got
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")

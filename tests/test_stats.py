@@ -6,6 +6,8 @@ oracle, and scipy's Student-t tail versus an mpmath incomplete-beta
 evaluation.
 """
 
+import dataclasses
+import json
 import math
 
 import mpmath
@@ -299,6 +301,28 @@ def test_tost_degenerate_zero_variance():
     far = tost_welch([5.0, 5.0], [9.0, 9.0], bound=1.0)
     assert far.degenerate
     assert not far.equivalent
+
+
+@pytest.mark.parametrize("a, want", [
+    # diff = 4 lies above the bound: both numerators are positive.
+    (9.0, {"t_lower": math.inf, "p_lower": 1.0,
+           "t_upper": math.inf, "p_upper": 0.0}),
+    # diff = +bound: the lower test sits on its boundary.
+    (7.0, {"t_lower": 0.0, "p_lower": 0.5,
+           "t_upper": math.inf, "p_upper": 0.0}),
+    # diff = -bound: the upper test sits on its boundary.
+    (3.0, {"t_lower": -math.inf, "p_lower": 0.0,
+           "t_upper": 0.0, "p_upper": 0.5}),
+], ids=["above", "at_plus_bound", "at_minus_bound"])
+def test_tost_degenerate_at_and_above_the_bound(a, want):
+    r = tost_welch([a, a, a], [5.0, 5.0], bound=2.0)
+    assert r.degenerate
+    assert not r.equivalent
+    assert {key: getattr(r, key) for key in want} == want
+    text = json.dumps(dataclasses.asdict(r))
+    for key in ("t_lower", "t_upper"):
+        if want[key] == 0:  # written as 0.0, not -0.0
+            assert f'"{key}": 0.0,' in text
 
 
 def test_tost_input_validation():
