@@ -119,10 +119,7 @@ class _Param:
 
     @property
     def count(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
     def floats(self) -> np.ndarray:
         if self.dtype != 4:
@@ -200,10 +197,7 @@ def _parse_params(
             ndims = cur.u8()
             dims = [cur.u8() for _ in range(ndims)]
             elem = 1 if dtype == -1 else abs(dtype)
-            count = 1
-            for d in dims:
-                count *= d
-            payload = cur.take(count * elem)
+            payload = cur.take(math.prod(dims) * elem)
             desc_len = cur.u8()
             cur.take(desc_len)
             raw.append((group_id, _Param(name, dtype, dims, payload)))
@@ -247,6 +241,18 @@ def _read_chunked_strings(params, group: str, base: str) -> list[str]:
             break
         out.extend(p.strings())
     return out
+
+
+def _unique_labels(labels: list[str], n: int, prefix: str) -> list[str]:
+    """n labels: labels[i], or f"{prefix}{i + 1}" where that is missing or
+    empty, each with "_" appended until it differs from those before it."""
+    seen: dict[str, None] = {}
+    for i in range(n):
+        label = labels[i] if i < len(labels) and labels[i] else f"{prefix}{i + 1}"
+        while label in seen:
+            label += "_"
+        seen[label] = None
+    return list(seen)
 
 
 def _read_events(params) -> list[GaitEvent]:
@@ -384,12 +390,7 @@ def read_c3d(data: bytes) -> Trial:
         if not float_storage:
             coords *= abs(scale)
         valid = pts[:, :, 3] >= 0
-        seen: set[str] = set()
-        for i in range(n_points):
-            label = labels[i] if i < len(labels) and labels[i] else f"P{i + 1}"
-            while label in seen:
-                label = label + "_"
-            seen.add(label)
+        for i, label in enumerate(_unique_labels(labels, n_points, "P")):
             markers.append(
                 MarkerTrajectory(
                     label=label,
@@ -412,14 +413,7 @@ def read_c3d(data: bytes) -> Trial:
             raise MalformedHeader("ANALOG scale/offset shorter than ANALOG:USED")
         block = frames[:, 4 * n_points :].reshape(n_frames, spf, n_channels)
         series = _widen(block.reshape(n_frames * spf, n_channels))
-        seen = set()
-        for c in range(n_channels):
-            label = (
-                a_labels[c] if c < len(a_labels) and a_labels[c] else f"A{c + 1}"
-            )
-            while label in seen:
-                label = label + "_"
-            seen.add(label)
+        for c, label in enumerate(_unique_labels(a_labels, n_channels, "A")):
             samples = (series[:, c] - float(ch_off[c])) * float(ch_scale[c]) * gen
             analogs.append(
                 AnalogChannel(
@@ -496,10 +490,7 @@ def _param_record(
         if not 0 <= d <= 255:
             raise ValueError(f"parameter dimension {d} out of range")
     elem = 1 if dtype == -1 else abs(dtype)
-    count = 1
-    for d in dims:
-        count *= d
-    if len(payload) != count * elem:
+    if len(payload) != math.prod(dims) * elem:
         raise ValueError(f"payload size mismatch for {name}")
     head = struct.pack("<bb", len(name_b), group_id) + name_b
     tail = (

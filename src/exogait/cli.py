@@ -298,7 +298,7 @@ def _load_events(trial: Trial, events_path: str | None) -> list:
     events = list(trial.events)
     if events_path is not None:
         events.extend(read_events_csv(Path(events_path).read_text(
-            encoding="utf-8")))
+            encoding="utf-8-sig")))
     return sorted(events)
 
 

@@ -19,9 +19,9 @@ then converts only the requested marker triples and analog columns; a
 cell in any other column is never parsed, so it cannot fail the read.
 Plain numeric text (see _parse_plain) is taken apart on its UTF-8 bytes;
 any other text, or plain text the byte route cannot take as it is, goes
-through csv.reader and one conversion of the stripped requested columns.
-Both give the arrays and the errors of a cell-by-cell read of the
-requested columns.
+through csv.reader and the row reader (_parse_columns), which converts
+each requested cell, stripped, once in reading order. Both give the arrays
+and the errors of a cell-by-cell read of the requested columns.
 
 A strides table is read as csv.DictReader reads it (see
 _read_strides_csv): on its bytes when plain, else by csv.DictReader. Both
@@ -33,6 +33,9 @@ end any line so; a \\r anywhere else sends it to the csv module. numpy's
 bytes to float64 cast reads a cell of [0-9.eE+-] as float() does, and
 fails where float() fails.
 
+One UTF-8 byte-order mark at the start of a trial or a strides CSV is
+skipped, as the utf-8-sig codec skips it.
+
 Events travel in a separate sidecar CSV (CSV trials have nowhere to put
 them): header ``time,context,label``, one event per row, using the same
 context/label vocabulary as the binary reader.
@@ -40,6 +43,7 @@ context/label vocabulary as the binary reader.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import os
@@ -161,64 +165,6 @@ def _cell_float(cell: str, row_no: int, col: str) -> float:
         ) from None
 
 
-def _convert(columns, marker_cols, analog_cols):
-    """Arrays of the time column and of the given marker triples and analog
-    columns; raises ValueError on any unparseable cell among them.
-
-    A marker frame whose x, y and z cells are all empty is a gap: its
-    coordinates stay NaN and only the other frames are converted.
-    """
-    n = len(columns[0])
-    times = np.array(list(map(float, columns[0])))
-    coords = {}
-    valid = {}
-    for lab, c in marker_cols:
-        triple = columns[c : c + 3]
-        keep = list(map(any, zip(*triple)))
-        mask = np.array(keep, dtype=bool)
-        xyz = np.full((n, 3), np.nan)
-        for axis, col in enumerate(triple):
-            xyz[mask, axis] = list(map(float, compress(col, keep)))
-        coords[lab] = xyz
-        valid[lab] = mask
-    analog = {
-        lab: np.array(list(map(float, columns[c]))) for lab, c in analog_cols
-    }
-    return times, coords, valid, analog
-
-
-def _parse_columns(data_rows, width, marker_cols, analog_cols):
-    """Convert the time column and the given columns of the data rows.
-
-    Cells are read as ``float(cell.strip())`` with whitespace-only marker
-    triples as gaps. On a bad cell or a ragged row, the rows are walked in
-    reading order (width, time, each given marker triple, each given
-    analog cell) to raise the first error.
-    """
-    if all(len(row) == width for row in data_rows):
-        used = set(_used(marker_cols, analog_cols))
-        columns = [list(map(str.strip, col)) if c in used else col
-                   for c, col in enumerate(zip(*data_rows))]
-        try:
-            return _convert(columns, marker_cols, analog_cols)
-        except ValueError:
-            pass
-    for r, row in enumerate(data_rows, start=2):
-        if len(row) != width:
-            raise RaggedRows(
-                f"row {r} has {len(row)} cells, header has {width}"
-            )
-        _cell_float(row[0].strip(), r, "time")
-        for lab, c in marker_cols:
-            cells = [row[c].strip(), row[c + 1].strip(), row[c + 2].strip()]
-            if any(cells):
-                for cell, ax in zip(cells, "xyz"):
-                    _cell_float(cell, r, f"{lab}.{ax}")
-        for lab, c in analog_cols:
-            _cell_float(row[c].strip(), r, f"analog:{lab}")
-    raise AssertionError("column conversion failed on a well-formed table")
-
-
 def _plan(row: list[str]):
     """Width and (label, first column) lists of a header row's columns.
 
@@ -269,12 +215,6 @@ def _select(cols, columns):
     return [(lab, c) for lab, c in cols if lab in columns]
 
 
-def _used(marker_cols, analog_cols) -> list[int]:
-    """Sorted indices of the time column and the given columns' cells."""
-    return sorted([0, *(c + k for _, c in marker_cols for k in range(3)),
-                   *(c for _, c in analog_cols)])
-
-
 def _parse_plain(data: bytes, columns):
     """Plan and arrays of a plain numeric table, given as UTF-8 bytes, or
     None.
@@ -287,7 +227,7 @@ def _parse_plain(data: bytes, columns):
     numpy's cast reads the non-empty ones. Whatever that cannot take as it
     is (a long header, a line _split refuses, fewer than two rows, an empty
     time or requested analog cell, a partly empty requested triple, a cell
-    the cast fails on) returns None, so every error comes from the column
+    the cast fails on) returns None, so every error comes from the row
     reader.
     """
     cut = data.find(b"\n")
@@ -311,7 +251,9 @@ def _parse_plain(data: bytes, columns):
         return None
     markers = _select(marker_cols, columns)
     analogs = _select(analog_cols, columns)
-    used = _used(markers, analogs)
+    # The time column and the cells of the requested columns, in order.
+    used = sorted([0, *(c + k for _, c in markers for k in range(3)),
+                   *(c for _, c in analogs)])
     buf = np.frombuffer(data, np.uint8, offset=cut + 1)
     split = _split(buf, width, used, crlf)
     if split is None or len(split[0]) < 2:
@@ -319,7 +261,7 @@ def _parse_plain(data: bytes, columns):
     starts, lengths = split
     empty = lengths == 0
     if empty[:, 0].any():
-        return None  # the column reader names the empty time cell
+        return None  # the row reader names the empty time cell
     cells = _cells(buf, starts, lengths)
     values = np.full(cells.shape, np.nan)
     try:
@@ -346,8 +288,40 @@ def _parse_plain(data: bytes, columns):
     return marker_cols, analog_cols, values[:, 0].copy(), coords, valid, analog
 
 
+def _parse_columns(data_rows, width, marker_cols, analog_cols):
+    """Arrays of the time column and the given columns of the data rows, in
+    one row-major pass.
+
+    Each row's width is checked, then its time cell, each given marker
+    triple and each given analog cell are read as ``float(cell.strip())``,
+    in that order, so the first bad cell raises. A triple whose stripped
+    cells are all empty is a gap and stays NaN.
+    """
+    n = len(data_rows)
+    times = np.empty(n)
+    coords = {lab: np.full((n, 3), np.nan) for lab, _ in marker_cols}
+    valid = {lab: np.zeros(n, bool) for lab, _ in marker_cols}
+    analog = {lab: np.empty(n) for lab, _ in analog_cols}
+    for i, row in enumerate(data_rows):
+        r = i + 2
+        if len(row) != width:
+            raise RaggedRows(
+                f"row {r} has {len(row)} cells, header has {width}"
+            )
+        times[i] = _cell_float(row[0].strip(), r, "time")
+        for lab, c in marker_cols:
+            cells = [cell.strip() for cell in row[c : c + 3]]
+            if any(cells):
+                coords[lab][i] = [_cell_float(cell, r, f"{lab}.{ax}")
+                                  for cell, ax in zip(cells, "xyz")]
+                valid[lab][i] = True
+        for lab, c in analog_cols:
+            analog[lab][i] = _cell_float(row[c].strip(), r, f"analog:{lab}")
+    return times, coords, valid, analog
+
+
 def _parse_rows(text: str, columns):
-    """Plan and arrays of any table, by csv.reader and the column reader."""
+    """Plan and arrays of any table, by csv.reader and the row reader."""
     rows = _rows(text)
     if not rows:
         raise BadHeaderRow("empty input")
@@ -368,18 +342,20 @@ def read_csv_with_labels(text: str | bytes, columns):
 
     text is the table as str, or as the bytes of a UTF-8 file, which is
     decoded as a text-mode read would be (universal newlines) unless the
-    plain route takes it. One scan of the whole table for either route (see
-    the module docstring); only the requested columns are converted. The
-    labels are those of the header, requested or not.
+    plain route takes it. One leading byte-order mark is skipped in either,
+    as the utf-8-sig codec skips it. One scan of the whole table for either
+    route (see the module docstring); only the requested columns are
+    converted. The labels are those of the header, requested or not.
     """
     if columns is not None:
         columns = frozenset(columns)
     if isinstance(text, str):
+        text = text.removeprefix("\ufeff")
         # A lone surrogate passes into bytes that are not UTF-8, which the
-        # plain route refuses, so the column reader gets the str as it is.
+        # plain route refuses, so the row reader gets the str as it is.
         data = text.encode("utf-8", "surrogatepass")
     else:
-        data, text = text, None
+        data, text = text.removeprefix(codecs.BOM_UTF8), None
     parsed = _parse_plain(data, columns)
     if parsed is None:
         if text is None:
@@ -475,10 +451,11 @@ def _read_strides_csv(paths, labels, features) -> tuple:
 
 def _read_rows(path, labels, features) -> list[tuple]:
     """The blocks of a strides CSV read by csv.DictReader, _ROW_CHUNK rows
-    at a time."""
+    at a time, from a utf-8-sig open (one leading byte-order mark is
+    skipped)."""
     blocks = []
     names = ("condition", "trial_id", *features)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             header = reader.fieldnames
@@ -525,13 +502,16 @@ def _read_plain(path, labels, features) -> list[tuple] | None:
     \\r\\n, none but those directly before a \\n. csv.reader splits such a
     file at its commas and line ends, so those are all that is looked for.
     The file is taken apart on its bytes (see _split and _bytes_block) in
-    blocks of whole lines, about _PLAIN_BLOCK bytes each. A file smaller
-    than _PLAIN_MIN_BYTES is not looked at.
+    blocks of whole lines, about _PLAIN_BLOCK bytes each. One leading
+    byte-order mark is skipped, as _read_rows skips it. A file smaller than
+    _PLAIN_MIN_BYTES is not looked at.
     """
     if os.stat(path).st_size < _PLAIN_MIN_BYTES:
         return None
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
         head = fh.readline(limit + 1)
         crlf = head.endswith(b"\r\n")
         head = head.removesuffix(b"\r\n" if crlf else b"\n")

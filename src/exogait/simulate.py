@@ -55,6 +55,10 @@ _FSR_STANCE_FRACTION = 0.15
 # Derivative low-pass alpha for a time constant of 10*dt.
 _D_FILTER_ALPHA = 1.0 / 11.0
 
+# Full scale of the load cell, fixed by the sensor: measured tension is
+# clipped to [0, _LOADCELL_MAX].
+_LOADCELL_MAX = 500.0  # N
+
 # run_simulation builds substep anchors this many ticks at a time, so its
 # memory does not grow with the run length.
 _TICK_BLOCK = 128
@@ -88,7 +92,6 @@ class PlantParams:
     sheath_mu: float = 0.10
     wrap_angle: float = math.pi  # rad
     loadcell_noise_sd: float = 1.0  # N
-    loadcell_max: float = 500.0  # N, fixed by the sensor
     torque_max: float = 8.0  # Nm
     control_rate: float = 500.0  # Hz
     pretension: float = 5.0  # N
@@ -111,8 +114,6 @@ class PlantParams:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.loadcell_noise_sd < math.inf:
             raise ValueError("loadcell_noise_sd must be nonnegative and finite")
-        if self.loadcell_max != 500.0:
-            raise ValueError("loadcell_max is fixed at 500 N by the sensor")
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,7 @@ def run_simulation(
     radius = params.pulley_radius
     stiffness, damping = params.cable_stiffness, params.cable_damping
     viscous_b, torque_max = params.viscous_b, params.torque_max
-    pretension, loadcell_max = params.pretension, params.loadcell_max
+    pretension, loadcell_max = params.pretension, _LOADCELL_MAX
     s0 = pretension / stiffness
     dt_over_inertia = dt_sub / params.inertia
     branch = params.sheath_mu * params.wrap_angle

@@ -286,39 +286,23 @@ def tost_welch(
         vb = float(b.var(ddof=1)) / b.size
     se = math.sqrt(va + vb)
     if se == 0.0:
+        df = float(a.size + b.size - 2)
         t_upper, p_upper = _degenerate_p(diff + bound)
-        t_lower_num = diff - bound
-        if t_lower_num < 0:
-            t_lower, p_lower = -math.inf, 0.0
-        elif t_lower_num > 0:
-            t_lower, p_lower = math.inf, 1.0
-        else:
-            t_lower, p_lower = 0.0, 0.5
-        return TostResult(
-            diff=diff,
-            se_welch=0.0,
-            df_welch=float(a.size + b.size - 2),
-            t_lower=t_lower,
-            t_upper=t_upper,
-            p_lower=p_lower,
-            p_upper=p_upper,
-            equivalent=p_lower < alpha and p_upper < alpha,
-            bound=bound,
-            alpha=alpha,
-            degenerate=True,
-        )
-    try:
-        df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
-    except (OverflowError, ZeroDivisionError):
-        # A square left the float range. df does not depend on the scale
-        # of va and vb, so take them relative to the larger.
-        ra, rb = va / max(va, vb), vb / max(va, vb)
-        df = (ra + rb) ** 2 / (ra**2 / (a.size - 1) + rb**2 / (b.size - 1))
-    t_upper = (diff + bound) / se
-    t_lower = (diff - bound) / se
-    stdtr = scipy_extension("special", "_ufuncs").stdtr
-    p_upper = float(stdtr(df, -t_upper))  # upper tail via symmetry
-    p_lower = float(stdtr(df, t_lower))
+        t_lower, p = _degenerate_p(diff - bound)
+        p_lower = 1.0 - p  # lower tail
+    else:
+        try:
+            df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+        except (OverflowError, ZeroDivisionError):
+            # A square left the float range. df does not depend on the
+            # scale of va and vb, so take them relative to the larger.
+            ra, rb = va / max(va, vb), vb / max(va, vb)
+            df = (ra + rb) ** 2 / (ra**2 / (a.size - 1) + rb**2 / (b.size - 1))
+        t_upper = (diff + bound) / se
+        t_lower = (diff - bound) / se
+        stdtr = scipy_extension("special", "_ufuncs").stdtr
+        p_upper = float(stdtr(df, -t_upper))  # upper tail via symmetry
+        p_lower = float(stdtr(df, t_lower))
     return TostResult(
         diff=diff,
         se_welch=se,
@@ -330,7 +314,7 @@ def tost_welch(
         equivalent=p_lower < alpha and p_upper < alpha,
         bound=bound,
         alpha=alpha,
-        degenerate=False,
+        degenerate=se == 0.0,
     )
 
 

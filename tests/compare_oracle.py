@@ -190,7 +190,8 @@ def oracle_trial_means(observations):
 def _read_strides_csv(paths):
     rows = []
     for path in paths:
-        with open(path, encoding="utf-8", newline="") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the header.
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or \
                     "trial_id" not in reader.fieldnames or \

@@ -20,6 +20,7 @@ from exogait.errors import EmptyResult, NonFiniteState
 from exogait.phase import PhaseState, StrikeDetector, update_phase
 from exogait.simulate import (
     _D_FILTER_ALPHA,
+    _LOADCELL_MAX,
     _VELOCITY_DEADBAND,
     _WRAPPED_ARC_FRACTION,
     CycleSummary,
@@ -156,7 +157,7 @@ def plant_step(
     noise = 0.0
     if rng is not None:
         noise = float(rng.normal(0.0, params.loadcell_noise_sd))
-    measured = min(max(t_distal + noise, 0.0), params.loadcell_max)
+    measured = min(max(t_distal + noise, 0.0), _LOADCELL_MAX)
     return PlantState(
         theta=theta,
         omega=omega,

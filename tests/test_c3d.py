@@ -315,6 +315,22 @@ def _param_fields(data):
         pos = after_name + 2 + offset
 
 
+def test_empty_and_repeated_labels():
+    """An empty label reads as P<i> or A<c>, numbered from 1, and a label
+    equal to one before it gets '_' appended until it is new."""
+    data = bytearray(write_c3d(_random_trial(np.random.default_rng(3),
+                                             n_markers=4, n_channels=3)))
+    fields = _param_fields(data)
+    for name, labels in (("POINT:LABELS", b"A A   A_"),  # M1M2M3M4
+                         ("ANALOG:LABELS", b"F     F  ")):  # CH1CH2CH3
+        _, start, size = fields[name]
+        assert size == len(labels)
+        data[start : start + size] = labels
+    trial = read_c3d(bytes(data))
+    assert [m.label for m in trial.markers] == ["A", "A_", "P3", "A__"]
+    assert [a.label for a in trial.analogs] == ["F", "A2", "F_"]
+
+
 def test_int16_point_storage():
     """POINT:SCALE > 0 stores points as int16 words: coordinates are the
     words times the float32 scale, and a frame is valid when its residual

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every subcommand, exit codes, config
 merging, and byte-identical reruns."""
 
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -694,6 +695,93 @@ def test_csv_commands_gather_only_their_columns(tmp_path, monkeypatch,
                       (321, {4}, "0.00,0.0000,3.0,4.0,0.0000")]
 
 
+def _write_fallback_trial(path, quoted=False, bad_cell=None):
+    """The lab trial with a two-frame RANK gap in frames 60-61, which
+    analyze fills; quoted quotes every header cell, so that no byte route
+    takes the file, and bad_cell replaces RANK.x in frame 100."""
+    _write_lab_trial(path)
+    rows = [line.split(",")
+            for line in path.read_text(encoding="utf-8").splitlines()]
+    for frame in (60, 61):
+        rows[frame + 1][4:7] = ["", "", ""]
+    if bad_cell is not None:
+        rows[101][4] = bad_cell
+    if quoted:
+        rows[0] = [f'"{cell}"' for cell in rows[0]]
+    path.write_text("\n".join(map(",".join, rows)) + "\n", encoding="utf-8")
+
+
+def _lab_outputs(work, monkeypatch, capsys):
+    """Exit codes, stdout and stderr of inspect and analyze on walk.csv and
+    events.csv in work, and the bytes of the CSVs analyze wrote."""
+    monkeypatch.chdir(work)
+    codes = (run(["inspect", "walk.csv", "--events", "events.csv"]),
+             run(_LAB_ANALYZE))
+    written = [(work / name).read_bytes() if (work / name).exists() else None
+               for name in ("s.csv", "e.csv")]
+    return codes, capsys.readouterr(), written
+
+
+@pytest.mark.parametrize("bad_cell", [None, "1e"], ids=["clean", "bad_cell"])
+def test_quoted_header_trial_reads_as_its_plain_twin(bad_cell, tmp_path,
+                                                     monkeypatch, capsys):
+    """A trial with a quoted header goes through csv.reader and the row
+    reader; inspect and analyze give the same exit codes, stdout, stderr
+    and CSVs as on its plain twin, which the byte route takes. RANK, the
+    signal, has a gap that analyze fills and moment is an analog channel. A
+    bad cell in RANK.x, which analyze reads, is the same one error line on
+    both."""
+    parse_columns = csvio._parse_columns
+    calls = []
+
+    def row_reader(*args):
+        calls.append(args)
+        return parse_columns(*args)
+
+    monkeypatch.setattr(csvio, "_parse_columns", row_reader)
+    results = []
+    for quoted in (False, True):
+        work = tmp_path / f"quoted{quoted}"
+        work.mkdir()
+        _write_fallback_trial(work / "walk.csv", quoted, bad_cell)
+        _write_events(work / "events.csv")
+        calls.clear()
+        results.append(_lab_outputs(work, monkeypatch, capsys))
+        # The plain twin's analyze read reaches the row reader only for a
+        # cell that numpy's cast fails on, so that it names the cell.
+        assert len(calls) == (2 if quoted else int(bad_cell is not None))
+    assert results[1] == results[0]
+    codes, captured, _ = results[0]
+    if bad_cell is None:
+        assert codes == (0, 0)
+        assert captured.err == ""
+        assert "strides: 3 kept, 0 excluded" in captured.out
+    else:
+        assert codes == (0, 2)
+        assert captured.err == (
+            "exogait: error: row 102, column RANK.x: cannot parse '1e'\n")
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("name", ["walk.csv", "events.csv"])
+def test_byte_order_mark_changes_no_trial_output(name, quoted, tmp_path,
+                                                 monkeypatch, capsys):
+    """A UTF-8 byte-order mark at the start of a trial, plain or with a
+    quoted header, or of its events sidecar is skipped: inspect and analyze
+    give the same output as on the file without it."""
+    results = []
+    for bom in (b"", codecs.BOM_UTF8):
+        work = tmp_path / f"bom{len(bom)}"
+        work.mkdir()
+        _write_fallback_trial(work / "walk.csv", quoted)
+        _write_events(work / "events.csv")
+        path = work / name
+        path.write_bytes(bom + path.read_bytes())
+        results.append(_lab_outputs(work, monkeypatch, capsys))
+    assert results[0][0] == (0, 0)
+    assert results[1] == results[0]
+
+
 def test_analyze_requires_signal(tmp_path, capsys):
     trial = tmp_path / "walk01.csv"
     _write_trial(trial)
@@ -1372,6 +1460,27 @@ def test_compare_takes_a_crlf_file_apart_on_its_bytes(lone_cr, tmp_path):
     blocks = csvio._read_plain(a, ("NoExo", "ExoOff"), ["rom"])
     assert (blocks is None) == lone_cr
     got, want = _compare_with_oracle([text], ["--features", "rom"])
+    assert got == want
+    (code, _, err, _), _ = got
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("consts", _PLAIN_SPLITS, ids=["reader", "bytes"])
+def test_compare_skips_a_byte_order_mark(consts, tmp_path):
+    """A strides CSV that starts with a UTF-8 byte-order mark gives the
+    verdict of the file without it, read by csv.DictReader or, when plain,
+    on its bytes."""
+    data = _plain_strides(8).encode("utf-8")
+    a = tmp_path / "a.csv"
+    a.write_bytes(codecs.BOM_UTF8 + data)
+    with _patched(**consts):
+        blocks = csvio._read_plain(a, ("NoExo", "ExoOff"), ["rom"])
+    assert (blocks is None) == (not consts)
+    outcomes = [_compare_with_oracle([bom + data], ["--features", "rom"],
+                                     **consts)
+                for bom in (b"", codecs.BOM_UTF8)]
+    assert outcomes[1] == outcomes[0]
+    got, want = outcomes[1]
     assert got == want
     (code, _, err, _), _ = got
     assert (code, err) == (0, "")

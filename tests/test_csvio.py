@@ -453,7 +453,8 @@ def test_reader_matches_oracle_on_plain_text(table, data):
 @given(table=_plain_trial(), data=st.data())
 def test_file_bytes_read_as_text_mode_read(table, data):
     """A trial given as a file's bytes reads as the text a text-mode open
-    gives (UTF-8, universal newlines), plain or not."""
+    gives (utf-8-sig, so a leading byte-order mark is skipped, and universal
+    newlines), plain or not."""
     header, rows = table
     for kind in data.draw(st.lists(st.sampled_from(_NEAR_MISSES), max_size=1)):
         if kind != "leading blank line":
@@ -472,7 +473,7 @@ def test_file_bytes_read_as_text_mode_read(table, data):
     columns = data.draw(st.sampled_from([None, (), labels[-1:]]))
 
     def text_mode(raw):
-        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig").read()
         return csvio.read_csv_with_labels(text, columns)[0]
 
     assert _outcome(

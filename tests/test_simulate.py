@@ -245,8 +245,6 @@ def test_plant_params_validation():
         with pytest.raises(ValueError):
             PlantParams(**{name: math.nan})
     with pytest.raises(ValueError):
-        PlantParams(loadcell_max=400.0)
-    with pytest.raises(ValueError):
         PlantState(tension_true=-1.0)
 
 
