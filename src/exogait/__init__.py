@@ -35,7 +35,6 @@ from .cycles import (
 )
 from .errors import ExogaitError
 from .phase import (
-    FsrConfig,
     PhaseState,
     StrikeDetector,
     detect_heel_strikes,
@@ -69,7 +68,6 @@ __all__ = [
     "DEFAULT_PROFILE",
     "EventKind",
     "ExogaitError",
-    "FsrConfig",
     "GaitEvent",
     "LmeFit",
     "MarkerTrajectory",

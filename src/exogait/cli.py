@@ -35,7 +35,6 @@ from .c3d import read_c3d
 from .csvio import compare_tables, read_csv_with_labels, read_events_csv
 from .cycles import analyze_trial, marker_axis
 from .errors import AllWeightsZero, ExogaitError, InvalidProfile
-from .phase import FsrConfig
 from .simulate import (
     DEFAULT_GAINS,
     PidGains,
@@ -297,8 +296,8 @@ def _load_events(trial: Trial, events_path: str | None) -> list:
     """The trial's own events and those of the sidecar, sorted."""
     events = list(trial.events)
     if events_path is not None:
-        events.extend(read_events_csv(Path(events_path).read_text(
-            encoding="utf-8-sig")))
+        events.extend(read_events_csv(
+            Path(events_path).read_text(encoding="utf-8")))
     return sorted(events)
 
 
@@ -504,7 +503,6 @@ def _cmd_simulate(values: dict) -> int:
         conversion,
         gains,
         plant,
-        FsrConfig(),
         values["cycles"],
         values["seed"],
         stride_jitter=values["jitter"],

@@ -33,8 +33,8 @@ end any line so; a \\r anywhere else sends it to the csv module. numpy's
 bytes to float64 cast reads a cell of [0-9.eE+-] as float() does, and
 fails where float() fails.
 
-One UTF-8 byte-order mark at the start of a trial or a strides CSV is
-skipped, as the utf-8-sig codec skips it.
+One UTF-8 byte-order mark at the start of a trial, a strides CSV or an
+events sidecar is skipped, as the utf-8-sig codec skips it.
 
 Events travel in a separate sidecar CSV (CSV trials have nowhere to put
 them): header ``time,context,label``, one event per row, using the same
@@ -684,8 +684,12 @@ def compare_tables(paths, features, bounds, *, baseline: str, treatment: str,
 
 
 def read_events_csv(text: str) -> list[GaitEvent]:
-    """Parse the events sidecar (``time,context,label``), sorted by time."""
-    rows = _rows(text)
+    """Parse the events sidecar (``time,context,label``), sorted by time.
+
+    One leading byte-order mark is skipped, as read_csv_with_labels skips
+    it.
+    """
+    rows = _rows(text.removeprefix("\ufeff"))
     if not rows:
         raise BadHeaderRow("empty events file")
     header = [c.strip() for c in rows[0]]

@@ -1,12 +1,12 @@
 """Heel-strike detection from an FSR signal and online GC% estimation.
 
 Detection rule: a strike is emitted at the first sample of a run of at
-least debounce_samples consecutive samples above threshold, provided the
-refractory period has elapsed since the previous emitted strike; the signal
-must fall below threshold before the next strike can be considered. The
-phase estimator converts elapsed time since the last strike to gait-cycle
-percent using the mean of the last few stride durations (a population
-default before any stride has been measured).
+least 3 consecutive samples above half of full scale, provided 0.4 s (the
+refractory period) have elapsed since the previous emitted strike; the
+signal must fall to half of full scale or below before the next strike can
+be considered. The phase estimator converts elapsed time since the last
+strike to gait-cycle percent using the mean of the last 3 stride durations
+(a population default before any stride has been measured).
 """
 
 from __future__ import annotations
@@ -19,20 +19,14 @@ from .errors import TimeWentBackwards
 
 DEFAULT_STRIDE_S = 0.980  # population-average stride duration
 
+# The strike rule: FSR threshold as a fraction of full scale, refractory
+# period (s) and the run length that debounces a strike (samples).
+_THRESHOLD = 0.5
+_REFRACTORY_S = 0.4
+_DEBOUNCE_SAMPLES = 3
 
-@dataclass(frozen=True)
-class FsrConfig:
-    threshold: float = 0.5  # fraction of full scale
-    refractory: float = 0.4  # s
-    debounce_samples: int = 3
-
-    def __post_init__(self) -> None:
-        if not self.threshold > 0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
-        if not self.refractory > 0:
-            raise ValueError(f"refractory must be > 0, got {self.refractory}")
-        if self.debounce_samples < 1:
-            raise ValueError("debounce_samples must be >= 1")
+# Stride durations averaged into the expected stride.
+_BUFFER_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -41,17 +35,13 @@ class PhaseState:
 
     last_hs_time: float | None = None
     stride_buffer: tuple[float, ...] = ()
-    buffer_size: int = 3
-    default_stride: float = DEFAULT_STRIDE_S
     last_time: float | None = None
 
     def __post_init__(self) -> None:
-        if self.buffer_size < 1:
-            raise ValueError("buffer_size must be >= 1")
-        if not self.default_stride > 0:
-            raise ValueError("default_stride must be positive")
-        if len(self.stride_buffer) > self.buffer_size:
-            raise ValueError("stride_buffer longer than buffer_size")
+        if len(self.stride_buffer) > _BUFFER_SIZE:
+            raise ValueError(
+                f"stride_buffer holds at most {_BUFFER_SIZE} durations"
+            )
         if any(d <= 0 for d in self.stride_buffer):
             raise ValueError("stride durations must be positive")
 
@@ -59,24 +49,22 @@ class PhaseState:
     def expected_stride(self) -> float:
         if self.stride_buffer:
             return sum(self.stride_buffer) / len(self.stride_buffer)
-        return self.default_stride
+        return DEFAULT_STRIDE_S
 
 
-def detect_heel_strikes(
-    fsr: np.ndarray, rate: float, cfg: FsrConfig
-) -> np.ndarray:
+def detect_heel_strikes(fsr: np.ndarray, rate: float) -> np.ndarray:
     """Heel-strike times (s) in an FSR series sampled at a fixed rate.
 
     Feeds the series through StrikeDetector; each strike is timed at the
-    start of its run, debounce_samples - 1 samples before the detector
-    fires.
+    start of its run, 2 samples (the debounce less one) before the
+    detector fires.
     """
-    return (strike_ticks(fsr, rate, cfg) - (cfg.debounce_samples - 1)) / rate
+    return (strike_ticks(fsr, rate) - (_DEBOUNCE_SAMPLES - 1)) / rate
 
 
-def strike_ticks(fsr: np.ndarray, rate: float, cfg: FsrConfig) -> np.ndarray:
+def strike_ticks(fsr: np.ndarray, rate: float) -> np.ndarray:
     """Indices of the samples at which StrikeDetector fires on a series."""
-    step = StrikeDetector(rate, cfg).step
+    step = StrikeDetector(rate).step
     signal = np.asarray(fsr, dtype=float).tolist()
     return np.flatnonzero([step(v) for v in signal])
 
@@ -85,14 +73,13 @@ class StrikeDetector:
     """Sample-by-sample heel-strike detector (the rule in the module doc).
 
     step() returns True on the sample at which a run satisfies the debounce
-    rule (so the flag lags the run start by debounce_samples - 1 samples).
+    rule (so the flag lags the run start by 2 samples).
     """
 
-    def __init__(self, rate: float, cfg: FsrConfig) -> None:
+    def __init__(self, rate: float) -> None:
         if not rate > 0:
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = rate
-        self.cfg = cfg
         self._i = 0
         self._run_start: int | None = None
         self._run_len = 0
@@ -101,19 +88,16 @@ class StrikeDetector:
 
     def step(self, value: float) -> bool:
         fired = False
-        if value > self.cfg.threshold:
+        if value > _THRESHOLD:
             if self._run_start is None:
                 self._run_start, self._run_len = self._i, 1
                 self._decided = False
             else:
                 self._run_len += 1
-            if not self._decided and self._run_len >= self.cfg.debounce_samples:
+            if not self._decided and self._run_len >= _DEBOUNCE_SAMPLES:
                 self._decided = True
                 t = self._run_start / self.rate
-                if (
-                    self._last_emit is None
-                    or t - self._last_emit >= self.cfg.refractory
-                ):
+                if self._last_emit is None or t - self._last_emit >= _REFRACTORY_S:
                     self._last_emit = t
                     fired = True
         else:
@@ -142,18 +126,9 @@ def update_phase(
         if state.last_hs_time is not None:
             duration = now - state.last_hs_time
             if duration > 0:
-                buffer = (buffer + (duration,))[-state.buffer_size :]
-        new = PhaseState(
-            now, buffer, state.buffer_size, state.default_stride, now
-        )
-        return new, 0.0
-    new = PhaseState(
-        state.last_hs_time,
-        state.stride_buffer,
-        state.buffer_size,
-        state.default_stride,
-        now,
-    )
+                buffer = (buffer + (duration,))[-_BUFFER_SIZE:]
+        return PhaseState(now, buffer, now), 0.0
+    new = PhaseState(state.last_hs_time, state.stride_buffer, now)
     if state.last_hs_time is None:
         return new, 0.0
     gc = 100.0 * (now - state.last_hs_time) / state.expected_stride

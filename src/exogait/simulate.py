@@ -16,18 +16,19 @@ dissipates. The load cell reads the distal tension plus Gaussian noise,
 clamped to its 0-500 N range. Integration is semi-implicit Euler with the
 commanded torque held over each substep.
 
-The controller adds feedforward to PID on the tension error. The integral
-term accumulates in command units, is clamped at +/-integrator_limit, and
-drops its increment while the output saturates in the direction of the
-error (anti-windup). The derivative acts on a low-pass-filtered error
-difference (time constant 10*dt).
+The controller adds feedforward to PID on the tension error, and its
+output is clamped to +/-8 Nm. The integral term accumulates in command
+units, is clamped at +/-4 Nm, and drops its increment while the output
+saturates in the direction of the error (anti-windup). The derivative acts
+on a low-pass-filtered error difference (time constant 10*dt).
 
-run_simulation drives a synthetic gait: each stride the anchor follows
-amplitude*sin(pi*u)^2 over the stride fraction u, a synthetic FSR is high
-for the first 15 % of the stride, heel strikes detected from that signal
-feed the phase estimator, and the assistance profile maps the estimated
-GC% to the tension reference (floored at the pretension so the cable stays
-taut in zero-torque mode).
+run_simulation drives a synthetic gait of 0.980 s strides, optionally
+jittered, and steps the plant 10 times per control tick: each stride the
+anchor follows 2 mm * sin(pi*u)^2 over the stride fraction u, a synthetic
+FSR is high for the first 15 % of the stride, heel strikes detected from
+that signal feed the phase estimator, and the assistance profile maps the
+estimated GC% to the tension reference (floored at the pretension so the
+cable stays taut in zero-torque mode).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .assist import TensionConversion, TorqueProfile, reference_tensions
 from .errors import NonFiniteState
-from .phase import FsrConfig, phase_series, strike_ticks
+from .phase import DEFAULT_STRIDE_S, phase_series, strike_ticks
 
 # Stand-in for stiction: below this cable speed the sheath exponent holds.
 _VELOCITY_DEADBAND = 1e-4  # m/s
@@ -54,6 +55,18 @@ _FSR_STANCE_FRACTION = 0.15
 
 # Derivative low-pass alpha for a time constant of 10*dt.
 _D_FILTER_ALPHA = 1.0 / 11.0
+
+# Controller output and integral-term limits: the command is clamped to
+# +/-_OUTPUT_LIMIT, and anti-windup keys on that clamp, not on the plant's
+# torque_max.
+_OUTPUT_LIMIT = 8.0  # Nm
+_INTEGRATOR_LIMIT = 4.0  # Nm held by the integral term
+
+# Peak heel-anchor excursion over a stride.
+_ANCHOR_AMPLITUDE = 0.002  # m
+
+# Plant substeps per control tick.
+_SUBSTEPS = 10
 
 # Full scale of the load cell, fixed by the sensor: measured tension is
 # clipped to [0, _LOADCELL_MAX].
@@ -70,14 +83,9 @@ class PidGains:
     ki: float  # Nm per N*s
     kd: float  # Nm per N/s
     ff_gain: float  # Nm per N of reference (static plant inverse is r_p)
-    output_min: float = -8.0  # Nm
-    output_max: float = 8.0  # Nm
-    integrator_limit: float = 4.0  # Nm held by the integral term
 
     def __post_init__(self) -> None:
-        if not -math.inf < self.output_min < self.output_max < math.inf:
-            raise ValueError("output_min must be below output_max, both finite")
-        for name in ("kp", "ki", "kd", "ff_gain", "integrator_limit"):
+        for name in ("kp", "ki", "kd", "ff_gain"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
 
@@ -200,15 +208,11 @@ def run_simulation(
     conv: TensionConversion,
     gains: PidGains,
     params: PlantParams,
-    phase_cfg: FsrConfig,
     n_cycles: int,
     seed: int,
     *,
-    stride_period: float = 0.980,
     stride_jitter: float = 0.0,
     constant_reference: float | None = None,
-    anchor_amplitude: float = 0.002,
-    substeps: int = 10,
 ) -> SimResult:
     """Run the closed loop for n_cycles synthetic strides.
 
@@ -226,20 +230,14 @@ def run_simulation(
     """
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
-    if not stride_period > 0:
-        raise ValueError("stride_period must be positive")
     if not 0 <= stride_jitter < 1:
         raise ValueError("stride_jitter must be in [0, 1)")
-    if anchor_amplitude < 0:
-        raise ValueError("anchor_amplitude must be nonnegative")
     if constant_reference is not None and not math.isfinite(constant_reference):
         raise ValueError(
             f"constant_reference must be finite, got {constant_reference!r}"
         )
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     rng = np.random.default_rng(seed)
-    durations = np.full(n_cycles, stride_period)
+    durations = np.full(n_cycles, DEFAULT_STRIDE_S)
     if stride_jitter > 0:
         durations = durations * (
             1.0 + rng.uniform(-stride_jitter, stride_jitter, n_cycles)
@@ -247,7 +245,7 @@ def run_simulation(
     starts = np.concatenate(([0.0], np.cumsum(durations)))
     total = float(starts[-1])
     dt_ctrl = 1.0 / params.control_rate
-    dt_sub = dt_ctrl / substeps
+    dt_sub = dt_ctrl / _SUBSTEPS
     ticks = total * params.control_rate
     if not (math.isfinite(ticks) and round(ticks) >= 1):
         raise ValueError(
@@ -260,18 +258,10 @@ def run_simulation(
     cycle_index, u = _stride_position(starts, durations, time)
     fsr = np.where(u < _FSR_STANCE_FRACTION, 1.0, 0.0)
     # Substep m of a tick ends at t + (m + 1) * dt_sub.
-    substep_offsets = np.arange(1, substeps + 1) * dt_sub
-    # The oracle's pid_step and plant_step check dt the same way; dt_sub > 0
-    # implies dt_ctrl > 0.
-    if not dt_sub > 0:
-        raise ValueError(f"dt must be positive, got {dt_sub}")
-    if dt_sub > dt_ctrl + 1e-12:
-        raise ValueError("plant substep must not exceed the control period")
+    substep_offsets = np.arange(1, _SUBSTEPS + 1) * dt_sub
 
     # The open-loop chain: FSR strikes, GC% and the reference.
-    gc_series = phase_series(
-        time, strike_ticks(fsr, params.control_rate, phase_cfg)
-    )
+    gc_series = phase_series(time, strike_ticks(fsr, params.control_rate))
     if constant_reference is None:
         raw_ref = reference_tensions(profile, conv, gc_series)
     else:
@@ -280,8 +270,8 @@ def run_simulation(
     reference = np.where(raw_ref > params.pretension, raw_ref, params.pretension)
 
     kp, ki, kd, ff_gain = gains.kp, gains.ki, gains.kd, gains.ff_gain
-    output_min, output_max = gains.output_min, gains.output_max
-    limit = gains.integrator_limit
+    output_min, output_max = -_OUTPUT_LIMIT, _OUTPUT_LIMIT
+    limit, anchor_amplitude = _INTEGRATOR_LIMIT, _ANCHOR_AMPLITUDE
     radius = params.pulley_radius
     stiffness, damping = params.cable_stiffness, params.cable_damping
     viscous_b, torque_max = params.viscous_b, params.torque_max

@@ -39,7 +39,7 @@ class LmeFit:
     sigma_e2: float
     se_beta1: float
     p_wald: float
-    converged: bool
+    converged: bool  # always True: a search that does not converge raises
     log_reml: float
 
 
@@ -137,7 +137,7 @@ def _profiled_criterion(trials: _Trials, lam: float):
     return crit, beta0, beta1, r_h_r, a11 / det
 
 
-def _fit_from(trials: _Trials, lam: float, converged: bool) -> LmeFit:
+def _fit_from(trials: _Trials, lam: float) -> LmeFit:
     n = sum(trials.n)
     crit, beta0, beta1, r_h_r, inv11 = _profiled_criterion(trials, lam)
     sigma_e2 = r_h_r / (n - 2)
@@ -155,7 +155,7 @@ def _fit_from(trials: _Trials, lam: float, converged: bool) -> LmeFit:
         sigma_e2=sigma_e2,
         se_beta1=se_beta1,
         p_wald=p,
-        converged=converged,
+        converged=True,
         log_reml=crit,
     )
 
@@ -183,8 +183,7 @@ def _fit(trials: _Trials) -> LmeFit:
     fc, fd = crit(c), crit(d)
     if math.isinf(fc) or math.isinf(fd):
         # Perfect fit: residuals vanish for every lam; report the boundary.
-        return _fit_from(trials, 0.0, converged=True)
-    converged = False
+        return _fit_from(trials, 0.0)
     for _ in range(200):
         if fc >= fd:
             hi, d, fd = d, c, fc
@@ -195,9 +194,8 @@ def _fit(trials: _Trials) -> LmeFit:
             d = lo + _GOLDEN * (hi - lo)
             fd = crit(d)
         if abs(fc - fd) <= 1e-10 * (abs(fc) + abs(fd) + 1.0) and hi - lo < 1e-8:
-            converged = True
             break
-    if not converged and hi - lo >= 1e-8:
+    if hi - lo >= 1e-8:
         raise DidNotConverge(
             f"REML search interval still {hi - lo:g} wide after 200 iterations"
         )
@@ -206,7 +204,7 @@ def _fit(trials: _Trials) -> LmeFit:
     crit0 = _profiled_criterion(trials, 0.0)[0]
     if crit0 >= best_crit:
         lam = 0.0
-    return _fit_from(trials, lam, converged=True)
+    return _fit_from(trials, lam)
 
 
 def compare_trials(

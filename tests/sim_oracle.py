@@ -30,6 +30,14 @@ from exogait.simulate import (
     _metrics_from_arrays,
 )
 
+# The simulator's fixed values, written out again here so that the
+# bit-identity properties check the library's constants independently.
+_OUTPUT_LIMIT = 8.0  # Nm
+_INTEGRATOR_LIMIT = 4.0  # Nm
+_STRIDE_PERIOD = 0.980  # s
+_ANCHOR_AMPLITUDE = 0.002  # m
+_SUBSTEPS = 10
+
 
 @dataclass(frozen=True)
 class PidState:
@@ -58,7 +66,7 @@ def pid_step(
     """One controller update; returns (new state, torque command in Nm).
 
     The integral term accumulates in command units and is clamped at
-    +/-integrator_limit; while the output saturates in the direction of the
+    +/-4 Nm; while the output saturates at +/-8 Nm in the direction of the
     current error the increment is discarded (anti-windup). The derivative
     acts on a low-pass-filtered error difference (time constant 10*dt).
     """
@@ -70,15 +78,14 @@ def pid_step(
     else:
         d_raw = (e - ctrl_state.prev_error) / dt
     d = ctrl_state.d_filt + _D_FILTER_ALPHA * (d_raw - ctrl_state.d_filt)
-    limit = gains.integrator_limit
     integral = ctrl_state.integral + gains.ki * e * dt
-    integral = min(max(integral, -limit), limit)
+    integral = min(max(integral, -_INTEGRATOR_LIMIT), _INTEGRATOR_LIMIT)
     base = gains.ff_gain * ref + gains.kp * e + gains.kd * d
     u = base + integral
-    if (u > gains.output_max and e > 0) or (u < gains.output_min and e < 0):
+    if (u > _OUTPUT_LIMIT and e > 0) or (u < -_OUTPUT_LIMIT and e < 0):
         integral = ctrl_state.integral
         u = base + integral
-    command = min(max(u, gains.output_min), gains.output_max)
+    command = min(max(u, -_OUTPUT_LIMIT), _OUTPUT_LIMIT)
     new = replace(ctrl_state, integral=integral, d_filt=d, prev_error=e)
     return new, command
 
@@ -191,19 +198,15 @@ def oracle_simulation(
     conv,
     gains,
     params,
-    phase_cfg,
     n_cycles,
     seed,
     *,
-    stride_period=0.980,
     stride_jitter=0.0,
     constant_reference=None,
-    anchor_amplitude=0.002,
-    substeps=10,
 ):
     """Same arguments and result as run_simulation (inputs assumed valid)."""
     rng = np.random.default_rng(seed)
-    durations = np.full(n_cycles, stride_period)
+    durations = np.full(n_cycles, _STRIDE_PERIOD)
     if stride_jitter > 0:
         durations = durations * (
             1.0 + rng.uniform(-stride_jitter, stride_jitter, n_cycles)
@@ -211,7 +214,7 @@ def oracle_simulation(
     starts = np.concatenate(([0.0], np.cumsum(durations)))
     total = float(starts[-1])
     dt_ctrl = 1.0 / params.control_rate
-    dt_sub = dt_ctrl / substeps
+    dt_sub = dt_ctrl / _SUBSTEPS
     n_ticks = int(round(total * params.control_rate))
 
     def locate(t):
@@ -222,9 +225,9 @@ def oracle_simulation(
 
     def anchor_at(t):
         _, u = locate(t)
-        return anchor_amplitude * math.sin(math.pi * u) ** 2
+        return _ANCHOR_AMPLITUDE * math.sin(math.pi * u) ** 2
 
-    detector = StrikeDetector(params.control_rate, phase_cfg)
+    detector = StrikeDetector(params.control_rate)
     phase_state = PhaseState()
     ctrl_state = PidState()
     plant = PlantState(
@@ -257,9 +260,9 @@ def oracle_simulation(
         gc_series[i] = gc
         cycle_index[i] = k
         ctrl_state, command = pid_step(gains, ctrl_state, ref, meas, dt_ctrl)
-        for m in range(substeps):
+        for m in range(_SUBSTEPS):
             t_sub = t + (m + 1) * dt_sub
-            sub_rng = rng if m == substeps - 1 else None
+            sub_rng = rng if m == _SUBSTEPS - 1 else None
             plant = plant_step(
                 params, plant, command, anchor_at(t_sub), dt_sub, rng=sub_rng
             )

@@ -24,7 +24,7 @@ from exogait.assist import (
 from exogait.c3d import read_c3d, write_c3d
 from exogait.cycles import NormalizedCycle, Stride, normalize_cycle, temporal_params
 from exogait.errors import MalformedHeader, TruncatedData
-from exogait.phase import FsrConfig, PhaseState, StrikeDetector, detect_heel_strikes, update_phase
+from exogait.phase import PhaseState, StrikeDetector, detect_heel_strikes, update_phase
 from exogait.preprocess import smooth_to_mse, smooth_with_lambda
 from exogait.simulate import DEFAULT_GAINS, PlantParams, run_simulation
 from exogait.stats import tost_welch
@@ -291,21 +291,20 @@ def test_criterion_08_c3d_round_trip_and_malformed():
 def test_criterion_09_closed_loop_tracking():
     with _criterion(9, "closed-loop tension tracking", 30.0):
         conv = TensionConversion()
-        fsr = FsrConfig()
         params = PlantParams()  # loadcell noise sd 1 N
         runs = {}
         for seed in (0, 1, 2):
             runs[seed] = run_simulation(DEFAULT_PROFILE, conv, DEFAULT_GAINS,
-                                        params, fsr, 10, seed)
+                                        params, 10, seed)
             assert runs[seed].rms_error < 0.05 * 166.71
 
         zero = TorqueProfile(onset_gc=23.2, peak_gc=50.4, end_gc=62.7,
                              peak_torque=0.0)
-        quiet = run_simulation(zero, conv, DEFAULT_GAINS, params, fsr, 10, 0)
+        quiet = run_simulation(zero, conv, DEFAULT_GAINS, params, 10, 0)
         assert float(np.mean(quiet.tension_true)) <= params.pretension + 1.0
 
         again = run_simulation(DEFAULT_PROFILE, conv, DEFAULT_GAINS, params,
-                               fsr, 10, 0)
+                               10, 0)
         for field in ("time", "reference", "measured", "tension_true",
                       "fsr", "gc", "cycle_index"):
             assert np.array_equal(getattr(again, field),
@@ -315,8 +314,8 @@ def test_criterion_09_closed_loop_tracking():
 def test_criterion_10_phase_estimation():
     with _criterion(10, "phase estimation and strike recall", 10.0):
         sim = run_simulation(DEFAULT_PROFILE, TensionConversion(),
-                             DEFAULT_GAINS, PlantParams(), FsrConfig(),
-                             100, 2, stride_jitter=0.05)
+                             DEFAULT_GAINS, PlantParams(), 100, 2,
+                             stride_jitter=0.05)
         assert np.all((sim.gc >= 0.0) & (sim.gc <= 100.0))
 
         # synthetic 100-stride walk with known strike samples
@@ -331,10 +330,10 @@ def test_criterion_10_phase_estimation():
         noisy = np.clip(signal + rng.normal(0.0, 0.05, n), 0.0, 1.0)
 
         expected = starts / rate
-        detected = detect_heel_strikes(noisy, rate, FsrConfig())
+        detected = detect_heel_strikes(noisy, rate)
         assert np.array_equal(detected, expected)  # full recall, no extras
 
-        detector = StrikeDetector(rate, FsrConfig())
+        detector = StrikeDetector(rate)
         state = PhaseState()
         fired = 0
         for i, value in enumerate(noisy):

@@ -1605,8 +1605,10 @@ def test_simulate_deterministic_outputs(tmp_path, capsys):
 
 
 # SHA-256 of stdout and of the --trace file, recorded before the simulator
-# loop moved onto plain floats; the kernel and the trace writer must keep
-# both byte-identical.
+# loop moved onto plain floats (the first two) and before the simulator's
+# fixed values became module constants (the rest, one per option that sets
+# the simulation); the kernel and the trace writer must keep all of them
+# byte-identical.
 _SIMULATE_GOLDEN = {
     ("--seed", "0"): (
         "7bb04bdfa0d012c4e811f5e1b743401b6452bda546957f85954829b63c56921b",
@@ -1615,6 +1617,27 @@ _SIMULATE_GOLDEN = {
     ("--seed", "1", "--jitter", "0.05"): (
         "bd25b90364ef961a51d8470191a8f84825d3af120281ba6b723449141515d3ba",
         "b08963d6ec334fda1227d1b7eb51791b3281114481b4052cbbdb5f020630f0f3",
+    ),
+    ("--seed", "2", "--gains", "0.02,8,0.001,0.03"): (
+        "a45f746f9bac46b4ee908f26cea5428143d424ad9353cbfb846f35952ed77d4d",
+        "21abbcc6188e6c9fa5e1710a2e30e839cb8bf8e6c92b9325725e39b094335eb6",
+    ),
+    ("--seed", "3", "--profile", "10,40,70,14"): (
+        "7bd0bd87d5311dd24305bf979e1020f71119a106242277ff3fb246c91d08e1e1",
+        "d89cb13b0d70012373b9c92bf65862ae1e2a859ac2528105164c8815fac60070",
+    ),
+    ("--seed", "4", "--moment-arm", "0.045"): (
+        "d7fc035e380307be2957b43c52a10769b99f9e6a43c963d5d4976f9dd10ff0fa",
+        "942bf0b8503c0e76d093edc538447c150c1106c56b0cde4d5a64d6477cff8334",
+    ),
+    ("--seed", "5", "--constant-reference", "300"): (
+        "74742ebacb667354a319f03d09cd275fb6bead683d7f0059a9a911a0e1e97f95",
+        "cb79b58050ef57e20e65505dcf289979e2d844087312689f77fd19b3fde99d78",
+    ),
+    ("--seed", "6", "--jitter", "0.1",
+     "--plant", "torque_max=4,control_rate=400"): (
+        "df4fcd6a766cc71378c0131fab9203db61d016e2e388320f78ac65c0c61069a7",
+        "d4b3f1d9fed1c991731d852c72d49de83907c6e44d9ebb89c5085004af532cec",
     ),
 }
 

@@ -153,6 +153,14 @@ def test_events_sidecar():
     assert all(e.side is Side.LEFT for e in events)
 
 
+def test_events_skip_one_byte_order_mark():
+    text = "time,context,label\n0.0,Left,Foot Strike\n"
+    assert read_events_csv("\ufeff" + text) == read_events_csv(text)
+    # Only one: a second mark is part of the header cell.
+    with pytest.raises(BadHeaderRow, match="'\\\\ufefftime'"):
+        read_events_csv("\ufeff\ufeff" + text)
+
+
 def test_events_bad_header():
     with pytest.raises(BadHeaderRow):
         read_events_csv("time,side,label\n0.0,Left,Foot Strike\n")

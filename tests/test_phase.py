@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from exogait.errors import TimeWentBackwards
 from exogait.phase import (
     DEFAULT_STRIDE_S,
-    FsrConfig,
     PhaseState,
     StrikeDetector,
     detect_heel_strikes,
@@ -21,21 +20,22 @@ from exogait.phase import (
 def test_single_burst_emits_at_run_start():
     # Samples 3,4,5 exceed threshold; run start is sample 3 -> t = 0.03 s.
     fsr = np.array([0.0, 0.0, 0.0, 0.8, 0.9, 0.9, 0.9, 0.2, 0.0])
-    events = detect_heel_strikes(fsr, 100.0, FsrConfig())
+    events = detect_heel_strikes(fsr, 100.0)
     assert events.tolist() == [0.03]
 
 
 def test_all_zero_signal_no_events():
-    events = detect_heel_strikes(np.zeros(500), 100.0, FsrConfig())
+    events = detect_heel_strikes(np.zeros(500), 100.0)
     assert events.size == 0
 
 
 def test_refractory_suppresses_second_burst():
-    # Bursts starting at t = 0.0 and t = 0.2; refractory 0.4 keeps only one.
+    # Bursts starting at t = 0.0 and t = 0.2; the 0.4 s refractory period
+    # keeps only one.
     fsr = np.zeros(60)
     fsr[0:5] = 0.9
     fsr[20:25] = 0.9
-    events = detect_heel_strikes(fsr, 100.0, FsrConfig(refractory=0.4))
+    events = detect_heel_strikes(fsr, 100.0)
     assert events.tolist() == [0.0]
 
 
@@ -43,21 +43,33 @@ def test_bursts_beyond_refractory_both_emit():
     fsr = np.zeros(120)
     fsr[0:5] = 0.9
     fsr[80:85] = 0.9
-    events = detect_heel_strikes(fsr, 100.0, FsrConfig(refractory=0.4))
+    events = detect_heel_strikes(fsr, 100.0)
     assert events.tolist() == [0.0, 0.8]
+
+
+@pytest.mark.parametrize("level, second, want", [
+    (0.5, 40, []),  # a sample must exceed half of full scale
+    (0.5 + 1e-9, 39, [0.0]),  # 0.39 s after a strike is inside 0.4 s
+    (0.5 + 1e-9, 40, [0.0, 0.4]),
+])
+def test_fixed_threshold_and_refractory_edges(level, second, want):
+    fsr = np.zeros(100)
+    fsr[0:5] = level
+    fsr[second : second + 5] = level
+    assert detect_heel_strikes(fsr, 100.0).tolist() == want
 
 
 def test_debounce_rejects_short_runs():
     fsr = np.zeros(50)
-    fsr[10:12] = 0.9  # only 2 samples above threshold
-    events = detect_heel_strikes(fsr, 100.0, FsrConfig(debounce_samples=3))
+    fsr[10:12] = 0.9  # only 2 samples above threshold, 3 needed
+    events = detect_heel_strikes(fsr, 100.0)
     assert events.size == 0
 
 
 def test_rearm_requires_drop_below_threshold():
     # One long run only ever counts once, however long it lasts.
     fsr = np.full(200, 0.9)
-    events = detect_heel_strikes(fsr, 100.0, FsrConfig())
+    events = detect_heel_strikes(fsr, 100.0)
     assert events.tolist() == [0.0]
 
 
@@ -66,10 +78,10 @@ def test_scaling_above_threshold_preserves_events():
     fsr = np.zeros(300)
     for start in (10, 120, 230):
         fsr[start : start + 6] = rng.uniform(0.6, 1.0, 6)
-    base = detect_heel_strikes(fsr, 100.0, FsrConfig())
+    base = detect_heel_strikes(fsr, 100.0)
     # Scale the above-threshold margin; crossing pattern unchanged.
     scaled = np.where(fsr > 0.5, 0.5 + 2.0 * (fsr - 0.5), fsr)
-    assert detect_heel_strikes(scaled, 100.0, FsrConfig()).tolist() == base.tolist()
+    assert detect_heel_strikes(scaled, 100.0).tolist() == base.tolist()
 
 
 def test_streaming_detector_matches_batch():
@@ -80,26 +92,22 @@ def test_streaming_detector_matches_batch():
         starts = np.sort(rng.choice(np.arange(0, 950, 10), n_bursts, replace=False))
         for s in starts:
             fsr[s : s + int(rng.integers(3, 12))] += 0.8
-        cfg = FsrConfig()
-        batch = detect_heel_strikes(fsr, 100.0, cfg).tolist()
-        det = StrikeDetector(100.0, cfg)
+        batch = detect_heel_strikes(fsr, 100.0).tolist()
+        det = StrikeDetector(100.0)
         streamed = []
         for i, v in enumerate(fsr):
             if det.step(float(v)):
-                # The streaming flag lags the run start by debounce-1 samples.
-                streamed.append((i - (cfg.debounce_samples - 1)) / 100.0)
+                # The streaming flag lags the run start by the 3-sample
+                # debounce less one.
+                streamed.append((i - 2) / 100.0)
         assert streamed == batch
 
 
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
-        FsrConfig(threshold=0.0)
+        detect_heel_strikes(np.zeros(5), 0.0)
     with pytest.raises(ValueError):
-        FsrConfig(refractory=0.0)
-    with pytest.raises(ValueError):
-        FsrConfig(debounce_samples=0)
-    with pytest.raises(ValueError):
-        detect_heel_strikes(np.zeros(5), 0.0, FsrConfig())
+        StrikeDetector(-100.0)
 
 
 def test_gc_zero_before_first_strike():
@@ -166,58 +174,37 @@ def test_time_went_backwards():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        PhaseState(buffer_size=0)
-    with pytest.raises(ValueError):
-        PhaseState(default_stride=0.0)
-    with pytest.raises(ValueError):
         PhaseState(stride_buffer=(1.0, -0.5))
     with pytest.raises(ValueError):
-        PhaseState(stride_buffer=(1.0, 1.0, 1.0, 1.0), buffer_size=3)
+        PhaseState(stride_buffer=(1.0, 1.0, 1.0, 1.0))
 
 
+# The noisy signals cross the 0.5 threshold from either level.
 _fsr_signals = st.one_of(
     st.lists(st.sampled_from([0.0, 1.0]), max_size=400),
     st.lists(
-        st.tuples(st.sampled_from([0.0, 0.9]), st.floats(-0.15, 0.15)),
+        st.tuples(st.sampled_from([0.0, 0.9]), st.floats(-0.6, 0.6)),
         max_size=400,
     ).map(lambda samples: [level + noise for level, noise in samples]),
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    signal=_fsr_signals,
-    threshold=st.floats(0.1, 0.9),
-    refractory=st.floats(0.01, 0.5),
-    debounce=st.integers(1, 5),
-)
-def test_batch_and_streaming_detectors_agree(signal, threshold, refractory,
-                                             debounce):
-    cfg = FsrConfig(threshold=threshold, refractory=refractory,
-                    debounce_samples=debounce)
+@given(signal=_fsr_signals)
+def test_batch_and_streaming_detectors_agree(signal):
     rate = 100.0
-    detector = StrikeDetector(rate, cfg)
-    streamed = [(i - (debounce - 1)) / rate
+    detector = StrikeDetector(rate)
+    streamed = [(i - 2) / rate
                 for i, v in enumerate(signal) if detector.step(v)]
-    assert detect_heel_strikes(np.asarray(signal), rate, cfg).tolist() \
-        == streamed
+    assert detect_heel_strikes(np.asarray(signal), rate).tolist() == streamed
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    signal=_fsr_signals,
-    rate=st.floats(50.0, 600.0),
-    threshold=st.floats(0.1, 0.9),
-    refractory=st.floats(0.01, 0.5),
-    debounce=st.integers(1, 5),
-)
-def test_phase_series_matches_update_phase_per_sample(signal, rate, threshold,
-                                                      refractory, debounce):
+@given(signal=_fsr_signals, rate=st.floats(50.0, 600.0))
+def test_phase_series_matches_update_phase_per_sample(signal, rate):
     # More than three strides in a draw roll the duration buffer.
-    cfg = FsrConfig(threshold=threshold, refractory=refractory,
-                    debounce_samples=debounce)
     time = np.arange(len(signal)) * (1.0 / rate)
-    detector = StrikeDetector(rate, cfg)
+    detector = StrikeDetector(rate)
     state = PhaseState()
     fired, streamed = [], []
     for i, (t, v) in enumerate(zip(time.tolist(), signal)):
@@ -226,7 +213,7 @@ def test_phase_series_matches_update_phase_per_sample(signal, rate, threshold,
             fired.append(i)
         state, gc = update_phase(state, t, strike)
         streamed.append(gc)
-    ticks = strike_ticks(np.asarray(signal), rate, cfg)
+    ticks = strike_ticks(np.asarray(signal), rate)
     assert ticks.tolist() == fired
     assert phase_series(time, ticks).tobytes() \
         == np.asarray(streamed, dtype=float).tobytes()

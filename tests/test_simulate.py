@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from exogait.assist import DEFAULT_PROFILE, TensionConversion, TorqueProfile
 from exogait.errors import EmptyResult, NonFiniteState
-from exogait.phase import FsrConfig
 from exogait.simulate import (
     DEFAULT_GAINS,
     CycleSummary,
@@ -39,7 +38,6 @@ from sim_oracle import (
 
 _QUIET = replace(PlantParams(), loadcell_noise_sd=0.0)
 _CONV = TensionConversion()
-_FSR = FsrConfig()
 
 
 # --- controller ---------------------------------------------------------------
@@ -70,9 +68,8 @@ def test_pid_integral_rectangle_rule():
 
 
 def test_pid_integrator_clamp():
-    gains = PidGains(kp=0.0, ki=1.0, kd=0.0, ff_gain=0.0,
-                     output_min=-100.0, output_max=100.0,
-                     integrator_limit=4.0)
+    # The integral stops at 4 Nm, inside the 8 Nm output limit.
+    gains = PidGains(kp=0.0, ki=1.0, kd=0.0, ff_gain=0.0)
     state = PidState()
     for _ in range(10):
         state, _ = pid_step(gains, state, 1.0, 0.0, 1.0)
@@ -80,24 +77,22 @@ def test_pid_integrator_clamp():
 
 
 def test_pid_anti_windup_freezes_integral():
-    gains = PidGains(kp=1.0, ki=1.0, kd=0.0, ff_gain=0.0,
-                     output_min=-1.0, output_max=1.0)
+    gains = PidGains(kp=1.0, ki=1.0, kd=0.0, ff_gain=0.0)
     state = PidState()
     for _ in range(50):
-        state, command = pid_step(gains, state, 5.0, 0.0, 0.01)
-        assert command == 1.0
+        state, command = pid_step(gains, state, 50.0, 0.0, 0.01)
+        assert command == 8.0
     # Saturated in the error's direction the whole time: no accumulation.
     assert state.integral == 0.0
 
 
 def test_pid_derivative_filtered():
-    gains = PidGains(kp=0.0, ki=0.0, kd=1.0, ff_gain=0.0,
-                     output_min=-100.0, output_max=100.0)
+    gains = PidGains(kp=0.0, ki=0.0, kd=0.5, ff_gain=0.0)
     state, command = pid_step(gains, PidState(), 1.0, 0.0, 0.01)
     assert command == 0.0  # no previous error, derivative suppressed
     state, command = pid_step(gains, state, 2.0, 0.0, 0.01)
-    # raw slope 100 N/s through the 1/11 low-pass
-    assert command == pytest.approx(100.0 / 11.0)
+    # raw slope 100 N/s through the 1/11 low-pass, inside the 8 Nm limit
+    assert command == pytest.approx(0.5 * 100.0 / 11.0)
 
 
 def test_pid_feedforward_term():
@@ -122,16 +117,10 @@ def test_pid_rejects_bad_dt():
 def test_gain_validation():
     with pytest.raises(ValueError):
         PidGains(kp=-0.1, ki=0.0, kd=0.0, ff_gain=0.0)
-    with pytest.raises(ValueError):
-        PidGains(kp=0.1, ki=0.0, kd=0.0, ff_gain=0.0,
-                 output_min=1.0, output_max=-1.0)
     for value in (math.nan, math.inf):
-        for name in ("kp", "ki", "kd", "ff_gain", "integrator_limit",
-                     "output_max"):
+        for name in ("kp", "ki", "kd", "ff_gain"):
             with pytest.raises(ValueError):
                 replace(DEFAULT_GAINS, **{name: value})
-        with pytest.raises(ValueError):
-            replace(DEFAULT_GAINS, output_min=-value)
 
 
 # --- plant --------------------------------------------------------------------
@@ -286,7 +275,7 @@ def _run(n_cycles=5, seed=0, **kwargs):
     gains = kwargs.pop("gains", DEFAULT_GAINS)
     profile = kwargs.pop("profile", DEFAULT_PROFILE)
     return run_simulation(
-        profile, _CONV, gains, params, _FSR, n_cycles, seed, **kwargs
+        profile, _CONV, gains, params, n_cycles, seed, **kwargs
     )
 
 
@@ -319,7 +308,7 @@ def test_constant_reference_settles():
 
 
 def test_error_decays_across_windows():
-    res = _run(constant_reference=50.0, anchor_amplitude=0.0)
+    res = _run(constant_reference=50.0)
     err = np.abs(res.measured - res.reference)
     windows = []
     for a in range(4):
@@ -358,10 +347,6 @@ def test_run_validation():
         _run(n_cycles=0)
     with pytest.raises(ValueError):
         _run(stride_jitter=1.5)
-    with pytest.raises(ValueError):
-        _run(anchor_amplitude=-0.001)
-    with pytest.raises(ValueError):
-        _run(substeps=0)
     with pytest.raises(ValueError, match="control ticks"):
         _run(n_cycles=1, params=replace(_QUIET, control_rate=0.5))
     for value in (math.nan, math.inf, -math.inf):
@@ -515,9 +500,6 @@ _pid_gains = st.builds(
     ki=st.floats(0.0, 5.0),
     kd=st.floats(0.0, 0.02),
     ff_gain=st.floats(0.0, 0.08),
-    output_min=st.floats(-10.0, -0.5),
-    output_max=st.floats(0.5, 10.0),
-    integrator_limit=st.floats(0.0, 6.0),
 )
 
 
@@ -527,33 +509,19 @@ _profiles = st.builds(
     st.floats(0.0, 1e308),
 )
 
-# A threshold above 1 never fires on the 0/1 synthetic FSR, so GC% stays 0.
-_fsr_configs = st.builds(
-    FsrConfig,
-    threshold=st.floats(0.05, 1.5),
-    refractory=st.floats(0.01, 2.0),
-    debounce_samples=st.integers(1, 5),
-)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_cycles=st.integers(1, 5),
-    stride_period=st.floats(0.2, 1.0),
     stride_jitter=st.sampled_from([0.0, 0.05]),
     reference=st.sampled_from([None, "below", "at", "above"]),
-    substeps=st.integers(1, 12),
-    anchor_amplitude=st.floats(0.0, 0.005),
     params=_plant_params,
     gains=_pid_gains,
     profile=_profiles,
     conv=st.builds(TensionConversion, moment_arm=st.floats(0.01, 0.2)),
-    phase_cfg=_fsr_configs,
 )
 def test_run_simulation_matches_one_step_oracle(
-    seed, n_cycles, stride_period, stride_jitter, reference, substeps,
-    anchor_amplitude, params, gains, profile, conv, phase_cfg,
+    seed, n_cycles, stride_jitter, reference, params, gains, profile, conv,
 ):
     # Up to 5 cycles, so the 3-stride phase buffer rolls. A peak torque
     # near 1e308 overflows the tension to inf, which the plant then
@@ -565,13 +533,10 @@ def test_run_simulation_matches_one_step_oracle(
         "at": params.pretension,
         "above": params.pretension + 45.0,
     }[reference]
-    args = (profile, conv, gains, params, phase_cfg, n_cycles, seed)
+    args = (profile, conv, gains, params, n_cycles, seed)
     kwargs = dict(
-        stride_period=stride_period,
         stride_jitter=stride_jitter,
         constant_reference=constant_reference,
-        anchor_amplitude=anchor_amplitude,
-        substeps=substeps,
     )
     _assert_bit_identical(_outcome(run_simulation, *args, **kwargs),
                           _outcome(oracle_simulation, *args, **kwargs))
@@ -580,7 +545,7 @@ def test_run_simulation_matches_one_step_oracle(
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("stride_jitter", [0.0, 0.05])
 def test_default_run_matches_one_step_oracle(seed, stride_jitter):
-    args = (DEFAULT_PROFILE, _CONV, DEFAULT_GAINS, PlantParams(), _FSR, 2, seed)
+    args = (DEFAULT_PROFILE, _CONV, DEFAULT_GAINS, PlantParams(), 2, seed)
     _assert_bit_identical(
         run_simulation(*args, stride_jitter=stride_jitter),
         oracle_simulation(*args, stride_jitter=stride_jitter),
@@ -589,7 +554,7 @@ def test_default_run_matches_one_step_oracle(seed, stride_jitter):
 
 def test_divergence_message_matches_one_step_oracle():
     args = (DEFAULT_PROFILE, _CONV, DEFAULT_GAINS, PlantParams(inertia=1e-7),
-            _FSR, 1, 0)
+            1, 0)
     with pytest.raises(NonFiniteState) as kernel:
         run_simulation(*args)
     with pytest.raises(NonFiniteState) as oracle:
