@@ -8,9 +8,13 @@ records, and a loop that locates the stride with a scalar search every
 tick, steps the strike detector, update_phase and reference_tension, calls
 pid_step once and plant_step once per substep, and draws the load-cell
 noise inside the last substep. The kernel must reproduce it bit for bit.
+
+`reached` counts the branches the one-step functions take, by name, so a
+test can clear it, run the oracle and see which branches its case reached.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +41,8 @@ _INTEGRATOR_LIMIT = 4.0  # Nm
 _STRIDE_PERIOD = 0.980  # s
 _ANCHOR_AMPLITUDE = 0.002  # m
 _SUBSTEPS = 10
+
+reached = Counter()
 
 
 @dataclass(frozen=True)
@@ -79,12 +85,21 @@ def pid_step(
         d_raw = (e - ctrl_state.prev_error) / dt
     d = ctrl_state.d_filt + _D_FILTER_ALPHA * (d_raw - ctrl_state.d_filt)
     integral = ctrl_state.integral + gains.ki * e * dt
+    if integral > _INTEGRATOR_LIMIT:
+        reached["integral_clamp_high"] += 1
+    elif integral < -_INTEGRATOR_LIMIT:
+        reached["integral_clamp_low"] += 1
     integral = min(max(integral, -_INTEGRATOR_LIMIT), _INTEGRATOR_LIMIT)
     base = gains.ff_gain * ref + gains.kp * e + gains.kd * d
     u = base + integral
     if (u > _OUTPUT_LIMIT and e > 0) or (u < -_OUTPUT_LIMIT and e < 0):
+        reached["anti_windup_high" if e > 0 else "anti_windup_low"] += 1
         integral = ctrl_state.integral
         u = base + integral
+    if u > _OUTPUT_LIMIT:
+        reached["output_clamp_high"] += 1
+    elif u < -_OUTPUT_LIMIT:
+        reached["output_clamp_low"] += 1
     command = min(max(u, -_OUTPUT_LIMIT), _OUTPUT_LIMIT)
     new = replace(ctrl_state, integral=integral, d_filt=d, prev_error=e)
     return new, command
@@ -92,6 +107,7 @@ def pid_step(
 
 def _motor_tension(params: PlantParams, stretch: float, stretch_rate: float) -> float:
     if stretch <= 0:
+        reached["slack"] += 1
         return 0.0
     return params.cable_stiffness * stretch + params.cable_damping * max(
         0.0, stretch_rate
@@ -110,7 +126,14 @@ def _sheath_exponent_step(
     # over the elastic take-up of the wrapped arc, so the factor never jumps
     # at a velocity reversal and equals each branch value in steady sliding.
     if abs(stretch_rate) <= _VELOCITY_DEADBAND:
+        reached["hold"] += 1
         return exponent
+    if stretch_rate > 0:
+        reached["slide_feed"] += 1
+    elif stretch_rate < 0:
+        reached["slide_return"] += 1
+    else:
+        reached["rate_nan"] += 1
     arc_take_up = (
         _WRAPPED_ARC_FRACTION
         * max(tension, params.pretension)
@@ -140,6 +163,10 @@ def plant_step(
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > 1.0 / params.control_rate + 1e-12:
         raise ValueError("plant substep must not exceed the control period")
+    if command > params.torque_max:
+        reached["torque_clamp_high"] += 1
+    elif command < -params.torque_max:
+        reached["torque_clamp_low"] += 1
     tau = min(max(command, -params.torque_max), params.torque_max)
     s0 = params.pretension / params.cable_stiffness
     anchor_vel = (anchor_pos - state.anchor_pos) / dt

@@ -1653,6 +1653,55 @@ def test_simulate_golden_digests(extra, tmp_path, capsys):
         == _SIMULATE_GOLDEN[extra]
 
 
+def _csv_writer_trace(result, path):
+    """The trace as csv.writer writes it, _TRACE_CHUNK rows at a time: the
+    reference for the bytes of simulate --trace."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["time", "fsr", "gc", "reference", "measured",
+                         "tension_true", "cycle"])
+        columns = (result.time, result.fsr, result.gc, result.reference,
+                   result.measured, result.tension_true, result.cycle_index)
+        for lo in range(0, len(result.time), cli._TRACE_CHUNK):
+            writer.writerows(zip(
+                *(c[lo:lo + cli._TRACE_CHUNK].tolist() for c in columns)
+            ))
+
+
+# Floats whose text is easy to get wrong: signed zero, subnormals, the
+# switch to exponent notation on either side, integral values.
+_TRACE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.225073858507201e-308,
+                 1e16, 9999999999999998.0, 1e-05, 0.0001, -1.5e-05, 1.0,
+                 3.0, -7.0, 0.1, 1e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), drawn=st.lists(st.floats(), max_size=8))
+def test_simulate_trace_matches_csv_writer(n, seed, drawn):
+    """simulate --trace writes the bytes csv.writer writes for the same
+    series, at lengths around the _TRACE_CHUNK boundaries."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(_TRACE_FLOATS + drawn)
+    floats = [pool[rng.integers(0, len(pool), n)] for _ in range(6)]
+    time, fsr, gc, reference, measured, tension_true = floats
+    result = exogait.SimResult(
+        time=time, reference=reference, measured=measured,
+        tension_true=tension_true, fsr=fsr, gc=gc,
+        cycle_index=rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64,
+                                 endpoint=True),
+        rms_error=0.0, peak_error=0.0,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(cli, "run_simulation", return_value=result):
+            code, _, err, caught = _run_captured(
+                ["simulate", "--cycles", "1", "--trace", str(got)])
+        assert (code, err, caught) == (0, "", [])
+        _csv_writer_trace(result, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_simulate_plant_override(capsys):
     code = run(["simulate", "--cycles", "1",
                 "--plant", "loadcell_noise_sd=0,pretension=6"])

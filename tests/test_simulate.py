@@ -33,6 +33,7 @@ from sim_oracle import (
     oracle_simulation,
     pid_step,
     plant_step,
+    reached,
     tracking_metrics,
 )
 
@@ -546,6 +547,68 @@ def test_run_simulation_matches_one_step_oracle(
 @pytest.mark.parametrize("stride_jitter", [0.0, 0.05])
 def test_default_run_matches_one_step_oracle(seed, stride_jitter):
     args = (DEFAULT_PROFILE, _CONV, DEFAULT_GAINS, PlantParams(), 2, seed)
+    _assert_bit_identical(
+        run_simulation(*args, stride_jitter=stride_jitter),
+        oracle_simulation(*args, stride_jitter=stride_jitter),
+    )
+
+
+# One deterministic case per branch of the kernel: (profile, gains, plant,
+# cycles, keyword arguments, the oracle branches the case must reach). A
+# case that diverges compares the NonFiniteState messages.
+_NOISY = replace(PlantParams(), loadcell_noise_sd=50.0)
+_P = DEFAULT_PROFILE
+_BRANCH_CASES = {
+    "slack_cable": (_P, PidGains(0.0, 0.0, 0.0, 0.0), PlantParams(), 1, {},
+                    {"slack"}),
+    "deadband_hold": (_P, DEFAULT_GAINS, _QUIET, 3,
+                      {"constant_reference": 50.0}, {"hold"}),
+    "sliding_both_ways": (_P, DEFAULT_GAINS, PlantParams(), 1, {},
+                          {"slide_feed", "slide_return"}),
+    "output_saturation": (_P, PidGains(1.0, 2.0, 0.0, 0.0),
+                          replace(_NOISY, torque_max=12.0), 1, {},
+                          {"anti_windup_high", "anti_windup_low",
+                           "output_clamp_high", "output_clamp_low"}),
+    "integral_clamp_high": (_P, PidGains(0.0, 2.0, 0.0, 0.0), _QUIET, 1,
+                            {"constant_reference": 300.0},
+                            {"integral_clamp_high"}),
+    "integral_clamp_low": (_P, PidGains(0.0, 2.0, 0.0, 0.2), _QUIET, 1,
+                           {"constant_reference": 50.0},
+                           {"integral_clamp_low"}),
+    "frictionless_sheath": (_P, DEFAULT_GAINS, PlantParams(sheath_mu=0.0), 1,
+                            {}, {"slide_feed", "slide_return"}),
+    "plant_torque_clamp": (_P, PidGains(1.0, 0.0, 0.0, 0.0),
+                           replace(_NOISY, torque_max=4.0), 1, {},
+                           {"torque_clamp_high", "torque_clamp_low"}),
+    "diverged_state": (_P, DEFAULT_GAINS, PlantParams(inertia=1e-7), 1, {},
+                       set()),
+    "diverged_nan_rate": (TorqueProfile(10.0, 40.0, 70.0, 1e308),
+                          DEFAULT_GAINS, PlantParams(), 1, {}, {"rate_nan"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_BRANCH_CASES))
+def test_kernel_branch_matches_one_step_oracle(case):
+    profile, gains, params, n_cycles, kwargs, branches = _BRANCH_CASES[case]
+    args = (profile, _CONV, gains, params, n_cycles, 0)
+    reached.clear()
+    want = _outcome(oracle_simulation, *args, **kwargs)
+    assert branches <= set(reached), sorted(reached)
+    assert isinstance(want, str) == case.startswith("diverged")
+    _assert_bit_identical(_outcome(run_simulation, *args, **kwargs), want)
+
+
+# The four simulate operations of bench/run.py's closed_loop workload at
+# --seed 1: 4 cycles each, the simulation seeds its plan draws, jitter 0
+# and 0.05 in turn.
+@pytest.mark.parametrize("seed, stride_jitter", [
+    (1016164991, 0.0),
+    (1099128568, 0.05),
+    (1621709874, 0.0),
+    (2041105244, 0.05),
+])
+def test_bench_runs_match_one_step_oracle(seed, stride_jitter):
+    args = (DEFAULT_PROFILE, _CONV, DEFAULT_GAINS, PlantParams(), 4, seed)
     _assert_bit_identical(
         run_simulation(*args, stride_jitter=stride_jitter),
         oracle_simulation(*args, stride_jitter=stride_jitter),
