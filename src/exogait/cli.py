@@ -509,21 +509,20 @@ def _cmd_simulate(values: dict) -> int:
         constant_reference=values["constant_reference"],
     )
     if values["trace"] is not None:
+        columns = (
+            result.time, result.fsr, result.gc, result.reference,
+            result.measured, result.tension_true, result.cycle_index,
+        )
         with open(values["trace"], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([
-                "time", "fsr", "gc", "reference", "measured",
-                "tension_true", "cycle",
-            ])
-            # csv writes a float as its repr, the same text _fmt gives.
-            columns = (
-                result.time, result.fsr, result.gc, result.reference,
-                result.measured, result.tension_true, result.cycle_index,
-            )
+            fh.write("time,fsr,gc,reference,measured,tension_true,cycle\n")
+            # Each cell is the repr of a float or an int, the text csv
+            # writes and _fmt gives, and none needs quoting.
             for lo in range(0, len(result.time), _TRACE_CHUNK):
-                writer.writerows(zip(
-                    *(column[lo:lo + _TRACE_CHUNK].tolist() for column in columns)
+                rows = zip(*(
+                    map(repr, column[lo:lo + _TRACE_CHUNK].tolist())
+                    for column in columns
                 ))
+                fh.write("\n".join(map(",".join, rows)) + "\n")
     summary = {
         "schema_version": SCHEMA_VERSION,
         "n_ticks": len(result.time),

@@ -227,6 +227,14 @@ def run_simulation(
     tests/sim_oracle.py keeps the same chain tick by tick, with one-step
     functions (pid_step, plant_step) for the physics, and the kernel must
     match it bit for bit.
+
+    After each substep one arithmetic guard, theta - theta + omega - omega
+    == 0.0 and 0.0 <= tension < inf, holds exactly when theta, omega and
+    the distal tension are finite and the tension is not negative. Only
+    when it fails does the kernel run plant_step's checks, in plant_step's
+    order: NonFiniteState naming theta, omega and the tension when one of
+    them is not finite, otherwise ValueError for a negative tension. The
+    errors and their messages are the oracle's.
     """
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
@@ -270,8 +278,9 @@ def run_simulation(
     reference = np.where(raw_ref > params.pretension, raw_ref, params.pretension)
 
     kp, ki, kd, ff_gain = gains.kp, gains.ki, gains.kd, gains.ff_gain
-    output_min, output_max = -_OUTPUT_LIMIT, _OUTPUT_LIMIT
-    limit, anchor_amplitude = _INTEGRATOR_LIMIT, _ANCHOR_AMPLITUDE
+    output_limit, limit = _OUTPUT_LIMIT, _INTEGRATOR_LIMIT
+    amplitude, pi, inf = _ANCHOR_AMPLITUDE, math.pi, math.inf
+    deadband, arc_fraction = _VELOCITY_DEADBAND, _WRAPPED_ARC_FRACTION
     radius = params.pulley_radius
     stiffness, damping = params.cable_stiffness, params.cable_damping
     viscous_b, torque_max = params.viscous_b, params.torque_max
@@ -279,10 +288,14 @@ def run_simulation(
     s0 = pretension / stiffness
     dt_over_inertia = dt_sub / params.inertia
     branch = params.sheath_mu * params.wrap_angle
-    sin, exp, copysign, isfinite = math.sin, math.exp, math.copysign, math.isfinite
+    neg_branch = -branch  # -copysign(branch, rate) for rate > 0
+    sin, exp = math.sin, math.exp
 
     integral, d_filt, prev_error = 0.0, 0.0, None
     theta = omega = anchor_pos = exponent = 0.0
+    # radius * theta - anchor_pos + s0 at rest; each substep leaves the
+    # stretch of its end state, which the next substep starts from.
+    stretch = s0
     t_distal = measured_now = pretension
     measured = np.empty(n_ticks)
     tension_true = np.empty(n_ticks)
@@ -291,41 +304,59 @@ def run_simulation(
         _, u_sub = _stride_position(
             starts, durations, time[block, None] + substep_offsets
         )
-        for i, ref, noise_val, u_row in zip(
-            range(lo, n_ticks),
-            reference[block].tolist(),
-            noise[block].tolist(),
-            u_sub.tolist(),
+        # Python's float ** 2, as the oracle computes it; numpy's square
+        # can round differently.
+        anchor_rows = [
+            [amplitude * sin(pi * u) ** 2 for u in row] for row in u_sub.tolist()
+        ]
+        measured_block, true_block = [], []
+        for ref, noise_val, anchors in zip(
+            reference[block].tolist(), noise[block].tolist(), anchor_rows
         ):
-            measured[i] = measured_now
-            tension_true[i] = t_distal
+            measured_block.append(measured_now)
+            true_block.append(t_distal)
 
-            # The oracle's pid_step.
+            # The oracle's pid_step; the conditional expressions are its
+            # min(max(value, low), high) clamps, unrolled.
             e = ref - measured_now
             d_raw = 0.0 if prev_error is None else (e - prev_error) / dt_ctrl
             d_filt = d_filt + _D_FILTER_ALPHA * (d_raw - d_filt)
-            integral_new = min(max(integral + ki * e * dt_ctrl, -limit), limit)
+            integral_new = integral + ki * e * dt_ctrl
+            if integral_new < -limit:
+                integral_new = -limit
+            elif integral_new > limit:
+                integral_new = limit
             base = ff_gain * ref + kp * e + kd * d_filt
             u_cmd = base + integral_new
-            if (u_cmd > output_max and e > 0) or (u_cmd < output_min and e < 0):
+            if (u_cmd > output_limit and e > 0.0) or (
+                u_cmd < -output_limit and e < 0.0
+            ):
                 u_cmd = base + integral
             else:
                 integral = integral_new
             prev_error = e
-            command = min(max(u_cmd, output_min), output_max)
-            tau = min(max(command, -torque_max), torque_max)
+            if u_cmd < -output_limit:
+                u_cmd = -output_limit
+            elif u_cmd > output_limit:
+                u_cmd = output_limit
+            if u_cmd < -torque_max:
+                tau = -torque_max
+            elif u_cmd > torque_max:
+                tau = torque_max
+            else:
+                tau = u_cmd
 
             # The oracle's plant_step, once per substep. The conditional
             # expressions are builtin max(0.0, rate) and
-            # max(t_motor, pretension), unrolled.
-            for u_m in u_row:
-                anchor = anchor_amplitude * sin(math.pi * u_m) ** 2
+            # max(t_motor, pretension), unrolled; the sliding branches
+            # split -copysign(branch, rate) and abs(rate) by the sign of
+            # the rate.
+            for anchor in anchors:
                 anchor_vel = (anchor - anchor_pos) / dt_sub
-                stretch = radius * theta - anchor_pos + s0
-                rate = radius * omega - anchor_vel
-                if stretch <= 0:
+                if stretch <= 0.0:
                     t_motor = 0.0
                 else:
+                    rate = radius * omega - anchor_vel
                     t_motor = stiffness * stretch + damping * (
                         rate if rate > 0.0 else 0.0
                     )
@@ -335,30 +366,56 @@ def run_simulation(
                 theta = theta + dt_sub * omega
                 stretch = radius * theta - anchor + s0
                 rate = radius * omega - anchor_vel
-                if stretch <= 0:
+                if stretch <= 0.0:
                     t_motor = 0.0
                 else:
                     t_motor = stiffness * stretch + damping * (
                         rate if rate > 0.0 else 0.0
                     )
-                speed = abs(rate)
-                if not speed <= _VELOCITY_DEADBAND:
-                    arc_take_up = _WRAPPED_ARC_FRACTION * (
+                if rate > deadband:
+                    arc_take_up = arc_fraction * (
                         pretension if pretension > t_motor else t_motor
                     ) / stiffness
-                    target = -copysign(branch, rate)
-                    decay = exp(-speed * dt_sub / arc_take_up)
-                    exponent = target + (exponent - target) * decay
-                t_distal = t_motor * exp(exponent)
-                if not (isfinite(theta) and isfinite(omega) and isfinite(t_distal)):
-                    raise NonFiniteState(
-                        f"plant state diverged: theta={theta}, omega={omega}, "
-                        f"tension={t_distal}"
+                    exponent = neg_branch + (exponent - neg_branch) * exp(
+                        -rate * dt_sub / arc_take_up
                     )
-                if t_distal < 0:
+                elif rate < -deadband:
+                    arc_take_up = arc_fraction * (
+                        pretension if pretension > t_motor else t_motor
+                    ) / stiffness
+                    exponent = branch + (exponent - branch) * exp(
+                        rate * dt_sub / arc_take_up
+                    )
+                elif rate != rate:
+                    # A NaN rate makes the exponent NaN, as exp(nan) does
+                    # in the update above.
+                    exponent = rate
+                t_distal = t_motor * exp(exponent)
+                # True exactly when theta and omega are finite and
+                # 0 <= t_distal < inf; otherwise the checks below, in the
+                # oracle's order, raise.
+                if not (
+                    theta - theta + omega - omega == 0.0
+                    and 0.0 <= t_distal < inf
+                ):
+                    if not (
+                        math.isfinite(theta)
+                        and math.isfinite(omega)
+                        and math.isfinite(t_distal)
+                    ):
+                        raise NonFiniteState(
+                            f"plant state diverged: theta={theta}, "
+                            f"omega={omega}, tension={t_distal}"
+                        )
                     raise ValueError("cable tension cannot be negative")
                 anchor_pos = anchor
-            measured_now = min(max(t_distal + noise_val, 0.0), loadcell_max)
+            measured_now = t_distal + noise_val
+            if measured_now < 0.0:
+                measured_now = 0.0
+            elif measured_now > loadcell_max:
+                measured_now = loadcell_max
+        measured[block] = measured_block
+        tension_true[block] = true_block
     rms, peak, rows = _metrics_from_arrays(time, reference, measured, cycle_index)
     return SimResult(
         time=time,
