@@ -7,7 +7,8 @@ controller (pid_step) and a one-step plant (plant_step) on frozen state
 records, and a loop that locates the stride with a scalar search every
 tick, steps the strike detector, update_phase and reference_tension, calls
 pid_step once and plant_step once per substep, and draws the load-cell
-noise inside the last substep. The kernel must reproduce it bit for bit.
+noise inside the last substep, and scores the run with one boolean mask
+per cycle (masked_metrics). The kernel must reproduce it bit for bit.
 
 `reached` counts the branches the one-step functions take, by name, so a
 test can clear it, run the oracle and see which branches its case reached.
@@ -202,6 +203,32 @@ def plant_step(
     )
 
 
+def masked_metrics(time, reference, measured, cycle_index):
+    """_metrics_from_arrays's result, with one boolean mask per cycle."""
+    with np.errstate(over="ignore"):
+        err = np.abs(np.asarray(measured, float) - np.asarray(reference, float))
+        square = err**2
+        steady = np.asarray(cycle_index) >= 1
+        if not steady.any():
+            steady = np.ones(len(err), dtype=bool)
+        rms = float(np.sqrt(np.mean(square[steady])))
+        peak = float(err[steady].max())
+        rows = []
+        for k in np.unique(cycle_index):
+            m = cycle_index == k
+            rows.append(
+                CycleSummary(
+                    cycle=int(k),
+                    start_time=float(np.asarray(time)[m][0]),
+                    end_time=float(np.asarray(time)[m][-1]),
+                    rms_error=float(np.sqrt(np.mean(square[m]))),
+                    peak_error=float(err[m].max()),
+                    mean_tension=float(np.mean(np.asarray(measured)[m])),
+                )
+            )
+    return rms, peak, rows
+
+
 def tracking_metrics(
     result: SimResult,
 ) -> tuple[float, float, list[CycleSummary]]:
@@ -293,7 +320,8 @@ def oracle_simulation(
             plant = plant_step(
                 params, plant, command, anchor_at(t_sub), dt_sub, rng=sub_rng
             )
-    result = SimResult(
+    rms, peak, rows = masked_metrics(time, reference, measured, cycle_index)
+    return SimResult(
         time=time,
         reference=reference,
         measured=measured,
@@ -301,8 +329,7 @@ def oracle_simulation(
         fsr=fsr,
         gc=gc_series,
         cycle_index=cycle_index,
-        rms_error=0.0,
-        peak_error=0.0,
+        rms_error=rms,
+        peak_error=peak,
+        cycles=rows,
     )
-    rms, peak, rows = tracking_metrics(result)
-    return replace(result, rms_error=rms, peak_error=peak, cycles=rows)

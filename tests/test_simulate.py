@@ -25,11 +25,13 @@ from exogait.simulate import (
     PidGains,
     PlantParams,
     SimResult,
+    _metrics_from_arrays,
     run_simulation,
 )
 from sim_oracle import (
     PidState,
     PlantState,
+    masked_metrics,
     oracle_simulation,
     pid_step,
     plant_step,
@@ -438,6 +440,30 @@ def test_metrics_empty_result():
     )
     with pytest.raises(EmptyResult):
         tracking_metrics(empty)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 600), min_size=1, max_size=8),
+    steps=st.lists(st.integers(1, 3), min_size=8, max_size=8),
+    first=st.integers(0, 2),
+    scale=st.sampled_from([1.0, 1e152, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_metrics_match_masked_metrics(lengths, steps, first, scale, seed):
+    # Any nondecreasing cycle index, as run_simulation makes; cycles of up
+    # to 600 ticks take numpy's pairwise sums past one 128-element block.
+    # Large scales overflow the squares, or the errors, to inf.
+    rng = np.random.default_rng(seed)
+    cycles = first + np.cumsum([0] + steps[:len(lengths) - 1])
+    cycle_index = np.repeat(cycles, lengths)
+    n = len(cycle_index)
+    time = np.arange(n) * 0.002
+    reference = scale * rng.uniform(0.0, 1.0, n)
+    measured = scale * rng.normal(0.0, 1.0, n)
+    got = _metrics_from_arrays(time, reference, measured, cycle_index)
+    assert repr(got) == repr(masked_metrics(time, reference, measured,
+                                            cycle_index))
 
 
 def test_cycle_summaries_cover_run():
