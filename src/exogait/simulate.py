@@ -168,30 +168,40 @@ def _metrics_from_arrays(
     measured: np.ndarray,
     cycle_index: np.ndarray,
 ) -> tuple[float, float, list[CycleSummary]]:
+    """Steady-cycle RMS and peak of |measured - reference|, and one
+    CycleSummary per cycle.
+
+    cycle_index must never decrease, as run_simulation makes it: each cycle
+    is then one contiguous slice, and its means and maximum run over the
+    same elements in the same order as a per-cycle boolean mask would
+    select them, so the figures are the same bit for bit.
+    """
     # An error above about 1e154 N squares to inf, and squares near the
     # float maximum sum to inf in the mean; the RMS (or mean tension) is
     # then inf, as the float arithmetic gives it, without a warning.
+    time = np.asarray(time)
+    measured = np.asarray(measured)
+    cycle_index = np.asarray(cycle_index)
     with np.errstate(over="ignore"):
         err = np.abs(np.asarray(measured, float) - np.asarray(reference, float))
         square = err**2
-        steady = np.asarray(cycle_index) >= 1
+        steady = cycle_index >= 1
         if not steady.any():
             steady = np.ones(len(err), dtype=bool)
         rms = float(np.sqrt(np.mean(square[steady])))
         peak = float(err[steady].max())
-        rows = []
-        for k in np.unique(cycle_index):
-            m = cycle_index == k
-            rows.append(
-                CycleSummary(
-                    cycle=int(k),
-                    start_time=float(np.asarray(time)[m][0]),
-                    end_time=float(np.asarray(time)[m][-1]),
-                    rms_error=float(np.sqrt(np.mean(square[m]))),
-                    peak_error=float(err[m].max()),
-                    mean_tension=float(np.mean(np.asarray(measured)[m])),
-                )
+        bounds = (np.flatnonzero(np.diff(cycle_index)) + 1).tolist()
+        rows = [
+            CycleSummary(
+                cycle=int(cycle_index[lo]),
+                start_time=float(time[lo]),
+                end_time=float(time[hi - 1]),
+                rms_error=float(np.sqrt(np.mean(square[lo:hi]))),
+                peak_error=float(err[lo:hi].max()),
+                mean_tension=float(np.mean(measured[lo:hi])),
             )
+            for lo, hi in zip([0, *bounds], [*bounds, len(err)])
+        ]
     return rms, peak, rows
 
 
