@@ -17,10 +17,12 @@ clamped to its 0-500 N range. Integration is semi-implicit Euler with the
 commanded torque held over each substep.
 
 The controller adds feedforward to PID on the tension error, and its
-output is clamped to +/-8 Nm. The integral term accumulates in command
-units, is clamped at +/-4 Nm, and drops its increment while the output
-saturates in the direction of the error (anti-windup). The derivative acts
-on a low-pass-filtered error difference (time constant 10*dt).
+output is clamped to +/-8 Nm, or to the plant's +/-torque_max when that is
+lower, so the command never exceeds what the motor delivers. The integral
+term accumulates in command units, is clamped at +/-4 Nm, and drops its
+increment while the output saturates in the direction of the error
+(anti-windup). The derivative acts on a low-pass-filtered error difference
+(time constant 10*dt).
 
 run_simulation drives a synthetic gait of 0.980 s strides, optionally
 jittered, and steps the plant 10 times per control tick: each stride the
@@ -57,8 +59,8 @@ _FSR_STANCE_FRACTION = 0.15
 _D_FILTER_ALPHA = 1.0 / 11.0
 
 # Controller output and integral-term limits: the command is clamped to
-# +/-_OUTPUT_LIMIT, and anti-windup keys on that clamp, not on the plant's
-# torque_max.
+# +/-min(_OUTPUT_LIMIT, torque_max), and anti-windup keys on that clamp, so
+# the controller saturates where the motor does.
 _OUTPUT_LIMIT = 8.0  # Nm
 _INTEGRATOR_LIMIT = 4.0  # Nm held by the integral term
 
@@ -288,12 +290,13 @@ def run_simulation(
     reference = np.where(raw_ref > params.pretension, raw_ref, params.pretension)
 
     kp, ki, kd, ff_gain = gains.kp, gains.ki, gains.kd, gains.ff_gain
-    output_limit, limit = _OUTPUT_LIMIT, _INTEGRATOR_LIMIT
+    output_limit = min(_OUTPUT_LIMIT, params.torque_max)
+    limit = _INTEGRATOR_LIMIT
     amplitude, pi, inf = _ANCHOR_AMPLITUDE, math.pi, math.inf
     deadband, arc_fraction = _VELOCITY_DEADBAND, _WRAPPED_ARC_FRACTION
     radius = params.pulley_radius
     stiffness, damping = params.cable_stiffness, params.cable_damping
-    viscous_b, torque_max = params.viscous_b, params.torque_max
+    viscous_b = params.viscous_b
     pretension, loadcell_max = params.pretension, _LOADCELL_MAX
     s0 = pretension / stiffness
     dt_over_inertia = dt_sub / params.inertia
@@ -345,14 +348,12 @@ def run_simulation(
             else:
                 integral = integral_new
             prev_error = e
+            # The clamped command is the motor torque: it lies within
+            # +/-torque_max, where plant_step's own clamp is the identity.
             if u_cmd < -output_limit:
-                u_cmd = -output_limit
+                tau = -output_limit
             elif u_cmd > output_limit:
-                u_cmd = output_limit
-            if u_cmd < -torque_max:
-                tau = -torque_max
-            elif u_cmd > torque_max:
-                tau = torque_max
+                tau = output_limit
             else:
                 tau = u_cmd
 

@@ -68,14 +68,21 @@ class PlantState:
 
 
 def pid_step(
-    gains: PidGains, ctrl_state: PidState, ref: float, meas: float, dt: float
+    gains: PidGains,
+    ctrl_state: PidState,
+    ref: float,
+    meas: float,
+    dt: float,
+    output_limit: float = _OUTPUT_LIMIT,
 ) -> tuple[PidState, float]:
     """One controller update; returns (new state, torque command in Nm).
 
     The integral term accumulates in command units and is clamped at
-    +/-4 Nm; while the output saturates at +/-8 Nm in the direction of the
-    current error the increment is discarded (anti-windup). The derivative
-    acts on a low-pass-filtered error difference (time constant 10*dt).
+    +/-4 Nm; while the output saturates at +/-output_limit in the
+    direction of the current error the increment is discarded
+    (anti-windup). The closed loop passes the lower of 8 Nm and the
+    plant's torque_max. The derivative acts on a low-pass-filtered error
+    difference (time constant 10*dt).
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -93,15 +100,15 @@ def pid_step(
     integral = min(max(integral, -_INTEGRATOR_LIMIT), _INTEGRATOR_LIMIT)
     base = gains.ff_gain * ref + gains.kp * e + gains.kd * d
     u = base + integral
-    if (u > _OUTPUT_LIMIT and e > 0) or (u < -_OUTPUT_LIMIT and e < 0):
+    if (u > output_limit and e > 0) or (u < -output_limit and e < 0):
         reached["anti_windup_high" if e > 0 else "anti_windup_low"] += 1
         integral = ctrl_state.integral
         u = base + integral
-    if u > _OUTPUT_LIMIT:
+    if u > output_limit:
         reached["output_clamp_high"] += 1
-    elif u < -_OUTPUT_LIMIT:
+    elif u < -output_limit:
         reached["output_clamp_low"] += 1
-    command = min(max(u, -_OUTPUT_LIMIT), _OUTPUT_LIMIT)
+    command = min(max(u, -output_limit), output_limit)
     new = replace(ctrl_state, integral=integral, d_filt=d, prev_error=e)
     return new, command
 
@@ -281,6 +288,7 @@ def oracle_simulation(
         _, u = locate(t)
         return _ANCHOR_AMPLITUDE * math.sin(math.pi * u) ** 2
 
+    output_limit = min(_OUTPUT_LIMIT, params.torque_max)
     detector = StrikeDetector(params.control_rate)
     phase_state = PhaseState()
     ctrl_state = PidState()
@@ -313,7 +321,9 @@ def oracle_simulation(
         fsr[i] = fsr_val
         gc_series[i] = gc
         cycle_index[i] = k
-        ctrl_state, command = pid_step(gains, ctrl_state, ref, meas, dt_ctrl)
+        ctrl_state, command = pid_step(
+            gains, ctrl_state, ref, meas, dt_ctrl, output_limit
+        )
         for m in range(_SUBSTEPS):
             t_sub = t + (m + 1) * dt_sub
             sub_rng = rng if m == _SUBSTEPS - 1 else None

@@ -1608,7 +1608,9 @@ def test_simulate_deterministic_outputs(tmp_path, capsys):
 # loop moved onto plain floats (the first two) and before the simulator's
 # fixed values became module constants (the rest, one per option that sets
 # the simulation); the kernel and the trace writer must keep all of them
-# byte-identical.
+# byte-identical. The torque_max=4 entry was recorded again when the
+# controller's clamp and anti-windup began keying on min(8 Nm, torque_max),
+# which changes runs with torque_max below 8 only.
 _SIMULATE_GOLDEN = {
     ("--seed", "0"): (
         "7bb04bdfa0d012c4e811f5e1b743401b6452bda546957f85954829b63c56921b",
@@ -1636,8 +1638,8 @@ _SIMULATE_GOLDEN = {
     ),
     ("--seed", "6", "--jitter", "0.1",
      "--plant", "torque_max=4,control_rate=400"): (
-        "df4fcd6a766cc71378c0131fab9203db61d016e2e388320f78ac65c0c61069a7",
-        "d4b3f1d9fed1c991731d852c72d49de83907c6e44d9ebb89c5085004af532cec",
+        "b858cc9ab617b2d8bf23dc316d410f250d195e19ff250eeaa63a50773878fb4a",
+        "7adb32078233669e983f46b49fc665621d77836a070b9e4f707076ed0d247dff",
     ),
 }
 

@@ -89,6 +89,17 @@ def test_pid_anti_windup_freezes_integral():
     assert state.integral == 0.0
 
 
+def test_pid_anti_windup_keys_on_output_limit():
+    # A 4 Nm actuator: the command stops at 4 Nm, and the integral does
+    # not grow while it is held there.
+    gains = PidGains(kp=1.0, ki=1.0, kd=0.0, ff_gain=0.0)
+    state = PidState()
+    for _ in range(50):
+        state, command = pid_step(gains, state, 50.0, 0.0, 0.01, 4.0)
+        assert command == 4.0
+    assert state.integral == 0.0
+
+
 def test_pid_derivative_filtered():
     gains = PidGains(kp=0.0, ki=0.0, kd=0.5, ff_gain=0.0)
     state, command = pid_step(gains, PidState(), 1.0, 0.0, 0.01)
@@ -343,6 +354,17 @@ def test_tracking_rms_within_budget():
     assert rms == res.rms_error
     assert rms < 0.05 * 166.71
     assert len(cycles) == 10
+
+
+def test_controller_saturates_with_a_weak_motor():
+    # Below 8 Nm the controller clamps at torque_max: the plant's own clamp
+    # is never reached, and the integral stays far from its 4 Nm clamp.
+    params = replace(PlantParams(), torque_max=4.0)
+    reached.clear()
+    oracle_simulation(DEFAULT_PROFILE, _CONV, DEFAULT_GAINS, params, 3, 0)
+    assert {"output_clamp_high", "anti_windup_high"} <= set(reached)
+    assert not {"torque_clamp_high", "torque_clamp_low",
+                "integral_clamp_high", "integral_clamp_low"} & set(reached)
 
 
 def test_run_validation():
@@ -603,9 +625,10 @@ _BRANCH_CASES = {
                            {"integral_clamp_low"}),
     "frictionless_sheath": (_P, DEFAULT_GAINS, PlantParams(sheath_mu=0.0), 1,
                             {}, {"slide_feed", "slide_return"}),
-    "plant_torque_clamp": (_P, PidGains(1.0, 0.0, 0.0, 0.0),
+    "torque_max_below_8": (_P, PidGains(1.0, 2.0, 0.0, 0.0),
                            replace(_NOISY, torque_max=4.0), 1, {},
-                           {"torque_clamp_high", "torque_clamp_low"}),
+                           {"anti_windup_high", "anti_windup_low",
+                            "output_clamp_high", "output_clamp_low"}),
     "diverged_state": (_P, DEFAULT_GAINS, PlantParams(inertia=1e-7), 1, {},
                        set()),
     "diverged_nan_rate": (TorqueProfile(10.0, 40.0, 70.0, 1e308),
