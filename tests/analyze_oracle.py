@@ -3,10 +3,14 @@
 This module keeps the `analyze` orchestration as the command line ran it
 before the pipeline became one library call: series lookup, gap filling,
 smoothing, the stride loop with its window-validity test, the features
-and the ensembles, inline. It is swapped in for cli._cmd_analyze as the
-handler in cli._COMMANDS; the CLI must exit with the same code, print the
-same stderr and stdout, and write byte-identical strides and ensemble
-CSVs. Only the calls into the library's leaf functions may change here.
+and the ensembles, inline. The 101-sample resampling (np.linspace plus
+np.interp, with the 1e-9 range check), the ROM and peaks (max and min) and
+the ensemble (mean, and SD with ddof=1, zero for a single cycle) are
+computed here rather than by the library's leaf functions, so the property
+checks normalize_cycle, cycle_features and ensemble too. It is swapped in
+for cli._cmd_analyze as the handler in cli._COMMANDS; the CLI must exit
+with the same code, print the same stderr and stdout, and write
+byte-identical strides and ensemble CSVs.
 """
 
 import csv
@@ -24,13 +28,7 @@ from exogait.cli import (
     _load_trial,
     _require,
 )
-from exogait.cycles import (
-    ensemble,
-    cycle_features,
-    normalize_cycle,
-    segment_strides,
-    temporal_params,
-)
+from exogait.cycles import segment_strides, temporal_params
 from exogait.errors import EmptyResult, MissingFootOff, StrideOutsideSeries
 from exogait.preprocess import fill_gaps, smooth_to_mse
 
@@ -61,6 +59,23 @@ def _resolve_series(trial, name, gap_fill):
     raise ValueError(
         f"signal {name!r} matches no analog channel and no marker axis"
     )
+
+
+def _normalize(y, rate, stride, origin):
+    """101 samples of y over the stride, by linear interpolation."""
+    t_last = origin + (y.size - 1) / rate
+    if stride.start_time < origin - 1e-9 or stride.end_time > t_last + 1e-9:
+        raise StrideOutsideSeries("stride outside the sampled range")
+    t = origin + np.arange(y.size) / rate
+    return np.interp(np.linspace(stride.start_time, stride.end_time, 101),
+                     t, y)
+
+
+def _mean_sd(cycles):
+    """Pointwise mean and sample SD (zeros for one cycle) of the cycles."""
+    arr = np.stack(cycles)
+    sd = arr.std(axis=0, ddof=1) if len(cycles) > 1 else np.zeros(101)
+    return arr.mean(axis=0), sd
 
 
 def oracle_cmd_analyze(values):
@@ -131,16 +146,10 @@ def oracle_cmd_analyze(values):
                 excluded += 1
                 continue
             try:
-                angle = normalize_cycle(
-                    samples, rate, stride, start_time=origin,
-                    variable=values["signal"], units="deg",
-                )
+                angle = _normalize(samples, rate, stride, origin)
                 m_cycle = None
                 if moment is not None:
-                    m_cycle = normalize_cycle(
-                        moment[0], moment[1], stride, start_time=origin,
-                        variable=values["moment"], units="Nm/kg",
-                    )
+                    m_cycle = _normalize(moment[0], moment[1], stride, origin)
             except StrideOutsideSeries:
                 excluded += 1
                 continue
@@ -148,7 +157,6 @@ def oracle_cmd_analyze(values):
                 temporal = temporal_params(stride)
             except MissingFootOff:
                 temporal = None
-            features = cycle_features(angle, m_cycle)
             angle_cycles.append(angle)
             if m_cycle is not None:
                 moment_cycles.append(m_cycle)
@@ -157,10 +165,10 @@ def oracle_cmd_analyze(values):
                 values["condition"],
                 side.value,
                 str(index),
-                _fmt(features.rom),
-                _fmt(features.peak_dorsiflexion),
-                _fmt(features.peak_plantarflexion),
-                _fmt(features.peak_plantarflexion_moment),
+                _fmt(float(angle.max() - angle.min())),
+                _fmt(float(angle.max())),
+                _fmt(float(-angle.min())),
+                _fmt(None if m_cycle is None else float(m_cycle.max())),
                 _fmt(stride.end_time - stride.start_time),
                 _fmt(temporal.stance_duration if temporal else None),
                 _fmt(temporal.swing_duration if temporal else None),
@@ -175,17 +183,15 @@ def oracle_cmd_analyze(values):
         writer.writerow(STRIDE_COLUMNS)
         writer.writerows(kept_rows)
 
-    mean_c, sd_c = ensemble(angle_cycles)
     header = ["gc", "angle_mean", "angle_sd"]
-    columns = [mean_c.samples, sd_c.samples]
+    columns = list(_mean_sd(angle_cycles))
     if moment_cycles:
-        m_mean, m_sd = ensemble(moment_cycles)
         header += ["moment_mean", "moment_sd"]
-        columns += [m_mean.samples, m_sd.samples]
+        columns += _mean_sd(moment_cycles)
     with open(values["out_ensemble"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(len(mean_c.samples)):
+        for i in range(101):
             writer.writerow([str(i)] + [_fmt(col[i]) for col in columns])
 
     print(f"strides: {len(kept_rows)} kept, {excluded} excluded")
