@@ -25,7 +25,6 @@ from .c3d import map_event, read_c3d, write_c3d
 from .csvio import compare_tables, read_csv_trial, read_events_csv
 from .cycles import (
     CycleFeatures,
-    NormalizedCycle,
     Stride,
     TemporalFeatures,
     analyze_trial,
@@ -71,7 +70,6 @@ __all__ = [
     "GaitEvent",
     "LmeFit",
     "MarkerTrajectory",
-    "NormalizedCycle",
     "PhaseState",
     "PidGains",
     "PlantParams",

@@ -396,10 +396,10 @@ def _cmd_analyze(values: dict) -> int:
             ])
 
     header = ["gc", "angle_mean", "angle_sd"]
-    columns = [cycle.samples for cycle in result.angle_ensemble]
+    columns = list(result.angle_ensemble)
     if result.moment_ensemble is not None:
         header += ["moment_mean", "moment_sd"]
-        columns += [cycle.samples for cycle in result.moment_ensemble]
+        columns += result.moment_ensemble
     with open(values["out_ensemble"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

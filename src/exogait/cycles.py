@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyResult,
-    MissingFootOff,
-    MixedVariables,
-    StrideOutsideSeries,
-)
+from .errors import EmptyResult, MissingFootOff, StrideOutsideSeries
 from .preprocess import fill_gaps, smooth_to_mse
 from .trial import EventKind, GaitEvent, Side, Trial
 
@@ -45,23 +40,6 @@ class Stride:
             raise ValueError(
                 f"foot off {self.foot_off_time} not inside "
                 f"({self.start_time}, {self.end_time})"
-            )
-
-
-@dataclass
-class NormalizedCycle:
-    """A variable resampled to exactly 101 samples over 0..100 GC%."""
-
-    variable: str
-    units: str
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.shape != (N_SAMPLES,):
-            raise ValueError(
-                f"normalized cycle must have exactly {N_SAMPLES} samples, "
-                f"got {self.samples.shape}"
             )
 
 
@@ -107,15 +85,15 @@ def normalize_cycle(
     rate: float,
     stride: Stride,
     start_time: float = 0.0,
-    variable: str = "",
-    units: str = "",
-) -> NormalizedCycle:
+) -> np.ndarray:
     """Resample one stride of a uniform series to 101 gait-cycle samples.
 
-    samples[k] of the result is the linear interpolation of the input at
-    time start + k*(end-start)/100; start_time is the time of the series'
-    first sample. Stride boundaries falling between frames interpolate,
-    consistent with the interior rule.
+    Returns a float array of shape (101,), 0..100 GC% inclusive: entry k is
+    the linear interpolation of the input at time start + k*(end-start)/100;
+    start_time is the time of the series' first sample. Stride boundaries
+    falling between frames interpolate, consistent with the interior rule.
+    Raises StrideOutsideSeries when the stride reaches more than 1e-9 s
+    past either end of the series.
     """
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1 or y.size < 2:
@@ -131,9 +109,7 @@ def normalize_cycle(
         )
     tk = np.linspace(stride.start_time, stride.end_time, N_SAMPLES)
     t = start_time + np.arange(y.size) / rate
-    return NormalizedCycle(
-        variable=variable, units=units, samples=np.interp(tk, t, y)
-    )
+    return np.interp(tk, t, y)
 
 
 def temporal_params(stride: Stride) -> TemporalFeatures:
@@ -162,47 +138,37 @@ def temporal_params(stride: Stride) -> TemporalFeatures:
 
 
 def cycle_features(
-    angle: NormalizedCycle,
-    moment: NormalizedCycle | None = None,
+    angle: np.ndarray,
+    moment: np.ndarray | None = None,
 ) -> CycleFeatures:
-    """Kinematic (and optionally kinetic) features of one cycle.
+    """Kinematic (and optionally kinetic) features of one normalized cycle.
 
+    angle and moment are 101-sample arrays as normalize_cycle returns them.
     angle must be in degrees with dorsiflexion positive; peak plantarflexion
     is the negated minimum, so a cycle that never plantarflexes reports a
     negative peak. moment, when given, must have the plantarflexor moment
     positive.
     """
-    a = angle.samples
     features = CycleFeatures(
-        rom=float(a.max() - a.min()),
-        peak_dorsiflexion=float(a.max()),
-        peak_plantarflexion=float(-a.min()),
+        rom=float(angle.max() - angle.min()),
+        peak_dorsiflexion=float(angle.max()),
+        peak_plantarflexion=float(-angle.min()),
     )
     if moment is not None:
-        features.peak_plantarflexion_moment = float(moment.samples.max())
+        features.peak_plantarflexion_moment = float(moment.max())
     return features
 
 
-def ensemble(
-    cycles: list[NormalizedCycle],
-) -> tuple[NormalizedCycle, NormalizedCycle]:
-    """Pointwise mean and sample SD over cycles of one variable."""
+def ensemble(cycles: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise mean and sample SD (ddof=1) of 101-sample cycles, as two
+    arrays; the SD is all zeros for a single cycle. Raises EmptyResult on
+    an empty list."""
     if not cycles:
         raise EmptyResult("ensemble of zero cycles")
-    variable = cycles[0].variable
-    units = cycles[0].units
-    for c in cycles[1:]:
-        if c.variable != variable:
-            raise MixedVariables(
-                f"cannot ensemble {variable!r} with {c.variable!r}"
-            )
-    arr = np.stack([c.samples for c in cycles])
+    arr = np.stack(cycles)
     mean = arr.mean(axis=0)
     sd = arr.std(axis=0, ddof=1) if len(cycles) > 1 else np.zeros(N_SAMPLES)
-    return (
-        NormalizedCycle(variable=variable, units=units, samples=mean),
-        NormalizedCycle(variable=variable, units=units, samples=sd),
-    )
+    return mean, sd
 
 
 @dataclass(frozen=True)
@@ -216,15 +182,16 @@ class AnalysisResult:
     when the window reaches past a series. features and temporal have one
     entry per kept stride, in the same order; temporal is None for a stride
     without a usable foot off. Each ensemble is a (mean, sd) pair of
-    cycles, and moment_ensemble is None without a moment series. smoothing
+    101-sample arrays over 0..100 GC% (the SD is zero with one kept
+    stride), and moment_ensemble is None without a moment series. smoothing
     is (achieved MSE, target met), or None when smoothing was off.
     """
 
     strides: list[tuple[Side, int, Stride, str | None]]
     features: list[CycleFeatures]
     temporal: list[TemporalFeatures | None]
-    angle_ensemble: tuple[NormalizedCycle, NormalizedCycle]
-    moment_ensemble: tuple[NormalizedCycle, NormalizedCycle] | None
+    angle_ensemble: tuple[np.ndarray, np.ndarray]
+    moment_ensemble: tuple[np.ndarray, np.ndarray] | None
     smoothing: tuple[float, bool] | None
 
 
@@ -254,12 +221,14 @@ def _series(trial: Trial, name: str, max_gap: int):
 
 
 def _window_valid(valid, rate: float, stride: Stride, origin: float) -> bool:
-    """Whether every sample of the stride's window is valid."""
+    """Whether every sample of the stride's window is valid. A window with
+    no sample lies wholly outside the series and counts as valid here, so
+    that normalize_cycle's range check names it "outside-series"."""
     if valid is None:
         return True
     i0 = max(int(np.floor((stride.start_time - origin) * rate)), 0)
     i1 = min(int(np.ceil((stride.end_time - origin) * rate)), len(valid) - 1)
-    return i0 <= i1 and bool(valid[i0 : i1 + 1].all())
+    return i0 > i1 or bool(valid[i0 : i1 + 1].all())
 
 
 def analyze_trial(
@@ -278,11 +247,11 @@ def analyze_trial(
     a marker axis '<label>.x', '.y' or '.z'. A marker is gap-filled by
     fill_gaps(marker, max_gap) first; a frame the fill leaves invalid
     excludes every stride whose window holds it. Unless target_mse is 0,
-    the signal series is smoothed by smooth_to_mse; the moment series never
-    is. Each side's strides come
-    from segment_strides(events, side), with event times in seconds from
-    the trial's frame 1. Raises EmptyResult when events is empty or no
-    stride is kept; lookup, fill and smoothing errors pass through.
+    the signal series is smoothed by smooth_to_mse; the moment series is
+    never smoothed. Each side's strides come from segment_strides(events,
+    side), with event times in seconds from the trial's frame 1. Raises
+    EmptyResult when events is empty or no stride is kept; lookup, fill and
+    smoothing errors pass through.
     """
     if not events:
         raise EmptyResult("trial has no gait events; nothing to segment")
@@ -292,25 +261,24 @@ def analyze_trial(
     if target_mse != 0:
         samples, achieved, met = smooth_to_mse(samples, rate, target_mse)
         smoothing = (achieved, met)
-    # (samples, rate, validity, variable, units) of each series
-    series = [(samples, rate, validity, signal, "deg")]
+    # (samples, rate, validity) of each series
+    series = [(samples, rate, validity)]
     if moment is not None:
-        series.append((*_series(trial, moment, max_gap), moment, "Nm/kg"))
+        series.append(_series(trial, moment, max_gap))
 
     strides, features, temporal = [], [], []
-    cycles: list[list[NormalizedCycle]] = [[] for _ in series]
+    cycles: list[list[np.ndarray]] = [[] for _ in series]
     for side in sides:
         for index, stride in enumerate(segment_strides(events, side)):
             excluded = None
             if not all(_window_valid(valid, r, stride, origin)
-                       for _, r, valid, _, _ in series):
+                       for _, r, valid in series):
                 excluded = "gap"
             else:
                 try:
                     normalized = [
-                        normalize_cycle(y, r, stride, start_time=origin,
-                                        variable=variable, units=units)
-                        for y, r, _, variable, units in series
+                        normalize_cycle(y, r, stride, start_time=origin)
+                        for y, r, _ in series
                     ]
                 except StrideOutsideSeries:
                     excluded = "outside-series"

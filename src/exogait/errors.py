@@ -77,10 +77,6 @@ class MissingFootOff(ExogaitError):
 
 # --- statistics -------------------------------------------------------------
 
-class MixedVariables(ExogaitError):
-    """Observations from different outcome variables were mixed."""
-
-
 class SingularDesign(ExogaitError):
     """Fixed-effect design matrix is rank deficient (a condition is empty)."""
 

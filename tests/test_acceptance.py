@@ -22,7 +22,7 @@ from exogait.assist import (
     torque_at,
 )
 from exogait.c3d import read_c3d, write_c3d
-from exogait.cycles import NormalizedCycle, Stride, normalize_cycle, temporal_params
+from exogait.cycles import Stride, normalize_cycle, temporal_params
 from exogait.errors import MalformedHeader, TruncatedData
 from exogait.phase import PhaseState, StrikeDetector, detect_heel_strikes, update_phase
 from exogait.preprocess import smooth_to_mse, smooth_with_lambda
@@ -86,19 +86,16 @@ def test_criterion_03_normalization_fixtures():
     with _criterion(3, "cycle normalization fixtures"):
         stride = Stride(side=Side.LEFT, start_time=0.0, end_time=1.0)
         ramp = normalize_cycle(np.arange(11.0), 10.0, stride)
-        assert ramp.samples.shape == (101,)
+        assert ramp.shape == (101,)
         np.testing.assert_allclose(
-            ramp.samples, np.linspace(0.0, 10.0, 101), atol=1e-12)
+            ramp, np.linspace(0.0, 10.0, 101), atol=1e-12)
 
         values = np.sin(np.linspace(0.0, 3.0, 101))
         identity = normalize_cycle(values, 100.0,
                                    Stride(side=Side.LEFT, start_time=0.0,
                                           end_time=1.0))
-        assert identity.samples.shape == (101,)
-        np.testing.assert_allclose(identity.samples, values, atol=1e-12)
-
-        with pytest.raises(ValueError):
-            NormalizedCycle(variable="x", units="", samples=np.zeros(100))
+        assert identity.shape == (101,)
+        np.testing.assert_allclose(identity, values, atol=1e-12)
 
 
 def _random_dataset(rng, effect):

@@ -9,7 +9,6 @@ import pytest
 
 from exogait.cycles import (
     N_SAMPLES,
-    NormalizedCycle,
     Stride,
     analyze_trial,
     cycle_features,
@@ -21,7 +20,6 @@ from exogait.cycles import (
 from exogait.errors import (
     EmptyResult,
     MissingFootOff,
-    MixedVariables,
     StrideOutsideSeries,
 )
 from exogait.trial import (
@@ -106,12 +104,12 @@ def test_normalize_ramp():
     samples = np.arange(11.0)
     stride = Stride(side=Side.LEFT, start_time=0.0, end_time=1.0)
     cyc = normalize_cycle(samples, 10.0, stride)
-    assert cyc.samples.shape == (N_SAMPLES,)
-    assert cyc.samples[0] == 0.0
-    assert cyc.samples[50] == pytest.approx(5.0, abs=1e-12)
-    assert cyc.samples[100] == pytest.approx(10.0, abs=1e-12)
+    assert cyc.shape == (N_SAMPLES,)
+    assert cyc[0] == 0.0
+    assert cyc[50] == pytest.approx(5.0, abs=1e-12)
+    assert cyc[100] == pytest.approx(10.0, abs=1e-12)
     expected = np.linspace(0.0, 10.0, N_SAMPLES)
-    np.testing.assert_allclose(cyc.samples, expected, atol=1e-12)
+    np.testing.assert_allclose(cyc, expected, atol=1e-12)
 
 
 def test_normalize_identity_at_101():
@@ -120,39 +118,30 @@ def test_normalize_identity_at_101():
     y = rng.normal(size=N_SAMPLES)
     stride = Stride(side=Side.LEFT, start_time=0.0, end_time=1.0)
     cyc = normalize_cycle(y, 100.0, stride)
-    np.testing.assert_allclose(cyc.samples, y, atol=1e-12)
+    np.testing.assert_allclose(cyc, y, atol=1e-12)
 
 
 def test_normalize_constant():
     stride = Stride(side=Side.LEFT, start_time=0.0, end_time=1.0)
     cyc = normalize_cycle(np.full(37, 4.25), 36.0, stride)
-    assert np.all(cyc.samples == 4.25)
+    assert np.all(cyc == 4.25)
 
 
 def test_normalize_commutes_with_affine():
     rng = np.random.default_rng(17)
     y = rng.normal(size=64)
     stride = Stride(side=Side.LEFT, start_time=0.1, end_time=0.55)
-    base = normalize_cycle(y, 100.0, stride).samples
+    base = normalize_cycle(y, 100.0, stride)
     a, b = 2.5, -7.0
-    mapped = normalize_cycle(a * y + b, 100.0, stride).samples
+    mapped = normalize_cycle(a * y + b, 100.0, stride)
     np.testing.assert_allclose(mapped, a * base + b, atol=1e-9)
-
-
-def test_normalize_carries_labels():
-    stride = Stride(side=Side.LEFT, start_time=0.0, end_time=1.0)
-    cyc = normalize_cycle(
-        np.zeros(11), 10.0, stride, variable="ankle_angle", units="deg"
-    )
-    assert cyc.variable == "ankle_angle"
-    assert cyc.units == "deg"
 
 
 def test_normalize_respects_series_origin():
     samples = np.arange(11.0)
     stride = Stride(side=Side.LEFT, start_time=5.0, end_time=6.0)
     cyc = normalize_cycle(samples, 10.0, stride, start_time=5.0)
-    assert cyc.samples[50] == pytest.approx(5.0, abs=1e-12)
+    assert cyc[50] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_stride_outside_series():
@@ -162,11 +151,14 @@ def test_stride_outside_series():
     early = Stride(side=Side.LEFT, start_time=-0.5, end_time=0.5)
     with pytest.raises(StrideOutsideSeries):
         normalize_cycle(np.arange(11.0), 10.0, early)
-
-
-def test_normalized_cycle_wrong_length_rejected():
-    with pytest.raises(ValueError):
-        NormalizedCycle(variable="x", units="", samples=np.zeros(100))
+    # The range check forgives 1e-9 s of rounding at either end, no more.
+    for start, end in ((-5e-10, 1.0), (0.0, 1.0 + 5e-10)):
+        normalize_cycle(np.arange(11.0), 10.0,
+                        Stride(side=Side.LEFT, start_time=start, end_time=end))
+    for start, end in ((-1e-6, 1.0), (0.0, 1.0 + 1e-6)):
+        with pytest.raises(StrideOutsideSeries):
+            normalize_cycle(np.arange(11.0), 10.0, Stride(
+                side=Side.LEFT, start_time=start, end_time=end))
 
 
 def test_temporal_fixture():
@@ -213,20 +205,16 @@ def test_temporal_requires_foot_off():
         temporal_params(stride)
 
 
-def _cycle(samples, variable="angle", units="deg"):
-    return NormalizedCycle(variable=variable, units=units, samples=samples)
-
-
 def test_features_fixture():
     samples = np.linspace(-15.0, 14.785, N_SAMPLES)
-    f = cycle_features(_cycle(samples))
+    f = cycle_features(samples)
     assert f.rom == pytest.approx(29.785, abs=1e-12)
     assert f.peak_dorsiflexion == pytest.approx(14.785)
     assert f.peak_plantarflexion == pytest.approx(15.0)
 
 
 def test_features_constant_angle():
-    f = cycle_features(_cycle(np.full(N_SAMPLES, 3.0)))
+    f = cycle_features(np.full(N_SAMPLES, 3.0))
     assert f.rom == 0.0
     assert f.peak_dorsiflexion == 3.0
     # Negated minimum: a cycle that never plantarflexes reports a negative
@@ -235,46 +223,38 @@ def test_features_constant_angle():
 
 
 def test_features_moment_optional():
-    f = cycle_features(_cycle(np.zeros(N_SAMPLES)))
+    f = cycle_features(np.zeros(N_SAMPLES))
     assert f.peak_plantarflexion_moment is None
-    m = _cycle(np.linspace(0.0, 1.6, N_SAMPLES), variable="moment", units="Nm")
-    f = cycle_features(_cycle(np.zeros(N_SAMPLES)), moment=m)
+    m = np.linspace(0.0, 1.6, N_SAMPLES)
+    f = cycle_features(np.zeros(N_SAMPLES), moment=m)
     assert f.peak_plantarflexion_moment == pytest.approx(1.6)
 
 
 def test_ensemble_single_cycle():
-    c = _cycle(np.linspace(0.0, 1.0, N_SAMPLES))
+    c = np.linspace(0.0, 1.0, N_SAMPLES)
     mean, sd = ensemble([c])
-    np.testing.assert_array_equal(mean.samples, c.samples)
-    np.testing.assert_array_equal(sd.samples, np.zeros(N_SAMPLES))
+    np.testing.assert_array_equal(mean, c)
+    np.testing.assert_array_equal(sd, np.zeros(N_SAMPLES))
 
 
 def test_ensemble_identical_cycles():
-    c = _cycle(np.sin(np.linspace(0.0, 2.0 * np.pi, N_SAMPLES)))
-    mean, sd = ensemble([c, _cycle(c.samples.copy()), _cycle(c.samples.copy())])
-    np.testing.assert_allclose(mean.samples, c.samples, atol=1e-15)
-    np.testing.assert_allclose(sd.samples, 0.0, atol=1e-15)
+    c = np.sin(np.linspace(0.0, 2.0 * np.pi, N_SAMPLES))
+    mean, sd = ensemble([c, c.copy(), c.copy()])
+    np.testing.assert_allclose(mean, c, atol=1e-15)
+    np.testing.assert_allclose(sd, 0.0, atol=1e-15)
 
 
 def test_ensemble_symmetric_pair():
     c = np.linspace(-2.0, 2.0, N_SAMPLES)
-    mean, sd = ensemble([_cycle(c), _cycle(-c)])
-    np.testing.assert_allclose(mean.samples, 0.0, atol=1e-15)
-    np.testing.assert_allclose(sd.samples, np.abs(c) * np.sqrt(2.0), atol=1e-12)
+    mean, sd = ensemble([c, -c])
+    np.testing.assert_allclose(mean, 0.0, atol=1e-15)
+    np.testing.assert_allclose(sd, np.abs(c) * np.sqrt(2.0), atol=1e-12)
 
 
 def test_ensemble_known_sd():
-    mean, sd = ensemble([_cycle(np.zeros(N_SAMPLES)), _cycle(np.full(N_SAMPLES, 2.0))])
-    np.testing.assert_allclose(mean.samples, 1.0)
-    np.testing.assert_allclose(sd.samples, np.sqrt(2.0))
-
-
-def test_ensemble_rejects_mixed_variables():
-    with pytest.raises(MixedVariables):
-        ensemble([
-            _cycle(np.zeros(N_SAMPLES), variable="angle"),
-            _cycle(np.zeros(N_SAMPLES), variable="moment"),
-        ])
+    mean, sd = ensemble([np.zeros(N_SAMPLES), np.full(N_SAMPLES, 2.0)])
+    np.testing.assert_allclose(mean, 1.0)
+    np.testing.assert_allclose(sd, np.sqrt(2.0))
 
 
 def test_ensemble_empty():
@@ -325,8 +305,30 @@ def test_analyze_trial_names_each_exclusion():
     assert result.temporal[1] is None  # no foot off in [2, 3]
     assert result.smoothing is None
     mean, sd = result.angle_ensemble
-    assert mean.variable == "ANK.z" and mean.units == "deg"
-    assert result.moment_ensemble[0].variable == "moment"
+    assert mean.shape == sd.shape == (N_SAMPLES,)
+
+
+@pytest.mark.parametrize("signal", ["ANK.z", "angle"])
+def test_stride_wholly_outside_series_is_outside_series(signal):
+    """A stride that ends before the first frame or starts after the last
+    is "outside-series" on a marker signal as on an analog one, not
+    "gap"."""
+    t = 1.0 + np.arange(301) / 100.0  # frames 101-401: 1.0 s to 4.0 s
+    z = 10.0 * np.sin(2.0 * np.pi * t)
+    marker = MarkerTrajectory("ANK", np.column_stack([t, -t, z]),
+                              np.ones(t.size, dtype=bool))
+    trial = Trial(markers=[marker],
+                  analogs=[AnalogChannel("angle", 2.0 * z, 100.0)],
+                  events=[], point_rate=100.0, analog_rate=100.0,
+                  first_frame=101, last_frame=401)
+    events = [_ev(time, Side.LEFT, EventKind.FOOT_STRIKE)
+              for time in (0.2, 0.7, 1.2, 2.2, 3.2, 4.2, 4.8)]
+    result = analyze_trial(trial, events, signal, target_mse=0)
+    assert [(stride.start_time, excluded)
+            for _, _, stride, excluded in result.strides] == [
+        (0.2, "outside-series"), (0.7, "outside-series"), (1.2, None),
+        (2.2, None), (3.2, "outside-series"), (4.2, "outside-series"),
+    ]
 
 
 def test_analyze_trial_smooths_the_signal_only():
@@ -339,10 +341,10 @@ def test_analyze_trial_smooths_the_signal_only():
     assert [e[3] for e in result.strides] == [None, None, None]
     unsmoothed = analyze_trial(trial, events, "angle", moment="moment",
                                sides=(Side.LEFT,), target_mse=0)
-    assert unsmoothed.moment_ensemble[0].samples.tobytes() == \
-        result.moment_ensemble[0].samples.tobytes()
-    assert unsmoothed.angle_ensemble[0].samples.tobytes() != \
-        result.angle_ensemble[0].samples.tobytes()
+    assert unsmoothed.moment_ensemble[0].tobytes() == \
+        result.moment_ensemble[0].tobytes()
+    assert unsmoothed.angle_ensemble[0].tobytes() != \
+        result.angle_ensemble[0].tobytes()
     assert analyze_trial(trial, events, "angle").moment_ensemble is None
 
 
