@@ -7,7 +7,11 @@ and the ensembles, inline. The 101-sample resampling (np.linspace plus
 np.interp, with the 1e-9 range check), the ROM and peaks (max and min) and
 the ensemble (mean, and SD with ddof=1, zero for a single cycle) are
 computed here rather than by the library's leaf functions, so the property
-checks normalize_cycle, cycle_features and ensemble too. It is swapped in
+checks normalize_cycle, cycle_features and ensemble too. A C3D trial is
+read whole, every marker and channel converted, so the property also
+checks the C3D reader's column limit; a CSV trial goes through the CLI's
+column-limited loader, whose partial-read failures are the command's
+contract. The ensemble CSV is written through csv.writer. It is swapped in
 for cli._cmd_analyze as the handler in cli._COMMANDS; the CLI must exit
 with the same code, print the same stderr and stdout, and write
 byte-identical strides and ensemble CSVs.
@@ -19,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from exogait.c3d import read_c3d
 from exogait.cli import (
     STRIDE_COLUMNS,
     _SIDES,
@@ -98,7 +103,10 @@ def oracle_cmd_analyze(values):
             columns.add(name)
             if _marker_axis(name) is not None:
                 columns.add(_marker_axis(name)[0])
-    trial = _load_trial(values["input"], columns)[0]
+    if values["input"].lower().endswith(".c3d"):
+        trial = read_c3d(Path(values["input"]).read_bytes())
+    else:
+        trial = _load_trial(values["input"], columns)[0]
     events = _load_events(trial, values["events"])
     if not events:
         raise EmptyResult("trial has no gait events; nothing to segment")
