@@ -36,6 +36,7 @@ from .trial import (
     MarkerTrajectory,
     Side,
     Trial,
+    frame_ratio,
 )
 
 BLOCK = 512
@@ -281,14 +282,33 @@ def _read_events(params) -> list[GaitEvent]:
     return sorted(events)
 
 
-def read_c3d(data: bytes) -> Trial:
+def read_c3d(data: bytes, columns=None) -> Trial:
     """Parse a C3D byte string into a Trial.
 
     Point coordinates come back in the file's distance units (millimetres
     for files written by this module) with per-frame validity taken from the
     sign of the residual word; analog samples have channel scale, offset,
-    and the general scale applied.
+    and the general scale applied. columns, a collection of labels, limits
+    the markers and analog channels converted and returned to those with a
+    label in it; None takes all of them. The whole file is checked either
+    way (see read_c3d_with_labels).
     """
+    return read_c3d_with_labels(data, columns)[0]
+
+
+def read_c3d_with_labels(data: bytes, columns):
+    """(trial of the requested labels, marker labels, analog labels).
+
+    columns is a collection of labels, or None for all. Only the markers and
+    analog channels whose label is in it are widened, scaled and returned,
+    each from its own slice of the data words, so each holds the bits a
+    full read gives it. Every header, parameter, scale/offset and event
+    check runs whatever columns holds, and the trial keeps the file's analog
+    rate when no channel is returned. The labels are the file's, requested
+    or not.
+    """
+    if columns is not None:
+        columns = frozenset(columns)
     if len(data) < 2:
         raise TruncatedData(f"file has only {len(data)} bytes")
     if data[1] != 0x50:
@@ -382,23 +402,23 @@ def read_c3d(data: bytes) -> Trial:
                          offset=data_start)
     frames = flat.reshape(n_frames, frame_words)
 
+    marker_labels: list[str] = []
     markers: list[MarkerTrajectory] = []
     if n_points:
         labels = _read_chunked_strings(params, "POINT", "LABELS")
+        marker_labels = _unique_labels(labels, n_points, "P")
         pts = frames[:, : 4 * n_points].reshape(n_frames, n_points, 4)
-        coords = _widen(pts[:, :, :3])
-        if not float_storage:
-            coords *= abs(scale)
-        valid = pts[:, :, 3] >= 0
-        for i, label in enumerate(_unique_labels(labels, n_points, "P")):
-            markers.append(
-                MarkerTrajectory(
-                    label=label,
-                    coords=coords[:, i, :].copy(),
-                    valid=valid[:, i].copy(),
-                )
-            )
+        for i, label in enumerate(marker_labels):
+            if columns is not None and label not in columns:
+                continue
+            coords = _widen(pts[:, i, :3])
+            if not float_storage:
+                with np.errstate(invalid="ignore"):  # 0 words by an inf scale
+                    coords *= abs(scale)
+            markers.append(MarkerTrajectory(label=label, coords=coords,
+                                            valid=pts[:, i, 3] >= 0))
 
+    analog_labels: list[str] = []
     analogs: list[AnalogChannel] = []
     if n_channels:
         a_labels = _read_chunked_strings(params, "ANALOG", "LABELS")
@@ -411,10 +431,17 @@ def read_c3d(data: bytes) -> Trial:
         ch_off = off_p.ints() if off_p else np.zeros(n_channels)
         if ch_scale.size < n_channels or ch_off.size < n_channels:
             raise MalformedHeader("ANALOG scale/offset shorter than ANALOG:USED")
+        analog_labels = _unique_labels(a_labels, n_channels, "A")
         block = frames[:, 4 * n_points :].reshape(n_frames, spf, n_channels)
-        series = _widen(block.reshape(n_frames * spf, n_channels))
-        for c, label in enumerate(_unique_labels(a_labels, n_channels, "A")):
-            samples = (series[:, c] - float(ch_off[c])) * float(ch_scale[c]) * gen
+        for c, label in enumerate(analog_labels):
+            if columns is not None and label not in columns:
+                continue
+            words = _widen(block[:, :, c]).ravel()  # frame by frame
+            # An infinite word times a zero scale is NaN, without numpy's
+            # invalid-value warning.
+            with np.errstate(invalid="ignore"):
+                samples = ((words - float(ch_off[c])) * float(ch_scale[c])
+                           * gen)
             analogs.append(
                 AnalogChannel(
                     label=label,
@@ -432,16 +459,22 @@ def read_c3d(data: bytes) -> Trial:
         vals = vals_p.strings()
         meta = {k: v for k, v in zip(keys, vals) if k}
 
-    return Trial(
+    events = _read_events(params)
+    if n_channels:
+        # Trial makes this check of its channels' rate; it runs here too, so
+        # that a read returning no channel fails as a full read does.
+        frame_ratio(analog_rate, point_rate)
+    trial = Trial(
         markers=markers,
         analogs=analogs,
-        events=_read_events(params),
+        events=events,
         point_rate=point_rate,
-        analog_rate=analog_rate if analogs else point_rate,
+        analog_rate=analog_rate if n_channels else point_rate,
         first_frame=first_frame,
         last_frame=last_frame,
         subject_meta=meta,
     )
+    return trial, marker_labels, analog_labels
 
 
 # --- writer -----------------------------------------------------------------

@@ -31,7 +31,7 @@ from .assist import (
     TensionConversion,
     TorqueProfile,
 )
-from .c3d import read_c3d
+from .c3d import read_c3d_with_labels
 from .csvio import compare_tables, read_csv_with_labels, read_events_csv
 from .cycles import analyze_trial, marker_axis
 from .errors import AllWeightsZero, ExogaitError, InvalidProfile
@@ -283,13 +283,13 @@ def _require(values: dict, *names: str) -> None:
 
 
 def _load_trial(path: str, columns):
-    """The trial at path with every marker and analog label in it; a CSV
-    trial converts only the marker and analog columns labelled in columns."""
-    if path.lower().endswith(".c3d"):
-        trial = read_c3d(Path(path).read_bytes())
-        return (trial, [m.label for m in trial.markers],
-                [c.label for c in trial.analogs])
-    return read_csv_with_labels(Path(path).read_bytes(), columns)
+    """(trial, marker labels, analog labels) of the C3D or CSV trial at
+    path: the labels are all the file's, and only the markers and analog
+    channels labelled in columns are converted into the trial. The whole
+    file is checked either way."""
+    read = (read_c3d_with_labels if path.lower().endswith(".c3d")
+            else read_csv_with_labels)
+    return read(Path(path).read_bytes(), columns)
 
 
 def _load_events(trial: Trial, events_path: str | None) -> list:
@@ -317,8 +317,8 @@ def _emit_json(obj, path: str | None) -> None:
 
 def _cmd_inspect(values: dict) -> int:
     path = values["input"]
-    # A CSV trial's labels come from its header; no marker or analog cell
-    # is converted.
+    # The labels come from the file's header or parameters; no marker or
+    # analog data is converted.
     trial, markers, analogs = _load_trial(path, ())
     events = _load_events(trial, values["events"])
     print(f"file: {path}")
@@ -401,10 +401,12 @@ def _cmd_analyze(values: dict) -> int:
         header += ["moment_mean", "moment_sd"]
         columns += result.moment_ensemble
     with open(values["out_ensemble"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(len(columns[0])):
-            writer.writerow([str(i)] + [_fmt(col[i]) for col in columns])
+        # Each cell is the repr of a float, the text _fmt gives, and none
+        # needs quoting.
+        rows = zip(map(str, range(len(columns[0]))),
+                   *(map(repr, column.tolist()) for column in columns))
+        fh.write(",".join(header) + "\n")
+        fh.write("\n".join(map(",".join, rows)) + "\n")
 
     excluded = len(result.strides) - len(kept)
     print(f"strides: {len(kept)} kept, {excluded} excluded")

@@ -89,27 +89,60 @@ def normalize_cycle(
     """Resample one stride of a uniform series to 101 gait-cycle samples.
 
     Returns a float array of shape (101,), 0..100 GC% inclusive: entry k is
-    the linear interpolation of the input at time start + k*(end-start)/100;
-    start_time is the time of the series' first sample. Stride boundaries
-    falling between frames interpolate, consistent with the interior rule.
-    Raises StrideOutsideSeries when the stride reaches more than 1e-9 s
-    past either end of the series.
+    the linear interpolation of the input at time start + k*(end-start)/100,
+    on np.linspace's grid; start_time is the time of the series' first
+    sample. Stride boundaries falling between frames interpolate,
+    consistent with the interior rule. Raises StrideOutsideSeries when the
+    stride reaches more than 1e-9 s past either end of the series.
+    analyze_trial resamples all of a series' kept strides in one call of
+    the same arithmetic.
     """
     y = np.asarray(samples, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("series must be 1-D with at least 2 samples")
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    t_last = start_time + (y.size - 1) / rate
-    eps = 1e-9
-    if stride.start_time < start_time - eps or stride.end_time > t_last + eps:
+    t_last = _last_time(y, rate, start_time)
+    if not _inside(stride, start_time, t_last):
         raise StrideOutsideSeries(
             f"stride [{stride.start_time}, {stride.end_time}] outside the "
             f"sampled range [{start_time}, {t_last}]"
         )
-    tk = np.linspace(stride.start_time, stride.end_time, N_SAMPLES)
+    return _resample(y, rate, start_time, [stride.start_time],
+                     [stride.end_time])[0]
+
+
+def _last_time(y: np.ndarray, rate: float, start_time: float) -> float:
+    """Time of the last sample of the series y; raises ValueError for a
+    series that cannot be resampled."""
+    if y.ndim != 1 or y.size < 2:
+        raise ValueError("series must be 1-D with at least 2 samples")
+    if not rate > 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    return start_time + (y.size - 1) / rate
+
+
+def _inside(stride: Stride, start_time: float, t_last: float) -> bool:
+    """Whether the stride lies within [start_time, t_last], give or take
+    1e-9 s of rounding at either end."""
+    eps = 1e-9
+    return not (stride.start_time < start_time - eps
+                or stride.end_time > t_last + eps)
+
+
+def _resample(y: np.ndarray, rate: float, start_time: float, starts,
+              ends) -> np.ndarray:
+    """(k, 101) array: row i is y, sampled at rate from start_time, linearly
+    interpolated at np.linspace(starts[i], ends[i], 101). The grid repeats
+    linspace's arithmetic, so each row has the bits of one call per
+    stride."""
+    t0 = np.asarray(starts, dtype=float)[:, None]
+    t1 = np.asarray(ends, dtype=float)[:, None]
+    delta = t1 - t0
+    step = delta / (N_SAMPLES - 1)
+    k = np.arange(N_SAMPLES, dtype=float)
+    # Where the step underflows to 0, linspace divides before it scales.
+    grid = np.where(step == 0, k / (N_SAMPLES - 1) * delta, k * step)
+    grid += t0
+    grid[:, -1] = t1[:, 0]
     t = start_time + np.arange(y.size) / rate
-    return np.interp(tk, t, y)
+    return np.interp(grid, t, y)
 
 
 def temporal_params(stride: Stride) -> TemporalFeatures:
@@ -159,11 +192,11 @@ def cycle_features(
     return features
 
 
-def ensemble(cycles: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise mean and sample SD (ddof=1) of 101-sample cycles, as two
-    arrays; the SD is all zeros for a single cycle. Raises EmptyResult on
-    an empty list."""
-    if not cycles:
+def ensemble(cycles) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise mean and sample SD (ddof=1) of 101-sample cycles, given as
+    a list of arrays or as the rows of a (k, 101) array, as two arrays; the
+    SD is all zeros for a single cycle. Raises EmptyResult on no cycles."""
+    if len(cycles) == 0:
         raise EmptyResult("ensemble of zero cycles")
     arr = np.stack(cycles)
     mean = arr.mean(axis=0)
@@ -223,7 +256,7 @@ def _series(trial: Trial, name: str, max_gap: int):
 def _window_valid(valid, rate: float, stride: Stride, origin: float) -> bool:
     """Whether every sample of the stride's window is valid. A window with
     no sample lies wholly outside the series and counts as valid here, so
-    that normalize_cycle's range check names it "outside-series"."""
+    that the range check names it "outside-series"."""
     if valid is None:
         return True
     i0 = max(int(np.floor((stride.start_time - origin) * rate)), 0)
@@ -249,9 +282,12 @@ def analyze_trial(
     excludes every stride whose window holds it. Unless target_mse is 0,
     the signal series is smoothed by smooth_to_mse; the moment series is
     never smoothed. Each side's strides come from segment_strides(events,
-    side), with event times in seconds from the trial's frame 1. Raises
-    EmptyResult when events is empty or no stride is kept; lookup, fill and
-    smoothing errors pass through.
+    side), with event times in seconds from the trial's frame 1. Each
+    stride is first classified (kept, "gap" or "outside-series", with
+    normalize_cycle's 1e-9 s range check); then each series resamples all
+    kept strides in one call, with the bits of normalize_cycle per stride.
+    Raises EmptyResult when events is empty or no stride is kept; lookup,
+    fill and smoothing errors pass through.
     """
     if not events:
         raise EmptyResult("trial has no gait events; nothing to segment")
@@ -266,36 +302,32 @@ def analyze_trial(
     if moment is not None:
         series.append(_series(trial, moment, max_gap))
 
-    strides, features, temporal = [], [], []
-    cycles: list[list[np.ndarray]] = [[] for _ in series]
+    strides, kept, temporal = [], [], []
     for side in sides:
         for index, stride in enumerate(segment_strides(events, side)):
             excluded = None
             if not all(_window_valid(valid, r, stride, origin)
                        for _, r, valid in series):
                 excluded = "gap"
-            else:
-                try:
-                    normalized = [
-                        normalize_cycle(y, r, stride, start_time=origin)
-                        for y, r, _ in series
-                    ]
-                except StrideOutsideSeries:
-                    excluded = "outside-series"
+            elif not all(_inside(stride, origin, _last_time(y, r, origin))
+                         for y, r, _ in series):
+                excluded = "outside-series"
             strides.append((side, index, stride, excluded))
             if excluded is not None:
                 continue
+            kept.append(stride)
             try:
                 temporal.append(temporal_params(stride))
             except MissingFootOff:
                 temporal.append(None)
-            features.append(cycle_features(*normalized))
-            for kept, cycle in zip(cycles, normalized):
-                kept.append(cycle)
 
-    if not features:
+    if not kept:
         raise EmptyResult("no stride survived quality checks")
-    ensembles = [ensemble(kept) for kept in cycles]
+    starts = [stride.start_time for stride in kept]
+    ends = [stride.end_time for stride in kept]
+    cycles = [_resample(y, r, origin, starts, ends) for y, r, _ in series]
+    features = [cycle_features(*rows) for rows in zip(*cycles)]
+    ensembles = [ensemble(rows) for rows in cycles]
     return AnalysisResult(
         strides=strides,
         features=features,

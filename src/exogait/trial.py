@@ -92,6 +92,18 @@ class GaitEvent:
             )
 
 
+def frame_ratio(analog_rate: float, point_rate: float) -> int:
+    """Analog samples per point frame: the rate ratio rounded, which must be
+    a positive integer to within 1e-9; raises ValueError otherwise."""
+    ratio = analog_rate / point_rate
+    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise ValueError(
+            f"analog_rate {analog_rate} is not an integer "
+            f"multiple of point_rate {point_rate}"
+        )
+    return round(ratio)
+
+
 @dataclass
 class Trial:
     """One recorded trial: markers, analog channels, events, metadata.
@@ -130,13 +142,7 @@ class Trial:
                     f"trial has {n}"
                 )
         if self.analogs:
-            ratio = self.analog_rate / self.point_rate
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                raise ValueError(
-                    f"analog_rate {self.analog_rate} is not an integer "
-                    f"multiple of point_rate {self.point_rate}"
-                )
-            per_frame = round(ratio)
+            per_frame = frame_ratio(self.analog_rate, self.point_rate)
             seen.clear()
             for ch in self.analogs:
                 if ch.label in seen:

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exogait import c3d
-from exogait.c3d import map_event, read_c3d, write_c3d
+from exogait.c3d import map_event, read_c3d, read_c3d_with_labels, write_c3d
+from exogait.cli import run
 from exogait.errors import (
     EmptyTrial,
     ExogaitError,
@@ -435,3 +436,253 @@ def test_corrupted_bytes_raise_only_toolkit_errors(data):
         read_c3d(data)
     except ExogaitError:
         pass
+
+
+# --- column-limited reads ------------------------------------------------------
+
+# Empty and repeated labels, and the names the reader gives them (P1, A2,
+# A_, ...), so that requested names meet made-up and suffixed labels.
+_STORED_LABELS = ["", "", "A", "A", "A_", "B", "P1", "P2", "A1", "A2"]
+
+
+@st.composite
+def _stored_c3d(draw):
+    """(bytes, expected) of a C3D file built word by word: int16 or float32
+    storage (float32 with NaN, signalling NaN and infinite words), a
+    POINT:SCALE (infinite too), int8 or int16 ANALOG:OFFSET, ANALOG:SCALE
+    (zero too) and GEN_SCALE, empty, repeated and missing labels. expected holds each marker's
+    (coords, valid) and each channel's samples as the reader computed them
+    before it took a column limit: widened and scaled as one block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_points = draw(st.integers(0, 4))
+    n_channels = draw(st.integers(0 if n_points else 1, 3))
+    n_frames = draw(st.integers(1, 12))
+    spf = draw(st.integers(1, 3))
+    # A file without points is read as float32 whatever its scale.
+    float_storage = draw(st.booleans()) or n_points == 0
+    scale = draw(st.sampled_from([0.1, 0.25, 3.0, np.inf]))
+    if float_storage:
+        scale = -scale
+        shape = (n_frames, 4 * n_points + spf * n_channels)
+        words = rng.normal(0.0, 300.0, shape).astype("<f4")
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], "<f4")
+        hit = rng.random(shape) < 0.1
+        words[hit] = rng.choice(special, int(hit.sum()))
+        words.view("<u4")[rng.random(shape) < 0.05] = 0x7F800001  # sNaN
+        residual = rng.choice(np.array([-1.0, 0.0, 2.5], "<f4"),
+                              (n_frames, n_points))
+    else:
+        shape = (n_frames, 4 * n_points + spf * n_channels)
+        words = rng.integers(-32768, 32768, shape).astype("<i2")
+        words[rng.random(shape) < 0.1] = 0
+        residual = rng.choice(np.array([-1, 0, 7], "<i2"),
+                              (n_frames, n_points))
+    words[:, 3 : 4 * n_points : 4] = residual
+    gen = draw(st.sampled_from([1.0, 0.5, -2.0]))
+    ch_scale = rng.choice([1.0, 0.125, -3.0, 0.0], n_channels)
+    ch_off = rng.integers(-100, 100, n_channels)
+    offset_bytes = 1 if draw(st.booleans()) else 2
+
+    def params(data_block):
+        records = [
+            c3d._group_record(1, "POINT"),
+            c3d._int16_param(1, "USED", n_points),
+            c3d._float_param(1, "SCALE", scale),
+            c3d._float_param(1, "RATE", 100.0),
+            c3d._int16_param(1, "DATA_START", data_block),
+            *c3d._records_for_char(1, "LABELS", draw(st.lists(
+                st.sampled_from(_STORED_LABELS), max_size=n_points + 1))),
+        ]
+        if n_channels:
+            offsets = ch_off.astype("<i1" if offset_bytes == 1 else "<i2")
+            records += [
+                c3d._group_record(2, "ANALOG"),
+                c3d._int16_param(2, "USED", n_channels),
+                c3d._float_param(2, "RATE", 100.0 * spf),
+                c3d._float_param(2, "GEN_SCALE", gen),
+                c3d._float_param(2, "SCALE", ch_scale),
+                c3d._param_record(2, "OFFSET", offset_bytes, [n_channels],
+                                  offsets.tobytes()),
+                *c3d._records_for_char(2, "LABELS", draw(st.lists(
+                    st.sampled_from(_STORED_LABELS),
+                    max_size=n_channels + 1))),
+            ]
+        return c3d._assemble_params(records)
+
+    data_block = 2 + params(0)[2]
+    section = params(data_block)
+    header = bytearray(c3d.BLOCK)
+    header[:2] = bytes([2, 0x50])
+    struct.pack_into("<4H", header, 2, n_points, spf * n_channels, 1,
+                     n_frames)
+    struct.pack_into("<2H", header, 16, data_block, spf)
+    data = bytes(header) + section + words.tobytes()
+
+    pts = words[:, : 4 * n_points].reshape(n_frames, n_points, 4)
+    with np.errstate(invalid="ignore"):
+        coords = pts[:, :, :3].astype(float)
+        series = words[:, 4 * n_points :].reshape(
+            n_frames * spf, n_channels).astype(float)
+        if not float_storage:
+            coords *= abs(float(np.float32(scale)))
+        scales = ch_scale.astype("<f4").astype(float)
+        expected = (
+            [(coords[:, i, :].copy(), pts[:, i, 3] >= 0)
+             for i in range(n_points)],
+            [(series[:, c] - float(ch_off[c])) * float(scales[c]) * gen
+             for c in range(n_channels)],
+        )
+    return data, expected
+
+
+def _trial_summary(trial):
+    """Everything of a trial but its markers' and channels' data."""
+    return (trial.point_rate, trial.analog_rate, trial.first_frame,
+            trial.last_frame, [(e.time, e.side, e.kind) for e in trial.events],
+            trial.subject_meta)
+
+
+def _marker_bits(markers):
+    return [(m.label, m.coords.shape, m.coords.tobytes(), m.valid.tobytes())
+            for m in markers]
+
+
+def _analog_bits(analogs):
+    return [(a.label, a.samples.shape, a.samples.tobytes(), a.rate, a.units)
+            for a in analogs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_stored_c3d() | st.builds(
+    lambda seed: (write_c3d(_random_trial(np.random.default_rng(seed))),
+                  None),
+    st.integers(0, 2**32 - 1)), data=st.data())
+def test_column_limited_read_keeps_the_full_reads_bits(case, data):
+    """read_c3d(data, columns) holds exactly the markers and channels of the
+    full read whose label is in columns, in file order and bit for bit
+    (NaN bits included), with the full read's labels, rates, events and
+    metadata. The full read keeps the arithmetic of a whole-block read."""
+    raw, expected = case
+    full, marker_labels, analog_labels = read_c3d_with_labels(raw, None)
+    assert [m.label for m in full.markers] == marker_labels
+    assert [a.label for a in full.analogs] == analog_labels
+    if expected is not None:
+        markers, analogs = expected
+        assert [(m.coords.tobytes(), m.valid.tobytes())
+                for m in full.markers] == \
+            [(coords.tobytes(), valid.tobytes()) for coords, valid in markers]
+        assert [a.samples.tobytes() for a in full.analogs] == \
+            [samples.tobytes() for samples in analogs]
+    names = marker_labels + analog_labels + ["bogus", "", "P9", "A_"]
+    columns = data.draw(st.lists(st.sampled_from(names), max_size=6)
+                        | st.just(()))
+    trial, *labels = read_c3d_with_labels(raw, columns)
+    assert labels == [marker_labels, analog_labels]
+    for got in (trial, read_c3d(raw, columns)):
+        assert _trial_summary(got) == _trial_summary(full)
+        assert _marker_bits(got.markers) == _marker_bits(
+            [m for m in full.markers if m.label in columns])
+        assert _analog_bits(got.analogs) == _analog_bits(
+            [a for a in full.analogs if a.label in columns])
+
+
+_COLUMN_CHOICES = (None, (), ("M1",), ("CH2", "M3"), ("A1", "P2", "bogus"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_corrupted_c3d() | _stored_c3d().flatmap(
+    lambda case: st.integers(0, len(case[0]) - 1).map(
+        lambda cut: case[0][:cut])))
+def test_column_limit_keeps_every_failure(data):
+    """Truncated and corrupted files raise the same exception with the same
+    message whatever the column limit, and a file that reads has the same
+    labels and trial summary under every limit."""
+    outcomes = []
+    for columns in _COLUMN_CHOICES:
+        try:
+            trial, *labels = read_c3d_with_labels(data, columns)
+        except Exception as exc:  # noqa: BLE001  (the outcome compared)
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((labels, _trial_summary(trial)))
+    assert outcomes == [outcomes[0]] * len(outcomes)
+
+
+def test_column_limited_read_keeps_the_trial_rate_check():
+    """An analog rate within the reader's 1e-6 Hz of a point-rate multiple
+    but not within Trial's 1e-9 of the ratio fails even when no channel is
+    returned, as inspect's read returns none."""
+    trial = _random_trial(np.random.default_rng(43), n_channels=2, spf=2)
+    trial.point_rate, trial.analog_rate = 0.5, 1.0
+    for a in trial.analogs:
+        a.rate = 1.0
+    data = bytearray(write_c3d(trial))
+    _, start, _ = _param_fields(data)["ANALOG:RATE"]
+    data[start : start + 4] = np.nextafter(np.float32(1.0),
+                                           np.float32(2.0)).tobytes()
+    for columns in (None, (), ("M1",)):
+        with pytest.raises(ValueError, match="not an integer multiple of "
+                           "point_rate 0.5"):
+            read_c3d(bytes(data), columns)
+
+
+def _walk_c3d(path):
+    """Markers LANK and RANK, analogs angle and moment at two samples per
+    frame, and four left strikes with their foot offs."""
+    n, rate = 321, 100.0
+    t = np.arange(n) / rate
+    angle = 20.0 * np.sin(2.0 * np.pi * t)
+    ta = np.arange(2 * n) / (2 * rate)
+    markers = [
+        MarkerTrajectory("LANK", np.column_stack(
+            [0.1 * np.arange(n), np.ones(n), np.full(n, 2.0)]),
+            np.ones(n, bool)),
+        MarkerTrajectory("RANK", np.column_stack(
+            [angle, np.full(n, 3.0), np.full(n, 4.0)]), np.ones(n, bool)),
+    ]
+    a_angle = np.round(20.0 * np.sin(2.0 * np.pi * ta) * 64) / 64
+    analogs = [AnalogChannel("angle", a_angle, 2 * rate),
+               AnalogChannel("moment", 0.125 * a_angle, 2 * rate)]
+    events = [GaitEvent(s + d, Side.LEFT, kind)
+              for s in (0.0, 1.0, 2.0, 3.0)
+              for d, kind in ((0.0, EventKind.FOOT_STRIKE),
+                              (0.625, EventKind.FOOT_OFF)) if s + d < 3.2]
+    trial = Trial(markers=markers, analogs=analogs, events=events,
+                  point_rate=rate, analog_rate=2 * rate, first_frame=1,
+                  last_frame=n)
+    path.write_bytes(write_c3d(trial))
+    return read_c3d(path.read_bytes())
+
+
+def test_c3d_commands_widen_only_their_columns(tmp_path, monkeypatch,
+                                               capsys):
+    """inspect widens no point or analog word of a C3D trial, and analyze
+    widens the words of the marker and the channel it names and no
+    others."""
+    full = _walk_c3d(tmp_path / "walk.c3d")
+    widen = c3d._widen
+    widened = []
+
+    def spy(words):
+        # Parameters are a few words each; the data holds 321 frames.
+        if words.size >= full.n_frames:
+            widened.append(words.copy())
+        return widen(words)
+
+    monkeypatch.setattr(c3d, "_widen", spy)
+    monkeypatch.chdir(tmp_path)
+    assert run(["inspect", "walk.c3d"]) == 0
+    out = capsys.readouterr().out
+    assert "markers: 2 [LANK RANK]\n" in out
+    assert "analog: 2 channels at 200.0 Hz [angle moment]\n" in out
+    assert widened == []
+
+    assert run(["analyze", "walk.c3d", "--signal", "RANK.x", "--moment",
+                "moment", "--out-strides", "s.csv",
+                "--out-ensemble", "e.csv"]) == 0
+    assert "strides: 3 kept, 0 excluded" in capsys.readouterr().out
+    rank = full.markers[1]
+    moment = full.analogs[1]
+    assert [w.shape for w in widened] == [(321, 3), (321, 2)]
+    assert widen(widened[0]).tobytes() == rank.coords.tobytes()
+    assert widen(widened[1]).ravel().tobytes() == moment.samples.tobytes()

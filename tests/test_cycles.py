@@ -6,7 +6,10 @@ The temporal fixture (strike 0, off 0.559, strike 0.980) pins stance
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exogait import cycles
 from exogait.cycles import (
     N_SAMPLES,
     Stride,
@@ -359,3 +362,110 @@ def test_analyze_trial_errors():
         analyze_trial(trial, events, "ANK.w")
     with pytest.raises(ValueError, match="target_mse must be > 0"):
         analyze_trial(trial, events, "angle", target_mse=-1.0)
+
+
+# --- batched resampling ----------------------------------------------------------
+
+
+def _linspace_row(y, rate, start_time, t0, t1):
+    """One stride resampled the way normalize_cycle did it per call."""
+    t = start_time + np.arange(y.size) / rate
+    return np.interp(np.linspace(t0, t1, N_SAMPLES), t, y)
+
+
+@st.composite
+def _resample_case(draw):
+    """(y, rate, start_time, strides as (start, end) pairs): strides inside
+    the series, of zero length, of a length whose hundredth underflows to
+    0 or is subnormal, exactly 1e-9 s past either end, and further out."""
+    n = draw(st.integers(2, 40))
+    rate = draw(st.sampled_from([100.0, 120.0, 7.0, 1e3]))
+    start_time = draw(st.sampled_from([0.0, 0.0, 0.03, 2.5, 1e-310]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.normal(0.0, 10.0, n)
+    t_last = start_time + (n - 1) / rate
+    inside = st.floats(start_time, t_last)
+    ends = [start_time, t_last]
+    edge = [start_time - 1e-9, t_last + 1e-9]
+    beyond = [start_time - 2e-9, start_time - 1e-6, t_last + 2e-9,
+              t_last + 1e-6]
+    tiny = st.tuples(st.sampled_from([0.0, 5e-324, 1e-320, start_time]),
+                     st.integers(0, 12000)).map(
+        lambda s: (s[0], s[0] + s[1] * 5e-324))
+    pair = st.one_of(
+        st.tuples(inside, inside).map(sorted),
+        inside.map(lambda s: (s, s)),
+        tiny,
+        st.tuples(st.sampled_from(ends + edge), st.sampled_from(ends + edge)),
+        st.tuples(st.sampled_from(ends + edge + beyond) | inside,
+                  st.sampled_from(ends + edge + beyond) | inside),
+    )
+    strides = draw(st.lists(pair, min_size=1, max_size=8))
+    return y, rate, start_time, [tuple(map(float, p)) for p in strides]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_resample_case())
+def test_batched_resampling_matches_linspace_per_stride(case):
+    """One _resample call over k strides gives, row by row, the bits of
+    np.linspace plus np.interp per stride, for any start and end (the grid
+    keeps linspace's step == 0 branch). normalize_cycle gives the same row
+    for a stride within 1e-9 s of the series and raises StrideOutsideSeries
+    for one further out."""
+    y, rate, start_time, strides = case
+    rows = cycles._resample(y, rate, start_time, [s for s, _ in strides],
+                            [e for _, e in strides])
+    assert rows.shape == (len(strides), N_SAMPLES)
+    t_last = start_time + (y.size - 1) / rate
+    for row, (t0, t1) in zip(rows, strides):
+        want = _linspace_row(y, rate, start_time, t0, t1)
+        assert row.tobytes() == want.tobytes()
+        if not t0 < t1:
+            continue
+        stride = Stride(side=Side.LEFT, start_time=t0, end_time=t1)
+        if t0 >= start_time - 1e-9 and t1 <= t_last + 1e-9:
+            got = normalize_cycle(y, rate, stride, start_time=start_time)
+            assert got.shape == (N_SAMPLES,)
+            assert got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(StrideOutsideSeries):
+                normalize_cycle(y, rate, stride, start_time=start_time)
+
+
+def test_underflowing_step_takes_linspace_branch():
+    """A stride shorter than 100 of the smallest subnormal steps by 0, and
+    linspace then divides before it scales; the rows next to it keep the
+    multiply branch."""
+    y = np.arange(11.0)
+    starts, ends = [0.0, 0.0, 0.2], [30 * 5e-324, 0.0, 0.7]
+    rows = cycles._resample(y, 10.0, 0.0, starts, ends)
+    for row, t0, t1 in zip(rows, starts, ends):
+        assert row.tobytes() == _linspace_row(y, 10.0, 0.0, t0, t1).tobytes()
+
+
+def test_analyze_trial_keeps_strides_within_tolerance():
+    """Strides reaching exactly 1e-9 s past either end of the series are
+    kept, with the bits of normalize_cycle; 2e-9 s is "outside-series"."""
+    rate, n = 100.0, 301
+    origin = 0.1  # first frame 11
+    t_last = origin + (n - 1) / rate
+    t = origin + np.arange(n) / rate
+    angle = AnalogChannel("angle", 10.0 * np.sin(2.0 * np.pi * t), rate)
+    trial = Trial(markers=[], analogs=[angle], events=[], point_rate=rate,
+                  analog_rate=rate, first_frame=11, last_frame=10 + n)
+    left = [origin - 1e-9, 1.0, 2.0, t_last + 1e-9]
+    right = [origin - 2e-9, 0.5, 1.5, t_last + 2e-9]
+    events = sorted(
+        [_ev(x, Side.LEFT, EventKind.FOOT_STRIKE) for x in left]
+        + [_ev(x, Side.RIGHT, EventKind.FOOT_STRIKE) for x in right])
+    result = analyze_trial(trial, events, "angle", target_mse=0)
+    assert [excluded for *_, excluded in result.strides] == [
+        None, None, None, "outside-series", None, "outside-series"]
+    kept = [stride for *_, stride, excluded in result.strides
+            if excluded is None]
+    rows = [normalize_cycle(angle.samples, rate, stride, start_time=origin)
+            for stride in kept]
+    for got, want in zip(result.angle_ensemble, ensemble(rows)):
+        assert got.tobytes() == want.tobytes()
+    assert [f.rom for f in result.features] == [
+        float(row.max() - row.min()) for row in rows]
