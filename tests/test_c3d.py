@@ -438,7 +438,7 @@ def test_corrupted_bytes_raise_only_toolkit_errors(data):
         pass
 
 
-# --- column-limited reads ------------------------------------------------------
+# --- column-limited reads ---------------------------------------------------
 
 # Empty and repeated labels, and the names the reader gives them (P1, A2,
 # A_, ...), so that requested names meet made-up and suffixed labels.
@@ -450,9 +450,10 @@ def _stored_c3d(draw):
     """(bytes, expected) of a C3D file built word by word: int16 or float32
     storage (float32 with NaN, signalling NaN and infinite words), a
     POINT:SCALE (infinite too), int8 or int16 ANALOG:OFFSET, ANALOG:SCALE
-    (zero too) and GEN_SCALE, empty, repeated and missing labels. expected holds each marker's
-    (coords, valid) and each channel's samples as the reader computed them
-    before it took a column limit: widened and scaled as one block."""
+    (zero too) and GEN_SCALE, empty, repeated and missing labels.
+    expected holds each marker's (coords, valid) and each channel's samples
+    as the reader computed them before it took a column limit: widened and
+    scaled as one block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_points = draw(st.integers(0, 4))
     n_channels = draw(st.integers(0 if n_points else 1, 3))

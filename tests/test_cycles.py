@@ -364,7 +364,7 @@ def test_analyze_trial_errors():
         analyze_trial(trial, events, "angle", target_mse=-1.0)
 
 
-# --- batched resampling ----------------------------------------------------------
+# --- batched resampling ------------------------------------------------
 
 
 def _linspace_row(y, rate, start_time, t0, t1):
