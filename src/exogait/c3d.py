@@ -282,18 +282,15 @@ def _read_events(params) -> list[GaitEvent]:
     return sorted(events)
 
 
-def read_c3d(data: bytes, columns=None) -> Trial:
+def read_c3d(data: bytes) -> Trial:
     """Parse a C3D byte string into a Trial.
 
     Point coordinates come back in the file's distance units (millimetres
     for files written by this module) with per-frame validity taken from the
     sign of the residual word; analog samples have channel scale, offset,
-    and the general scale applied. columns, a collection of labels, limits
-    the markers and analog channels converted and returned to those with a
-    label in it; None takes all of them. The whole file is checked either
-    way (see read_c3d_with_labels).
+    and the general scale applied.
     """
-    return read_c3d_with_labels(data, columns)[0]
+    return read_c3d_with_labels(data, None)[0]
 
 
 def read_c3d_with_labels(data: bytes, columns):

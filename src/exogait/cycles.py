@@ -90,12 +90,13 @@ def normalize_cycle(
 
     Returns a float array of shape (101,), 0..100 GC% inclusive: entry k is
     the linear interpolation of the input at time start + k*(end-start)/100,
-    on np.linspace's grid; start_time is the time of the series' first
-    sample. Stride boundaries falling between frames interpolate,
-    consistent with the interior rule. Raises StrideOutsideSeries when the
-    stride reaches more than 1e-9 s past either end of the series.
-    analyze_trial resamples all of a series' kept strides in one call of
-    the same arithmetic.
+    on np.linspace's grid over the stride times taken as float64 (for
+    float32 times np.linspace would build a float32 grid); start_time is
+    the time of the series' first sample. Stride boundaries falling
+    between frames interpolate, consistent with the interior rule. Raises
+    StrideOutsideSeries when the stride reaches more than 1e-9 s past
+    either end of the series. analyze_trial resamples all of a series'
+    kept strides in one call of the same arithmetic.
     """
     y = np.asarray(samples, dtype=float)
     t_last = _last_time(y, rate, start_time)
@@ -129,9 +130,10 @@ def _inside(stride: Stride, start_time: float, t_last: float) -> bool:
 def _resample(y: np.ndarray, rate: float, start_time: float, starts,
               ends) -> np.ndarray:
     """(k, 101) array: row i is y, sampled at rate from start_time, linearly
-    interpolated at np.linspace(starts[i], ends[i], 101). The grid repeats
-    linspace's arithmetic, so each row has the bits of one call per
-    stride."""
+    interpolated at np.linspace(starts[i], ends[i], 101) in float64. The
+    grid repeats linspace's arithmetic row by row, so each row has the bits
+    of one call per stride; np.linspace over arrays of starts and ends
+    would take its step == 0 branch for every row once one row needs it."""
     t0 = np.asarray(starts, dtype=float)[:, None]
     t1 = np.asarray(ends, dtype=float)[:, None]
     delta = t1 - t0

@@ -443,6 +443,16 @@ def test_underflowing_step_takes_linspace_branch():
         assert row.tobytes() == _linspace_row(y, 10.0, 0.0, t0, t1).tobytes()
 
 
+def test_normalize_cycle_takes_stride_times_as_float64():
+    """float32 stride times are resampled on the float64 grid of their
+    values, not on the float32 grid np.linspace would build from them."""
+    y = np.sin(np.arange(200.0) / 7.0)
+    t0, t1 = np.float32(0.1), np.float32(1.3)
+    got = normalize_cycle(y, 100.0, Stride(Side.LEFT, t0, t1))
+    want = _linspace_row(y, 100.0, 0.0, float(t0), float(t1))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_analyze_trial_keeps_strides_within_tolerance():
     """Strides reaching exactly 1e-9 s past either end of the series are
     kept, with the bits of normalize_cycle; 2e-9 s is "outside-series"."""
