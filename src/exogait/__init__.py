@@ -18,8 +18,6 @@ from .assist import (
     DEFAULT_PROFILE,
     TensionConversion,
     TorqueProfile,
-    reference_tension,
-    torque_at,
 )
 from .c3d import map_event, read_c3d, write_c3d
 from .csvio import compare_tables, read_csv_trial, read_events_csv
@@ -33,12 +31,7 @@ from .cycles import (
     temporal_params,
 )
 from .errors import ExogaitError
-from .phase import (
-    PhaseState,
-    StrikeDetector,
-    detect_heel_strikes,
-    update_phase,
-)
+from .phase import detect_heel_strikes
 from .preprocess import fill_gaps, smooth_to_mse, smooth_with_lambda
 from .simulate import (
     DEFAULT_GAINS,
@@ -70,13 +63,11 @@ __all__ = [
     "GaitEvent",
     "LmeFit",
     "MarkerTrajectory",
-    "PhaseState",
     "PidGains",
     "PlantParams",
     "SimResult",
     "Side",
     "Stride",
-    "StrikeDetector",
     "TemporalFeatures",
     "TensionConversion",
     "TorqueProfile",
@@ -93,13 +84,10 @@ __all__ = [
     "read_c3d",
     "read_csv_trial",
     "read_events_csv",
-    "reference_tension",
     "run_simulation",
     "smooth_to_mse",
     "smooth_with_lambda",
     "temporal_params",
-    "torque_at",
     "tost_welch",
-    "update_phase",
     "write_c3d",
 ]

@@ -68,46 +68,18 @@ def _smoothstep(u):
     return u * u * (3.0 - 2.0 * u)
 
 
-def torque_at(profile: TorqueProfile, gc: float) -> float:
-    """Assistance torque (Nm) at a gait-cycle percentage.
-
-    Zero outside [onset, end]; smoothstep rise to peak_torque on
-    [onset, peak] and smoothstep fall back to zero on [peak, end]. The value
-    at peak_gc is exactly peak_torque.
-    """
-    if not 0.0 <= gc <= 100.0:
-        raise ValueError(f"gc must be in [0, 100], got {gc}")
-    if gc <= profile.onset_gc or gc >= profile.end_gc:
-        return 0.0
-    if gc <= profile.peak_gc:
-        u = (gc - profile.onset_gc) / (profile.peak_gc - profile.onset_gc)
-    else:
-        u = (profile.end_gc - gc) / (profile.end_gc - profile.peak_gc)
-    return profile.peak_torque * _smoothstep(u)
-
-
-def torque_to_tension(torque: float, conv: TensionConversion) -> float:
-    """Ankle torque (Nm) to cable tension (N)."""
-    if torque < 0:
-        raise ValueError(f"torque must be >= 0, got {torque}")
-    return torque / conv.moment_arm
-
-
-def reference_tension(
-    profile: TorqueProfile, conv: TensionConversion, gc: float
-) -> float:
-    """Desired cable tension (N) at a gait-cycle percentage."""
-    return torque_to_tension(torque_at(profile, gc), conv)
-
-
 def reference_tensions(
     profile: TorqueProfile, conv: TensionConversion, gc: np.ndarray
 ) -> np.ndarray:
-    """reference_tension at every GC% in an array, with the same floats.
+    """Desired cable tension (N) at every gait-cycle percentage in an array.
 
-    Each segment is evaluated only on its own entries, so nothing outside
-    the profile is computed. A tension too large for a float is inf, as
-    the scalar arithmetic gives it, without a numpy warning.
+    The torque is zero outside (onset, end); it rises as a smoothstep to
+    peak_torque on (onset, peak] and falls back on (peak, end), so the
+    value at peak_gc is exactly peak_torque. The tension is that torque
+    over the moment arm. Each segment is evaluated only on its own entries,
+    so nothing outside the profile is computed. A tension too large for a
+    float is inf, without a numpy warning. Raises ValueError unless every
+    GC% is in [0, 100].
     """
     gc = np.asarray(gc, dtype=float)
     if not np.all((gc >= 0.0) & (gc <= 100.0)):

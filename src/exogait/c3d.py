@@ -459,8 +459,12 @@ def read_c3d_with_labels(data: bytes, columns):
     events = _read_events(params)
     if n_channels:
         # Trial makes this check of its channels' rate; it runs here too, so
-        # that a read returning no channel fails as a full read does.
-        frame_ratio(analog_rate, point_rate)
+        # that a read returning no channel fails as a full read does, and
+        # the failure is a header error like the 1e-6 Hz check above.
+        try:
+            frame_ratio(analog_rate, point_rate)
+        except ValueError as exc:
+            raise MalformedHeader(str(exc)) from None
     trial = Trial(
         markers=markers,
         analogs=analogs,

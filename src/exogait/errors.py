@@ -85,12 +85,6 @@ class DidNotConverge(ExogaitError):
     """Iterative fit exhausted its budget without meeting tolerance."""
 
 
-# --- online phase estimation ------------------------------------------------
-
-class TimeWentBackwards(ExogaitError):
-    """Sample timestamps decreased; the stream is unusable."""
-
-
 # --- simulation -------------------------------------------------------------
 
 class NonFiniteState(ExogaitError):

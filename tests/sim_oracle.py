@@ -2,13 +2,18 @@
 
 run_simulation builds the strikes, GC% and reference as arrays, then steps
 the plant and the controller on plain floats inside one tick loop. This
-module keeps the same chain in its straightforward form: a one-step
-controller (pid_step) and a one-step plant (plant_step) on frozen state
-records, and a loop that locates the stride with a scalar search every
-tick, steps the strike detector, update_phase and reference_tension, calls
-pid_step once and plant_step once per substep, and draws the load-cell
-noise inside the last substep, and scores the run with one boolean mask
-per cycle (masked_metrics). The kernel must reproduce it bit for bit.
+module keeps the same chain in its straightforward form, written out
+independently of the library: a tick-by-tick strike detector
+(StrikeDetector), a one-step phase estimator (update_phase), a scalar
+assistance profile (reference_tension), a one-step controller (pid_step)
+and a one-step plant (plant_step) on frozen state records. Its loop
+locates the stride with a scalar search every tick, steps the strike
+detector, update_phase and reference_tension, calls pid_step once and
+plant_step once per substep, and draws the load-cell noise inside the last
+substep, and scores the run with one boolean mask per cycle
+(masked_metrics). The kernel must reproduce it bit for bit. It imports
+nothing from exogait.phase or exogait.assist, so a change to a rule there
+shows up as a mismatch.
 
 `reached` counts the branches the one-step functions take, by name, so a
 test can clear it, run the oracle and see which branches its case reached.
@@ -20,14 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from exogait.assist import reference_tension
-from exogait.errors import EmptyResult, NonFiniteState
-from exogait.phase import PhaseState, StrikeDetector, update_phase
+from exogait.errors import EmptyResult, ExogaitError, NonFiniteState
 from exogait.simulate import (
-    _D_FILTER_ALPHA,
-    _LOADCELL_MAX,
-    _VELOCITY_DEADBAND,
-    _WRAPPED_ARC_FRACTION,
     CycleSummary,
     PidGains,
     PlantParams,
@@ -35,15 +34,149 @@ from exogait.simulate import (
     _metrics_from_arrays,
 )
 
-# The simulator's fixed values, written out again here so that the
+# The library's fixed values, written out again here so that the
 # bit-identity properties check the library's constants independently.
 _OUTPUT_LIMIT = 8.0  # Nm
 _INTEGRATOR_LIMIT = 4.0  # Nm
 _STRIDE_PERIOD = 0.980  # s
 _ANCHOR_AMPLITUDE = 0.002  # m
 _SUBSTEPS = 10
+_D_FILTER_ALPHA = 1.0 / 11.0
+_LOADCELL_MAX = 500.0  # N
+_VELOCITY_DEADBAND = 1e-4  # m/s
+_WRAPPED_ARC_FRACTION = 0.5
+_THRESHOLD = 0.5  # FSR, fraction of full scale
+_REFRACTORY_S = 0.4
+_DEBOUNCE_SAMPLES = 3
+_BUFFER_SIZE = 3
+DEFAULT_STRIDE_S = 0.980  # expected stride before any has been measured
 
 reached = Counter()
+
+
+class TimeWentBackwards(ExogaitError):
+    """Sample timestamps decreased; the stream is unusable."""
+
+
+class StrikeDetector:
+    """Sample-by-sample heel-strike detector (the rule in exogait.phase).
+
+    step() returns True on the sample at which a run satisfies the debounce
+    rule (so the flag lags the run start by 2 samples).
+    """
+
+    def __init__(self, rate: float) -> None:
+        if not rate > 0:
+            raise ValueError(f"rate must be positive, got {rate}")
+        self.rate = rate
+        self._i = 0
+        self._run_start: int | None = None
+        self._run_len = 0
+        self._decided = False
+        self._last_emit: float | None = None
+
+    def step(self, value: float) -> bool:
+        fired = False
+        if value > _THRESHOLD:
+            if self._run_start is None:
+                self._run_start, self._run_len = self._i, 1
+                self._decided = False
+            else:
+                self._run_len += 1
+            if not self._decided and self._run_len >= _DEBOUNCE_SAMPLES:
+                self._decided = True
+                t = self._run_start / self.rate
+                if self._last_emit is None or t - self._last_emit >= _REFRACTORY_S:
+                    self._last_emit = t
+                    fired = True
+        else:
+            self._run_start = None
+        self._i += 1
+        return fired
+
+
+@dataclass(frozen=True)
+class PhaseState:
+    """Immutable estimator state; update_phase returns a new one."""
+
+    last_hs_time: float | None = None
+    stride_buffer: tuple[float, ...] = ()
+    last_time: float | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.stride_buffer) > _BUFFER_SIZE:
+            raise ValueError(
+                f"stride_buffer holds at most {_BUFFER_SIZE} durations"
+            )
+        if any(d <= 0 for d in self.stride_buffer):
+            raise ValueError("stride durations must be positive")
+
+    @property
+    def expected_stride(self) -> float:
+        if self.stride_buffer:
+            return sum(self.stride_buffer) / len(self.stride_buffer)
+        return DEFAULT_STRIDE_S
+
+
+def update_phase(
+    state: PhaseState, now: float, heel_strike: bool
+) -> tuple[PhaseState, float]:
+    """Advance the estimator to time `now`; returns (new state, GC%).
+
+    On a heel strike the elapsed stride is pushed into the duration buffer
+    and GC% resets to 0. Otherwise GC% is elapsed time over the expected
+    stride duration, clamped to [0, 100]; before the first strike it is 0.
+    """
+    if state.last_time is not None and now < state.last_time:
+        raise TimeWentBackwards(
+            f"time stepped from {state.last_time} back to {now}"
+        )
+    if heel_strike:
+        buffer = state.stride_buffer
+        if state.last_hs_time is not None:
+            duration = now - state.last_hs_time
+            if duration > 0:
+                buffer = (buffer + (duration,))[-_BUFFER_SIZE:]
+        return PhaseState(now, buffer, now), 0.0
+    new = PhaseState(state.last_hs_time, state.stride_buffer, now)
+    if state.last_hs_time is None:
+        return new, 0.0
+    gc = 100.0 * (now - state.last_hs_time) / state.expected_stride
+    return new, min(max(gc, 0.0), 100.0)
+
+
+def _smoothstep(u):
+    return u * u * (3.0 - 2.0 * u)
+
+
+def torque_at(profile, gc: float) -> float:
+    """Assistance torque (Nm) at a gait-cycle percentage.
+
+    Zero outside [onset, end]; smoothstep rise to peak_torque on
+    [onset, peak] and smoothstep fall back to zero on [peak, end]. The value
+    at peak_gc is exactly peak_torque.
+    """
+    if not 0.0 <= gc <= 100.0:
+        raise ValueError(f"gc must be in [0, 100], got {gc}")
+    if gc <= profile.onset_gc or gc >= profile.end_gc:
+        return 0.0
+    if gc <= profile.peak_gc:
+        u = (gc - profile.onset_gc) / (profile.peak_gc - profile.onset_gc)
+    else:
+        u = (profile.end_gc - gc) / (profile.end_gc - profile.peak_gc)
+    return profile.peak_torque * _smoothstep(u)
+
+
+def torque_to_tension(torque: float, conv) -> float:
+    """Ankle torque (Nm) to cable tension (N)."""
+    if torque < 0:
+        raise ValueError(f"torque must be >= 0, got {torque}")
+    return torque / conv.moment_arm
+
+
+def reference_tension(profile, conv, gc: float) -> float:
+    """Desired cable tension (N) at a gait-cycle percentage."""
+    return torque_to_tension(torque_at(profile, gc), conv)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,12 @@ from exogait.assist import (
     DEFAULT_PROFILE,
     TensionConversion,
     TorqueProfile,
-    reference_tension,
-    torque_at,
+    reference_tensions,
 )
 from exogait.c3d import read_c3d, write_c3d
 from exogait.cycles import Stride, normalize_cycle, temporal_params
 from exogait.errors import MalformedHeader, TruncatedData
-from exogait.phase import PhaseState, StrikeDetector, detect_heel_strikes, update_phase
+from exogait.phase import detect_heel_strikes, phase_series, strike_ticks
 from exogait.preprocess import smooth_to_mse, smooth_with_lambda
 from exogait.simulate import DEFAULT_GAINS, PlantParams, run_simulation
 from exogait.stats import tost_welch
@@ -60,13 +59,16 @@ def test_criterion_01_torque_trajectory_fixture():
     with _criterion(1, "torque trajectory fixture", 1.0):
         profile = TorqueProfile(onset_gc=23.2, peak_gc=50.4, end_gc=62.7,
                                 peak_torque=10.0)
-        assert torque_at(profile, 50.4) == 10.0
-        assert torque_at(profile, 23.2) == pytest.approx(0.0, abs=1e-12)
-        assert torque_at(profile, 62.7) == pytest.approx(0.0, abs=1e-12)
-        assert torque_at(profile, 36.8) == pytest.approx(5.0, abs=1e-9)
+        # Over a 1 m moment arm the tension is the torque.
+        torque = reference_tensions(profile, TensionConversion(moment_arm=1.0),
+                                    np.array([50.4, 23.2, 62.7, 36.8]))
+        assert torque[0] == 10.0
+        assert torque[1] == pytest.approx(0.0, abs=1e-12)
+        assert torque[2] == pytest.approx(0.0, abs=1e-12)
+        assert torque[3] == pytest.approx(5.0, abs=1e-9)
         conv = TensionConversion()
-        assert reference_tension(profile, conv, 50.4) == pytest.approx(
-            166.71, abs=0.05)
+        assert reference_tensions(profile, conv, np.array([50.4]))[0] \
+            == pytest.approx(166.71, abs=0.05)
 
 
 def test_criterion_02_temporal_arithmetic_fixture():
@@ -330,14 +332,8 @@ def test_criterion_10_phase_estimation():
         detected = detect_heel_strikes(noisy, rate)
         assert np.array_equal(detected, expected)  # full recall, no extras
 
-        detector = StrikeDetector(rate)
-        state = PhaseState()
-        fired = 0
-        for i, value in enumerate(noisy):
-            strike = detector.step(float(value))
-            state, gc = update_phase(state, i / rate, strike)
-            assert 0.0 <= gc <= 100.0
-            if strike:
-                fired += 1
-                assert gc == 0.0
-        assert fired == 100
+        ticks = strike_ticks(noisy, rate)
+        gc = phase_series(np.arange(n) / rate, ticks)
+        assert np.all((gc >= 0.0) & (gc <= 100.0))
+        assert np.all(gc[ticks] == 0.0)
+        assert len(ticks) == 100

@@ -2,7 +2,9 @@
 
 Covers the shipped default profile (onset 23.2, peak 50.4, end 62.7 GC%,
 10 Nm), the 17 kgf <-> 10 Nm moment-arm identity, smoothstep midpoints,
-C1 continuity, segment monotonicity, and the error paths.
+C1 continuity, segment monotonicity, and the error paths. The scalar
+profile in sim_oracle is the independent reference that reference_tensions
+is held to.
 """
 
 import math
@@ -18,17 +20,30 @@ from exogait.assist import (
     G_STANDARD,
     TensionConversion,
     TorqueProfile,
-    reference_tension,
     reference_tensions,
-    torque_at,
-    torque_to_tension,
 )
 from exogait.errors import InvalidProfile
+from sim_oracle import reference_tension, torque_to_tension
+
+# A 1 m moment arm turns the tension into the torque: it divides by 1.0.
+_UNIT_ARM = TensionConversion(moment_arm=1.0)
+
+
+def torque_at(profile, gc):
+    """Assistance torque (Nm) at one GC%, as reference_tensions gives it."""
+    return float(reference_tensions(profile, _UNIT_ARM, np.array([gc]))[0])
+
+
+def tension_at_peak(torque, conv):
+    """Cable tension (N) for an ankle torque (Nm): the tension at the peak
+    of the default timings with that peak torque."""
+    profile = TorqueProfile(23.2, 50.4, 62.7, torque)
+    return float(reference_tensions(profile, conv, np.array([50.4]))[0])
 
 
 def tension_to_torque(tension, conv):
-    """Cable tension (N) to ankle torque (Nm), the inverse that
-    torque_to_tension is checked against."""
+    """Cable tension (N) to ankle torque (Nm), the inverse that the
+    conversion is checked against."""
     return tension * conv.moment_arm
 
 
@@ -56,7 +71,7 @@ def test_fall_midpoint_is_half_peak():
 
 def test_peak_tension_matches_17_kgf():
     conv = TensionConversion()
-    tension = torque_to_tension(10.0, conv)
+    tension = tension_at_peak(10.0, conv)
     assert tension == pytest.approx(166.71, abs=0.05)
     assert tension == pytest.approx(17.0 * G_STANDARD, abs=1e-9)
 
@@ -68,7 +83,7 @@ def test_default_moment_arm_value():
 def test_tension_round_trip():
     conv = TensionConversion()
     for torque in [0.0, 0.5, 3.3, 10.0, 25.0]:
-        back = tension_to_torque(torque_to_tension(torque, conv), conv)
+        back = tension_to_torque(tension_at_peak(torque, conv), conv)
         assert back == pytest.approx(torque, abs=1e-12)
 
 
@@ -83,16 +98,17 @@ def test_conversion_is_linear():
     for _ in range(50):
         a = float(rng.uniform(0.0, 20.0))
         b = float(rng.uniform(0.0, 20.0))
-        lhs = torque_to_tension(a + b, conv)
-        rhs = torque_to_tension(a, conv) + torque_to_tension(b, conv)
+        lhs = tension_at_peak(a + b, conv)
+        rhs = tension_at_peak(a, conv) + tension_at_peak(b, conv)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_reference_tension_composes():
     conv = TensionConversion()
     for gc in [0.0, 30.0, 50.4, 55.0, 90.0]:
-        expected = torque_to_tension(torque_at(DEFAULT_PROFILE, gc), conv)
-        assert reference_tension(DEFAULT_PROFILE, conv, gc) == expected
+        expected = torque_at(DEFAULT_PROFILE, gc) / conv.moment_arm
+        got = reference_tensions(DEFAULT_PROFILE, conv, np.array([gc]))
+        assert got[0] == expected
 
 
 def test_profile_is_c1():
@@ -122,7 +138,7 @@ def test_monotone_on_each_segment():
 
 def test_grid_max_is_at_peak():
     grid = np.arange(0.0, 100.0 + 1e-12, 0.01)
-    vals = np.array([torque_at(DEFAULT_PROFILE, float(g)) for g in grid])
+    vals = reference_tensions(DEFAULT_PROFILE, _UNIT_ARM, grid)
     i = int(np.argmax(vals))
     assert abs(grid[i] - 50.4) < 0.01 + 1e-9
     assert vals[i] == pytest.approx(10.0, abs=1e-9)
@@ -163,6 +179,10 @@ def test_gc_out_of_range_rejected():
         torque_at(DEFAULT_PROFILE, 100.1)
     with pytest.raises(ValueError):
         torque_at(DEFAULT_PROFILE, math.nan)
+
+
+# The scalar reference's own check: it refuses a negative torque, which no
+# profile can produce.
 
 
 def test_negative_conversions_rejected():

@@ -616,8 +616,8 @@ def test_column_limit_keeps_every_failure(data):
 
 def test_column_limited_read_keeps_the_trial_rate_check():
     """An analog rate within the reader's 1e-6 Hz of a point-rate multiple
-    but not within Trial's 1e-9 of the ratio fails even when no channel is
-    returned, as inspect's read returns none."""
+    but not within Trial's 1e-9 of the ratio fails as a MalformedHeader,
+    even when no channel is returned, as inspect's read returns none."""
     trial = _random_trial(np.random.default_rng(43), n_channels=2, spf=2)
     trial.point_rate, trial.analog_rate = 0.5, 1.0
     for a in trial.analogs:
@@ -627,8 +627,8 @@ def test_column_limited_read_keeps_the_trial_rate_check():
     data[start : start + 4] = np.nextafter(np.float32(1.0),
                                            np.float32(2.0)).tobytes()
     for columns in (None, (), ("M1",)):
-        with pytest.raises(ValueError, match="not an integer multiple of "
-                           "point_rate 0.5"):
+        with pytest.raises(MalformedHeader, match="not an integer multiple "
+                           "of point_rate 0.5"):
             read_c3d_with_labels(bytes(data), columns)
 
 

@@ -1,18 +1,24 @@
-"""Tests for FSR heel-strike detection and the online GC% estimator."""
+"""Tests for FSR heel-strike detection and the GC% estimator.
+
+The tick-by-tick detector and estimator in sim_oracle are the independent
+reference that strike_ticks and phase_series are held to.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exogait.errors import TimeWentBackwards
 from exogait.phase import (
     DEFAULT_STRIDE_S,
-    PhaseState,
-    StrikeDetector,
     detect_heel_strikes,
     phase_series,
     strike_ticks,
+)
+from sim_oracle import (
+    PhaseState,
+    StrikeDetector,
+    TimeWentBackwards,
     update_phase,
 )
 
@@ -107,62 +113,55 @@ def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         detect_heel_strikes(np.zeros(5), 0.0)
     with pytest.raises(ValueError):
-        StrikeDetector(-100.0)
+        strike_ticks(np.zeros(5), -100.0)
 
 
 def test_gc_zero_before_first_strike():
-    state = PhaseState()
-    state, gc = update_phase(state, 0.5, heel_strike=False)
-    assert gc == 0.0
+    gc = phase_series(np.array([0.5]), np.array([], dtype=int))
+    assert gc.tolist() == [0.0]
 
 
 def test_gc_default_stride_midpoint():
-    state = PhaseState()
-    state, gc = update_phase(state, 0.0, heel_strike=True)
-    assert gc == 0.0
-    state, gc = update_phase(state, 0.490, heel_strike=False)
-    assert gc == pytest.approx(100.0 * 0.490 / DEFAULT_STRIDE_S)
-    assert gc == pytest.approx(50.0)
+    gc = phase_series(np.array([0.0, 0.490]), np.array([0]))
+    assert gc[0] == 0.0
+    assert gc[1] == pytest.approx(100.0 * 0.490 / DEFAULT_STRIDE_S)
+    assert gc[1] == pytest.approx(50.0)
 
 
 def test_gc_clamps_at_100():
-    state = PhaseState()
-    state, _ = update_phase(state, 0.0, heel_strike=True)
-    state, gc = update_phase(state, 1.2, heel_strike=False)
-    assert gc == 100.0
+    gc = phase_series(np.array([0.0, 1.2]), np.array([0]))
+    assert gc[1] == 100.0
 
 
 def test_buffer_mean_replaces_default():
-    state = PhaseState()
-    state, _ = update_phase(state, 0.0, heel_strike=True)
-    state, gc = update_phase(state, 1.0, heel_strike=True)
-    assert gc == 0.0
-    assert state.stride_buffer == (1.0,)
-    assert state.expected_stride == 1.0
-    state, gc = update_phase(state, 1.5, heel_strike=False)
-    assert gc == pytest.approx(50.0)
+    # One 1.0 s stride replaces the 0.980 s default, so 0.5 s later is
+    # exactly 50 %.
+    gc = phase_series(np.array([0.0, 1.0, 1.5]), np.array([0, 1]))
+    assert gc[1] == 0.0
+    assert gc[2] == 50.0
 
 
 def test_buffer_keeps_last_three():
-    state = PhaseState()
-    for t in [0.0, 1.0, 2.1, 3.3, 4.6]:
-        state, _ = update_phase(state, t, heel_strike=True)
-    assert len(state.stride_buffer) == 3
-    assert state.stride_buffer == pytest.approx((1.1, 1.2, 1.3))
-    assert state.expected_stride == pytest.approx(1.2)
+    # Strides 1.0, 1.1, 1.2 and 1.3 s: the mean of the last three is
+    # 1.2 s (all four would give 1.15 s), so 0.6 s after the last strike
+    # is 50 %.
+    time = np.array([0.0, 1.0, 2.1, 3.3, 4.6, 5.2])
+    gc = phase_series(time, np.arange(5))
+    assert gc[:5].tolist() == [0.0] * 5
+    assert gc[5] == pytest.approx(100.0 * 0.6 / 1.2)
 
 
 def test_gc_nondecreasing_between_strikes():
     rng = np.random.default_rng(9)
-    state = PhaseState()
-    state, _ = update_phase(state, 0.0, heel_strike=True)
     times = np.cumsum(rng.uniform(0.001, 0.02, 300))
-    prev = 0.0
-    for t in times:
-        state, gc = update_phase(state, float(t), heel_strike=False)
-        assert 0.0 <= gc <= 100.0
-        assert gc >= prev
-        prev = gc
+    gc = phase_series(np.concatenate(([0.0], times)), np.array([0]))
+    assert gc[0] == 0.0
+    assert np.all((gc >= 0.0) & (gc <= 100.0))
+    assert np.all(np.diff(gc) >= 0.0)
+
+
+# The one-step reference's own checks: it refuses a stream that runs
+# backwards and a state it could not have reached.
 
 
 def test_time_went_backwards():
@@ -179,19 +178,28 @@ def test_state_validation():
         PhaseState(stride_buffer=(1.0, 1.0, 1.0, 1.0))
 
 
-# The noisy signals cross the 0.5 threshold from either level.
+# The noisy signals cross the 0.5 threshold from either level. The burst
+# signals space runs of 1 to 8 samples up to 0.6 s apart at 100 Hz, so
+# that strikes fall either side of the refractory period.
 _fsr_signals = st.one_of(
     st.lists(st.sampled_from([0.0, 1.0]), max_size=400),
     st.lists(
         st.tuples(st.sampled_from([0.0, 0.9]), st.floats(-0.6, 0.6)),
         max_size=400,
     ).map(lambda samples: [level + noise for level, noise in samples]),
+    st.lists(
+        st.tuples(st.integers(0, 60), st.integers(1, 8),
+                  st.sampled_from([0.5, 0.9])),
+        max_size=12,
+    ).map(lambda bursts: [value for gap, length, level in bursts
+                          for value in [0.0] * gap + [level] * length]),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(signal=_fsr_signals)
 def test_batch_and_streaming_detectors_agree(signal):
+    # The streaming detector is the reference in sim_oracle.
     rate = 100.0
     detector = StrikeDetector(rate)
     streamed = [(i - 2) / rate

@@ -17,8 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exogait.assist import DEFAULT_PROFILE, TensionConversion, TorqueProfile
+from exogait import assist, phase
+from exogait.assist import (
+    DEFAULT_PROFILE,
+    TensionConversion,
+    TorqueProfile,
+    reference_tensions,
+)
 from exogait.errors import EmptyResult, NonFiniteState
+from exogait.phase import phase_series, strike_ticks
 from exogait.simulate import (
     DEFAULT_GAINS,
     CycleSummary,
@@ -29,14 +36,18 @@ from exogait.simulate import (
     run_simulation,
 )
 from sim_oracle import (
+    PhaseState,
     PidState,
     PlantState,
+    StrikeDetector,
     masked_metrics,
     oracle_simulation,
     pid_step,
     plant_step,
     reached,
+    reference_tension,
     tracking_metrics,
+    update_phase,
 )
 
 _QUIET = replace(PlantParams(), loadcell_noise_sd=0.0)
@@ -672,3 +683,78 @@ def test_divergence_message_matches_one_step_oracle():
     with pytest.raises(NonFiniteState) as oracle:
         oracle_simulation(*args)
     assert str(kernel.value) == str(oracle.value)
+
+
+# --- the oracle is independent of the library's rules -------------------------
+
+# FSR bursts at 100 Hz, as (start sample, length, level), that reach every
+# phase rule from both sides. A 3-sample run (the debounce) strikes at
+# 0.1 s; runs starting 0.35 s and 0.45 s later sit either side of the
+# 0.4 s refractory period; runs at 0.45 and 0.5 of full scale stay under
+# the threshold and one at 0.55 strikes; a 2-sample run is too short;
+# strides of 1.0 to 1.45 s follow, so the 3-stride buffer rolls.
+_RULE_BURSTS = [
+    (10, 3, 0.9), (45, 5, 0.9), (55, 5, 0.9), (120, 5, 0.45), (130, 5, 0.5),
+    (150, 2, 0.9), (200, 5, 0.55), (300, 5, 0.9), (410, 5, 0.9),
+    (530, 5, 0.9), (660, 5, 0.9),
+]
+_RULE_FSR = np.zeros(780)
+for _start, _length, _level in _RULE_BURSTS:
+    _RULE_FSR[_start : _start + _length] = _level
+
+
+def _open_loop_mismatches(fsr, rate):
+    """Which of the strikes, the GC% and the reference differ between the
+    library's array forms and the oracle's tick-by-tick chain."""
+    time = np.arange(len(fsr)) / rate
+    detector, state = StrikeDetector(rate), PhaseState()
+    fired, gc_want = [], []
+    for i, value in enumerate(fsr.tolist()):
+        strike = detector.step(value)
+        if strike:
+            fired.append(i)
+        state, gc = update_phase(state, float(time[i]), strike)
+        gc_want.append(gc)
+    ref_want = [reference_tension(DEFAULT_PROFILE, _CONV, g) for g in gc_want]
+    ticks = strike_ticks(fsr, rate)
+    gc = phase_series(time, ticks)
+    ref = reference_tensions(DEFAULT_PROFILE, _CONV, gc)
+    same = {
+        "strikes": ticks.tolist() == fired,
+        "gc": gc.tobytes() == np.array(gc_want).tobytes(),
+        "reference": ref.tobytes() == np.array(ref_want).tobytes(),
+    }
+    return {name for name, equal in same.items() if not equal}
+
+
+def _linear(u):
+    return u
+
+
+# (library module, rule, changed value, the output that shows the change)
+_RULE_CHANGES = [
+    (phase, "_THRESHOLD", 0.4, "strikes"),
+    (phase, "_THRESHOLD", 0.6, "strikes"),
+    (phase, "_REFRACTORY_S", 0.3, "strikes"),
+    (phase, "_REFRACTORY_S", 0.5, "strikes"),
+    (phase, "_DEBOUNCE_SAMPLES", 2, "strikes"),
+    (phase, "_DEBOUNCE_SAMPLES", 4, "strikes"),
+    (phase, "_BUFFER_SIZE", 2, "gc"),
+    (phase, "_BUFFER_SIZE", 4, "gc"),
+    (phase, "DEFAULT_STRIDE_S", 1.0, "gc"),
+    (assist, "_smoothstep", _linear, "reference"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, value, shows", _RULE_CHANGES,
+    ids=[f"{name}={getattr(value, '__name__', value)}"
+         for _, name, value, _ in _RULE_CHANGES],
+)
+def test_oracle_sees_a_change_to_each_library_rule(monkeypatch, module, name,
+                                                   value, shows):
+    # The oracle writes every rule out itself, so changing one in the
+    # library alone must break the comparison.
+    assert _open_loop_mismatches(_RULE_FSR, 100.0) == set()
+    monkeypatch.setattr(module, name, value)
+    assert shows in _open_loop_mismatches(_RULE_FSR, 100.0)
