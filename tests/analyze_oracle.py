@@ -2,16 +2,17 @@
 
 This module keeps the `analyze` orchestration as the command line ran it
 before the pipeline became one library call: series lookup, gap filling,
-smoothing, the stride loop with its window-validity test, the features
+smoothing, the stride loop with its window-validity test, the stance and
+swing durations and percentages (empty without a foot off), the features
 and the ensembles, inline. The 101-sample resampling (np.linspace plus
 np.interp, with the 1e-9 range check), the ROM and peaks (max and min) and
 the ensemble (mean, and SD with ddof=1, zero for a single cycle) are
 computed here rather than by the library's leaf functions, so the property
-checks normalize_cycle, cycle_features and ensemble too. A C3D trial is
-read whole, every marker and channel converted, so the property also
-checks the C3D reader's column limit; a CSV trial goes through the CLI's
-column-limited loader, whose partial-read failures are the command's
-contract. The ensemble CSV is written through csv.writer. It is swapped in
+checks normalize_cycle, temporal_params, cycle_features and ensemble
+too. A C3D trial is read whole, every marker and channel converted, so the
+property also checks the C3D reader's column limit; a CSV trial goes
+through the CLI's column-limited loader, whose partial-read failures are
+the command's contract. The ensemble CSV is written through csv.writer. It is swapped in
 for cli._cmd_analyze as the handler in cli._COMMANDS; the CLI must exit
 with the same code, print the same stderr and stdout, and write
 byte-identical strides and ensemble CSVs.
@@ -33,8 +34,8 @@ from exogait.cli import (
     _load_trial,
     _require,
 )
-from exogait.cycles import segment_strides, temporal_params
-from exogait.errors import EmptyResult, MissingFootOff, StrideOutsideSeries
+from exogait.cycles import segment_strides
+from exogait.errors import EmptyResult, StrideOutsideSeries
 from exogait.preprocess import fill_gaps, smooth_to_mse
 
 
@@ -161,10 +162,15 @@ def oracle_cmd_analyze(values):
             except StrideOutsideSeries:
                 excluded += 1
                 continue
-            try:
-                temporal = temporal_params(stride)
-            except MissingFootOff:
-                temporal = None
+            temporal = ["", "", "", ""]
+            if stride.foot_off_time is not None:
+                # Swing and its percentage by subtraction, so that the
+                # additive identities hold exactly.
+                cycle = stride.end_time - stride.start_time
+                stance = stride.foot_off_time - stride.start_time
+                stance_pct = 100.0 * stance / cycle
+                temporal = [_fmt(stance), _fmt(cycle - stance),
+                            _fmt(stance_pct), _fmt(100.0 - stance_pct)]
             angle_cycles.append(angle)
             if m_cycle is not None:
                 moment_cycles.append(m_cycle)
@@ -178,10 +184,7 @@ def oracle_cmd_analyze(values):
                 _fmt(float(-angle.min())),
                 _fmt(None if m_cycle is None else float(m_cycle.max())),
                 _fmt(stride.end_time - stride.start_time),
-                _fmt(temporal.stance_duration if temporal else None),
-                _fmt(temporal.swing_duration if temporal else None),
-                _fmt(temporal.stance_pct if temporal else None),
-                _fmt(temporal.swing_pct if temporal else None),
+                *temporal,
             ])
 
     if not angle_cycles:
