@@ -376,13 +376,12 @@ def read_c3d_with_labels(data: bytes, columns):
         analog_rate = point_rate * hdr_spf
     else:
         analog_rate = point_rate
-    ratio = analog_rate / point_rate
-    spf = round(ratio) if n_channels and math.isfinite(ratio) else 0
-    if n_channels and (spf < 1 or abs(analog_rate - spf * point_rate) > 1e-6):
-        raise MalformedHeader(
-            f"analog rate {analog_rate} is not an integer multiple of the "
-            f"point rate {point_rate}"
-        )
+    spf = 0
+    if n_channels:
+        try:
+            spf = frame_ratio(analog_rate, point_rate)
+        except ValueError as exc:
+            raise MalformedHeader(str(exc)) from None
 
     frame_words = 4 * n_points + spf * n_channels
     if frame_words == 0:
@@ -457,14 +456,6 @@ def read_c3d_with_labels(data: bytes, columns):
         meta = {k: v for k, v in zip(keys, vals) if k}
 
     events = _read_events(params)
-    if n_channels:
-        # Trial makes this check of its channels' rate; it runs here too, so
-        # that a read returning no channel fails as a full read does, and
-        # the failure is a header error like the 1e-6 Hz check above.
-        try:
-            frame_ratio(analog_rate, point_rate)
-        except ValueError as exc:
-            raise MalformedHeader(str(exc)) from None
     trial = Trial(
         markers=markers,
         analogs=analogs,
@@ -596,7 +587,8 @@ def write_c3d(trial: Trial) -> bytes:
     n_channels = len(trial.analogs)
     if n_channels > 65535:
         raise ValueError("more than 65535 analog channels")
-    spf = trial.samples_per_frame
+    spf = (frame_ratio(trial.analog_rate, trial.point_rate) if n_channels
+           else 0)
     n_frames = trial.n_frames
 
     records: list[tuple[bytes, bytes]] = []

@@ -25,6 +25,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .assist import (
     DEFAULT_MOMENT_ARM,
     DEFAULT_PROFILE,
@@ -33,8 +35,8 @@ from .assist import (
 )
 from .c3d import read_c3d_with_labels
 from .csvio import compare_tables, read_csv_with_labels, read_events_csv
-from .cycles import analyze_trial, marker_axis
-from .errors import AllWeightsZero, ExogaitError, InvalidProfile
+from .cycles import N_SAMPLES, analyze_trial, marker_axis
+from .errors import ExogaitError, InvalidProfile
 from .simulate import (
     DEFAULT_GAINS,
     PidGains,
@@ -45,7 +47,7 @@ from .trial import EventKind, Side, Trial
 
 SCHEMA_VERSION = 1
 
-# Ticks converted to Python numbers at a time when writing a --trace CSV.
+# Rows converted to Python numbers at a time by _write_numbers.
 _TRACE_CHUNK = 512
 
 STRIDE_COLUMNS = [
@@ -89,7 +91,7 @@ def complexity_index(counts, weights) -> float:
         if not 0 <= weight < math.inf:
             raise ValueError(f"w_{name} must be finite and >= 0, got {weight}")
     if all(w == 0 for w in weights):
-        raise AllWeightsZero("all four complexity weights are zero")
+        raise ValueError("all four complexity weights are zero")
     return float(sum(w * c for w, c in zip(weights, counts)))
 
 
@@ -307,6 +309,20 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_numbers(path: str, columns: dict) -> None:
+    """Write a CSV of columns, a dict of equal-length numpy arrays by
+    header name. Each cell is the repr of the Python float or int that
+    tolist gives, the text csv writes and _fmt gives, and none needs
+    quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        n = len(next(iter(columns.values())))
+        for lo in range(0, n, _TRACE_CHUNK):
+            rows = zip(*(map(repr, column[lo:lo + _TRACE_CHUNK].tolist())
+                         for column in columns.values()))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
 def _emit_json(obj, path: str | None) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if path is None:
@@ -373,16 +389,16 @@ def _cmd_analyze(values: dict) -> int:
         achieved, met = result.smoothing
         state = "met" if met else "not met"
         print(f"smoothing: residual MSE {_fmt(achieved)} (target {state})")
-    kept = [entry for entry in result.strides if entry[3] is None]
+    kept = [entry for entry in result.strides if entry[2] is None]
     with open(values["out_strides"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(STRIDE_COLUMNS)
-        for (side, index, stride, _), features, temporal in zip(
+        for (index, stride, _), features, temporal in zip(
                 kept, result.features, result.temporal):
             writer.writerow([
                 trial_id,
                 values["condition"],
-                side.value,
+                stride.side.value,
                 str(index),
                 _fmt(features.rom),
                 _fmt(features.peak_dorsiflexion),
@@ -395,18 +411,11 @@ def _cmd_analyze(values: dict) -> int:
                 _fmt(temporal.swing_pct if temporal else None),
             ])
 
-    header = ["gc", "angle_mean", "angle_sd"]
-    columns = list(result.angle_ensemble)
+    curves = {"gc": np.arange(N_SAMPLES)}
+    curves["angle_mean"], curves["angle_sd"] = result.angle_ensemble
     if result.moment_ensemble is not None:
-        header += ["moment_mean", "moment_sd"]
-        columns += result.moment_ensemble
-    with open(values["out_ensemble"], "w", encoding="utf-8", newline="") as fh:
-        # Each cell is the repr of a float, the text _fmt gives, and none
-        # needs quoting.
-        rows = zip(map(str, range(len(columns[0]))),
-                   *(map(repr, column.tolist()) for column in columns))
-        fh.write(",".join(header) + "\n")
-        fh.write("\n".join(map(",".join, rows)) + "\n")
+        curves["moment_mean"], curves["moment_sd"] = result.moment_ensemble
+    _write_numbers(values["out_ensemble"], curves)
 
     excluded = len(result.strides) - len(kept)
     print(f"strides: {len(kept)} kept, {excluded} excluded")
@@ -511,20 +520,11 @@ def _cmd_simulate(values: dict) -> int:
         constant_reference=values["constant_reference"],
     )
     if values["trace"] is not None:
-        columns = (
-            result.time, result.fsr, result.gc, result.reference,
-            result.measured, result.tension_true, result.cycle_index,
-        )
-        with open(values["trace"], "w", encoding="utf-8", newline="") as fh:
-            fh.write("time,fsr,gc,reference,measured,tension_true,cycle\n")
-            # Each cell is the repr of a float or an int, the text csv
-            # writes and _fmt gives, and none needs quoting.
-            for lo in range(0, len(result.time), _TRACE_CHUNK):
-                rows = zip(*(
-                    map(repr, column[lo:lo + _TRACE_CHUNK].tolist())
-                    for column in columns
-                ))
-                fh.write("\n".join(map(",".join, rows)) + "\n")
+        _write_numbers(values["trace"], {
+            "time": result.time, "fsr": result.fsr, "gc": result.gc,
+            "reference": result.reference, "measured": result.measured,
+            "tension_true": result.tension_true, "cycle": result.cycle_index,
+        })
     summary = {
         "schema_version": SCHEMA_VERSION,
         "n_ticks": len(result.time),

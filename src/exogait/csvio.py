@@ -46,6 +46,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -370,12 +371,17 @@ def read_csv_with_labels(text: str | bytes, columns):
         raise NonNumericCell(
             f"row {r + 2}, column time: {float(times[r])} is not finite"
         )
-    dt = times[1] - times[0]
+    # Python floats: their arithmetic overflows to inf without a warning.
+    dt = float(times[1]) - float(times[0])
     if not dt > 0:
         raise BadHeaderRow("time column must be strictly increasing")
     rate = 1.0 / dt
+    if not 0 < rate < math.inf:
+        raise BadHeaderRow(
+            f"time step {dt!r} s gives no positive, finite sampling rate"
+        )
     # Keep the clock origin so sidecar event times line up: frame 1 is t=0.
-    first_frame = int(round(times[0] * rate)) + 1
+    first_frame = int(round(float(times[0]) * rate)) + 1
     if first_frame < 1:
         raise BadHeaderRow("time column must not start before 0")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyResult, MissingFootOff, StrideOutsideSeries
+from .errors import EmptyResult, StrideOutsideSeries
 from .preprocess import fill_gaps, smooth_to_mse
 from .trial import EventKind, GaitEvent, Side, Trial
 
@@ -147,18 +147,16 @@ def _resample(y: np.ndarray, rate: float, start_time: float, starts,
     return np.interp(grid, t, y)
 
 
-def temporal_params(stride: Stride) -> TemporalFeatures:
-    """Durations and percentages of one stride.
+def temporal_params(stride: Stride) -> TemporalFeatures | None:
+    """Durations and percentages of one stride, or None when the stride
+    has no usable foot off (its foot_off_time is None).
 
     The dependent quantities are computed by subtraction (swing as cycle
     minus stance, swing percentage as 100 minus stance percentage) so the
     additive identities hold exactly, not just to rounding.
     """
     if stride.foot_off_time is None:
-        raise MissingFootOff(
-            f"stride [{stride.start_time}, {stride.end_time}] has no usable "
-            "foot-off event"
-        )
+        return None
     cycle = stride.end_time - stride.start_time
     stance = stride.foot_off_time - stride.start_time
     swing = cycle - stance
@@ -210,19 +208,20 @@ def ensemble(cycles) -> tuple[np.ndarray, np.ndarray]:
 class AnalysisResult:
     """What analyze_trial found in one trial.
 
-    strides has one (side, index, stride, excluded) entry per segmented
-    stride, side by side in the order asked for: index counts the side's
-    strides from 0, and excluded is None for a kept stride, "gap" when a
-    series is invalid somewhere in the stride's window, or "outside-series"
-    when the window reaches past a series. features and temporal have one
-    entry per kept stride, in the same order; temporal is None for a stride
-    without a usable foot off. Each ensemble is a (mean, sd) pair of
-    101-sample arrays over 0..100 GC% (the SD is zero with one kept
-    stride), and moment_ensemble is None without a moment series. smoothing
+    strides has one (index, stride, excluded) entry per segmented stride,
+    side by side in the order asked for: index counts the strides of
+    stride.side from 0, and excluded is None for a kept stride, "gap" when
+    a series is invalid somewhere in the stride's window, or
+    "outside-series" when the window reaches past a series. features and
+    temporal have one entry per kept stride, in the same order; temporal
+    holds what temporal_params gives, None for a stride without a usable
+    foot off. Each ensemble is a (mean, sd) pair of 101-sample arrays over
+    0..100 GC% (the SD is zero with one kept stride), and moment_ensemble
+    is None without a moment series. smoothing
     is (achieved MSE, target met), or None when smoothing was off.
     """
 
-    strides: list[tuple[Side, int, Stride, str | None]]
+    strides: list[tuple[int, Stride, str | None]]
     features: list[CycleFeatures]
     temporal: list[TemporalFeatures | None]
     angle_ensemble: tuple[np.ndarray, np.ndarray]
@@ -314,14 +313,11 @@ def analyze_trial(
             elif not all(_inside(stride, origin, _last_time(y, r, origin))
                          for y, r, _ in series):
                 excluded = "outside-series"
-            strides.append((side, index, stride, excluded))
+            strides.append((index, stride, excluded))
             if excluded is not None:
                 continue
             kept.append(stride)
-            try:
-                temporal.append(temporal_params(stride))
-            except MissingFootOff:
-                temporal.append(None)
+            temporal.append(temporal_params(stride))
 
     if not kept:
         raise EmptyResult("no stride survived quality checks")

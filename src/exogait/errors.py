@@ -71,10 +71,6 @@ class StrideOutsideSeries(ExogaitError):
     """Stride window falls outside the sampled time range."""
 
 
-class MissingFootOff(ExogaitError):
-    """No foot-off event between a stride's bounding foot strikes."""
-
-
 # --- statistics -------------------------------------------------------------
 
 class SingularDesign(ExogaitError):
@@ -99,7 +95,3 @@ class InvalidProfile(ExogaitError):
 
 class EmptyResult(ExogaitError):
     """An aggregation was asked for zero items."""
-
-
-class AllWeightsZero(ExogaitError):
-    """Weighted aggregation received only zero weights."""

@@ -94,9 +94,13 @@ class GaitEvent:
 
 def frame_ratio(analog_rate: float, point_rate: float) -> int:
     """Analog samples per point frame: the rate ratio rounded, which must be
-    a positive integer to within 1e-9; raises ValueError otherwise."""
+    finite and a positive integer to within 1e-9; raises ValueError
+    otherwise (for a NaN or infinite ratio too). This is the one rate rule:
+    Trial checks its analog channels by it, and the C3D reader and writer
+    size the analog block of each frame by it."""
     ratio = analog_rate / point_rate
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+    if (not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9
+            or round(ratio) < 1):
         raise ValueError(
             f"analog_rate {analog_rate} is not an integer "
             f"multiple of point_rate {point_rate}"
@@ -158,13 +162,6 @@ class Trial:
     @property
     def n_frames(self) -> int:
         return self.last_frame - self.first_frame + 1
-
-    @property
-    def samples_per_frame(self) -> int:
-        """Analog samples per point frame (0 when no analog channels)."""
-        if not self.analogs:
-            return 0
-        return round(self.analog_rate / self.point_rate)
 
     @property
     def duration(self) -> float:

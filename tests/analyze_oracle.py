@@ -12,10 +12,10 @@ checks normalize_cycle, temporal_params, cycle_features and ensemble
 too. A C3D trial is read whole, every marker and channel converted, so the
 property also checks the C3D reader's column limit; a CSV trial goes
 through the CLI's column-limited loader, whose partial-read failures are
-the command's contract. The ensemble CSV is written through csv.writer. It is swapped in
-for cli._cmd_analyze as the handler in cli._COMMANDS; the CLI must exit
-with the same code, print the same stderr and stdout, and write
-byte-identical strides and ensemble CSVs.
+the command's contract. The ensemble CSV is written through csv.writer.
+It is swapped in for cli._cmd_analyze as the handler in cli._COMMANDS;
+the CLI must exit with the same code, print the same stderr and stdout,
+and write byte-identical strides and ensemble CSVs.
 """
 
 import csv

@@ -123,11 +123,15 @@ def oracle_read_csv_trial(text, columns=None):
     for r, t in enumerate(times.tolist(), start=2):
         if not math.isfinite(t):
             raise NonNumericCell(f"row {r}, column time: {t} is not finite")
-    dt = times[1] - times[0]
+    dt = float(times[1]) - float(times[0])
     if not dt > 0:
         raise BadHeaderRow("time column must be strictly increasing")
     rate = 1.0 / dt
-    first_frame = int(round(times[0] * rate)) + 1
+    if not 0 < rate < math.inf:
+        raise BadHeaderRow(
+            f"time step {dt!r} s gives no positive, finite sampling rate"
+        )
+    first_frame = int(round(float(times[0]) * rate)) + 1
     if first_frame < 1:
         raise BadHeaderRow("time column must not start before 0")
 

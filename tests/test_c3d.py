@@ -5,6 +5,7 @@ words, so exact round-trip fixtures use dyadic values (multiples of 1/64)
 that float32 represents without rounding.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ from exogait.errors import (
     EmptyTrial,
     ExogaitError,
     MalformedHeader,
+    MissingRequiredParameter,
     TooManyMarkers,
     TruncatedData,
     UnknownEventLabel,
@@ -31,6 +33,7 @@ from exogait.trial import (
     MarkerTrajectory,
     Side,
     Trial,
+    frame_ratio,
 )
 
 
@@ -615,9 +618,9 @@ def test_column_limit_keeps_every_failure(data):
 
 
 def test_column_limited_read_keeps_the_trial_rate_check():
-    """An analog rate within the reader's 1e-6 Hz of a point-rate multiple
-    but not within Trial's 1e-9 of the ratio fails as a MalformedHeader,
-    even when no channel is returned, as inspect's read returns none."""
+    """An analog rate one float32 step above a point-rate multiple misses
+    frame_ratio's 1e-9 of the ratio and fails as a MalformedHeader, even
+    when no channel is returned, as inspect's read returns none."""
     trial = _random_trial(np.random.default_rng(43), n_channels=2, spf=2)
     trial.point_rate, trial.analog_rate = 0.5, 1.0
     for a in trial.analogs:
@@ -630,6 +633,106 @@ def test_column_limited_read_keeps_the_trial_rate_check():
         with pytest.raises(MalformedHeader, match="not an integer multiple "
                            "of point_rate 0.5"):
             read_c3d_with_labels(bytes(data), columns)
+
+
+@pytest.mark.parametrize("analog_rate", [math.inf, -math.inf, math.nan])
+def test_frame_ratio_refuses_a_ratio_that_is_not_finite(analog_rate):
+    with pytest.raises(ValueError, match=f"analog_rate {analog_rate} is not "
+                       "an integer multiple of point_rate 100.0"):
+        frame_ratio(analog_rate, 100.0)
+
+
+# float32 rate words: common rates, 1 kHz and above among them, any
+# positive finite rate, and rates that are not positive or not finite.
+_RATE_WORDS = st.one_of(
+    st.sampled_from([50.0, 100.0, 120.0, 1000.0, 1500.0, 2000.0, 4000.0,
+                     48000.0, 1e6]),
+    st.floats(0.0, exclude_min=True, allow_infinity=False, width=32),
+    st.sampled_from([0.0, -0.0, -100.0, math.inf, -math.inf, math.nan]),
+).map(np.float32)
+
+
+@st.composite
+def _rate_words(draw):
+    """(point rate, analog rate) as float32 words. The analog rate is a word
+    of its own, or 1-8 times the point rate rounded to float32, or one
+    float32 step either side of that."""
+    point = draw(_RATE_WORDS)
+    with np.errstate(over="ignore"):
+        multiple = np.float32(float(point) * draw(st.integers(1, 8)))
+    analog = draw(st.sampled_from([
+        multiple, np.nextafter(multiple, np.float32(np.inf)),
+        np.nextafter(multiple, np.float32(-np.inf)),
+    ]) | _RATE_WORDS)
+    return point, analog
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=_rate_words())
+def test_reader_takes_exactly_the_rates_frame_ratio_takes(words):
+    """With POINT:RATE and ANALOG:RATE overwritten, the reader refuses the
+    file exactly when frame_ratio refuses its rates, whatever columns
+    holds, with one MalformedHeader naming both rates. A point rate that
+    is not positive and finite fails the reader's point-rate check, which
+    comes first and applies without analog channels too."""
+    # One marker and two channels over 8 frames: the 512-byte data block
+    # holds up to 6 analog samples per frame.
+    trial = _random_trial(np.random.default_rng(5), n_markers=1, n_frames=8,
+                          n_channels=2, n_events=0, spf=2)
+    data = bytearray(write_c3d(trial))
+    fields = _param_fields(data)
+    for field, word in zip(("POINT:RATE", "ANALOG:RATE"), words):
+        _, start, _ = fields[field]
+        data[start : start + 4] = word.tobytes()
+    point_rate, analog_rate = map(float, words)
+    spf, refusal = None, None
+    if not 0 < point_rate < math.inf:
+        refusal = f"point rate {point_rate} is not positive and finite"
+    else:
+        try:
+            spf = frame_ratio(analog_rate, point_rate)
+        except ValueError as exc:
+            refusal = str(exc)
+            assert f"analog_rate {analog_rate} " in refusal
+            assert f"point_rate {point_rate}" in refusal
+    for columns in (None, (), ("CH1",)):
+        try:
+            read = read_c3d_with_labels(bytes(data), columns)[0]
+        except MalformedHeader as exc:
+            assert str(exc) == refusal
+        except TruncatedData:
+            assert refusal is None and spf > 6
+        else:
+            assert refusal is None and spf <= 6
+            assert (read.point_rate, read.analog_rate) == \
+                (point_rate, analog_rate)
+            assert all(a.samples.size == 8 * spf for a in read.analogs)
+
+
+def _without(data, field):
+    """The C3D bytes data with the last letter of field's parameter name
+    turned to X, so that the reader finds no parameter of that name."""
+    ndims_at, _, _ = _param_fields(data)[field]
+    data = bytearray(data)
+    data[ndims_at - 4] = ord("X")
+    return bytes(data)
+
+
+@pytest.mark.parametrize("field", ["POINT:SCALE", "EVENT:TIMES"])
+def test_missing_required_parameter(tmp_path, capsys, field):
+    """A file with points but no POINT:SCALE, or with EVENT:USED > 0 but no
+    EVENT:TIMES, raises MissingRequiredParameter naming the parameter, and
+    inspect prints it as one error line with exit code 2."""
+    trial = _random_trial(np.random.default_rng(8), n_markers=2,
+                          n_channels=1, n_events=3)
+    assert trial.events
+    data = _without(write_c3d(trial), field)
+    with pytest.raises(MissingRequiredParameter, match=f"^{field}$"):
+        read_c3d(data)
+    path = tmp_path / "walk.c3d"
+    path.write_bytes(data)
+    assert run(["inspect", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"exogait: error: {field}\n")
 
 
 def _walk_c3d(path):

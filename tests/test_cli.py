@@ -113,8 +113,9 @@ def test_complexity_index_linear_in_weights():
 def test_complexity_all_zero_weights(capsys):
     code = run(["complexity", "--limbs", "2", "--dof", "1", "--sensors", "4",
                 "--actuators", "2", "--weights", "0,0,0,0"])
-    assert code == 2
-    _error_line(capsys)
+    assert code == 1
+    assert _error_line(capsys) == \
+        "exogait: error: all four complexity weights are zero\n"
 
 
 def test_complexity_missing_flag(capsys):
@@ -432,6 +433,21 @@ def test_inspect_malformed_csv_prints_one_line(tmp_path, rows):
     assert proc.stdout == ""
     assert proc.stderr.startswith("exogait: error: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_inspect_time_step_without_a_finite_rate(tmp_path):
+    """A time step whose reciprocal overflows is one header error line,
+    without numpy's overflow warnings, in a child process so that a warning
+    would show on stderr."""
+    trial = tmp_path / "walk.csv"
+    trial.write_text("time,analog:a\n0,1\n5e-324,2\n1e-323,3\n",
+                     encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "exogait", "inspect", str(trial)],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "exogait: error: time step 5e-324 s gives no positive, "
+        "finite sampling rate\n")
 
 
 @pytest.mark.parametrize("field, code, lines", [

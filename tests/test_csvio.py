@@ -2,6 +2,7 @@
 
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,30 @@ def test_non_increasing_time_rejected():
     text = "time,analog:x\n0.02,1.0\n0.02,2.0\n"
     with pytest.raises(BadHeaderRow):
         read_csv_trial(text)
+
+
+@pytest.mark.parametrize("rows, step", [
+    ("0,1\n5e-324,2\n1e-323,3\n", "5e-324"),  # 1 / dt overflows to inf
+    ("-1e308,1\n1e308,2\n", "inf"),  # dt overflows, 1 / dt is 0
+])
+@pytest.mark.parametrize("route", ["plain", "rows"])
+def test_time_step_without_a_finite_rate_rejected(monkeypatch, rows, step,
+                                                   route):
+    """A time step whose sampling rate is not positive and finite is one
+    BadHeaderRow on either route, without a numpy warning."""
+    def column_reader(*args):
+        raise AssertionError("plain text reached the column reader")
+
+    if route == "plain":
+        monkeypatch.setattr(csvio, "_parse_columns", column_reader)
+    else:
+        monkeypatch.setattr(csvio, "_parse_plain", lambda *args: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadHeaderRow) as info:
+            read_csv_trial("time,analog:a\n" + rows)
+    assert str(info.value) == \
+        f"time step {step} s gives no positive, finite sampling rate"
 
 
 def test_events_sidecar():

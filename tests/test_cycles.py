@@ -22,7 +22,6 @@ from exogait.cycles import (
 )
 from exogait.errors import (
     EmptyResult,
-    MissingFootOff,
     StrideOutsideSeries,
 )
 from exogait.trial import (
@@ -204,8 +203,7 @@ def test_temporal_even_split():
 
 def test_temporal_requires_foot_off():
     stride = Stride(side=Side.LEFT, start_time=0.0, end_time=1.0)
-    with pytest.raises(MissingFootOff):
-        temporal_params(stride)
+    assert temporal_params(stride) is None
 
 
 def test_features_fixture():
@@ -295,12 +293,12 @@ def test_analyze_trial_names_each_exclusion():
     trial, events = _walk()
     result = analyze_trial(trial, events, "ANK.z", moment="moment",
                            target_mse=0)
-    assert [(side, index, excluded)
-            for side, index, _, excluded in result.strides] == [
+    assert [(stride.side, index, excluded)
+            for index, stride, excluded in result.strides] == [
         (Side.LEFT, 0, None), (Side.LEFT, 1, "gap"), (Side.LEFT, 2, None),
         (Side.RIGHT, 0, "outside-series"),
     ]
-    assert [stride.start_time for _, _, stride, _ in result.strides] == \
+    assert [stride.start_time for _, stride, _ in result.strides] == \
         [0.0, 1.0, 2.0, 2.2]
     assert len(result.features) == 2
     assert result.features[0].peak_plantarflexion_moment is not None
@@ -328,7 +326,7 @@ def test_stride_wholly_outside_series_is_outside_series(signal):
               for time in (0.2, 0.7, 1.2, 2.2, 3.2, 4.2, 4.8)]
     result = analyze_trial(trial, events, signal, target_mse=0)
     assert [(stride.start_time, excluded)
-            for _, _, stride, excluded in result.strides] == [
+            for _, stride, excluded in result.strides] == [
         (0.2, "outside-series"), (0.7, "outside-series"), (1.2, None),
         (2.2, None), (3.2, "outside-series"), (4.2, "outside-series"),
     ]
@@ -341,7 +339,7 @@ def test_analyze_trial_smooths_the_signal_only():
     achieved, met = result.smoothing
     assert met and achieved == pytest.approx(1.0, rel=0.05)
     # Without a marker series, no window is invalid.
-    assert [e[3] for e in result.strides] == [None, None, None]
+    assert [e[2] for e in result.strides] == [None, None, None]
     unsmoothed = analyze_trial(trial, events, "angle", moment="moment",
                                sides=(Side.LEFT,), target_mse=0)
     assert unsmoothed.moment_ensemble[0].tobytes() == \

@@ -138,3 +138,29 @@ def test_no_module_imports_another_modules_private_name():
         if module != stem
     }
     assert found == _PRIVATE_IMPORTS
+
+
+def _raised_names(tree):
+    """Names of the exceptions that raise statements in tree raise, called
+    or not, bare or as a module attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_has_a_raiser():
+    # An error class leaves errors.py together with its last raise.
+    classes = [name for name, obj in vars(exogait.errors).items()
+               if isinstance(obj, type) and obj is not exogait.ExogaitError
+               and issubclass(obj, exogait.ExogaitError)]
+    raised = set().union(*(_raised_names(tree) for stem, tree in _modules()
+                           if stem != "errors"))
+    assert classes
+    assert [name for name in classes if name not in raised] == []
