@@ -217,8 +217,8 @@ class AnalysisResult:
     holds what temporal_params gives, None for a stride without a usable
     foot off. Each ensemble is a (mean, sd) pair of 101-sample arrays over
     0..100 GC% (the SD is zero with one kept stride), and moment_ensemble
-    is None without a moment series. smoothing
-    is (achieved MSE, target met), or None when smoothing was off.
+    is None without a moment series. smoothing is (achieved MSE, target
+    met), or None when smoothing was off.
     """
 
     strides: list[tuple[int, Stride, str | None]]
@@ -303,7 +303,7 @@ def analyze_trial(
     if moment is not None:
         series.append(_series(trial, moment, max_gap))
 
-    strides, kept, temporal = [], [], []
+    strides, kept = [], []
     for side in sides:
         for index, stride in enumerate(segment_strides(events, side)):
             excluded = None
@@ -314,10 +314,8 @@ def analyze_trial(
                          for y, r, _ in series):
                 excluded = "outside-series"
             strides.append((index, stride, excluded))
-            if excluded is not None:
-                continue
-            kept.append(stride)
-            temporal.append(temporal_params(stride))
+            if excluded is None:
+                kept.append(stride)
 
     if not kept:
         raise EmptyResult("no stride survived quality checks")
@@ -329,7 +327,7 @@ def analyze_trial(
     return AnalysisResult(
         strides=strides,
         features=features,
-        temporal=temporal,
+        temporal=[temporal_params(stride) for stride in kept],
         angle_ensemble=ensembles[0],
         moment_ensemble=ensembles[1] if moment is not None else None,
         smoothing=smoothing,

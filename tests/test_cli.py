@@ -420,7 +420,8 @@ def test_inspect_missing_file(tmp_path, capsys):
 @pytest.mark.parametrize("rows", [
     "-inf,1\n0.0,2\n",
     "0.0,1\n0.01," + "1" * (csv.field_size_limit() + 1) + "\n",
-], ids=["non_finite_time", "oversized_field"])
+    "0,1\n5e-324,2\n1e-323,3\n",
+], ids=["non_finite_time", "oversized_field", "time_step_overflow"])
 def test_inspect_malformed_csv_prints_one_line(tmp_path, rows):
     """A child process, so that a numpy warning or a traceback would show
     on stderr."""
@@ -433,21 +434,6 @@ def test_inspect_malformed_csv_prints_one_line(tmp_path, rows):
     assert proc.stdout == ""
     assert proc.stderr.startswith("exogait: error: ")
     assert proc.stderr.count("\n") == 1
-
-
-def test_inspect_time_step_without_a_finite_rate(tmp_path):
-    """A time step whose reciprocal overflows is one header error line,
-    without numpy's overflow warnings, in a child process so that a warning
-    would show on stderr."""
-    trial = tmp_path / "walk.csv"
-    trial.write_text("time,analog:a\n0,1\n5e-324,2\n1e-323,3\n",
-                     encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "exogait", "inspect", str(trial)],
-        capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", "exogait: error: time step 5e-324 s gives no positive, "
-        "finite sampling rate\n")
 
 
 @pytest.mark.parametrize("field, code, lines", [
