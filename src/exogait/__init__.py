@@ -22,9 +22,7 @@ from .assist import (
 from .c3d import map_event, read_c3d, write_c3d
 from .csvio import compare_tables, read_csv_trial, read_events_csv
 from .cycles import (
-    CycleFeatures,
     Stride,
-    TemporalFeatures,
     analyze_trial,
     ensemble,
     normalize_cycle,
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalogChannel",
-    "CycleFeatures",
     "DEFAULT_GAINS",
     "DEFAULT_MOMENT_ARM",
     "DEFAULT_PROFILE",
@@ -68,7 +65,6 @@ __all__ = [
     "SimResult",
     "Side",
     "Stride",
-    "TemporalFeatures",
     "TensionConversion",
     "TorqueProfile",
     "TostResult",

@@ -67,6 +67,8 @@ STRIDE_COLUMNS = [
 ]
 
 _ANGLE_FEATURES = {"rom", "peak_dorsiflexion", "peak_plantarflexion"}
+_TIMING_COLUMNS = {"stance_duration", "swing_duration", "stance_pct",
+                   "swing_pct"}
 _DURATION_FEATURES = {"cycle_duration", "stance_duration", "swing_duration"}
 
 _SIDES = {"left": (Side.LEFT,), "right": (Side.RIGHT,),
@@ -304,8 +306,6 @@ def _load_events(trial: Trial, events_path: str | None) -> list:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return repr(float(x))
 
 
@@ -390,26 +390,22 @@ def _cmd_analyze(values: dict) -> int:
         state = "met" if met else "not met"
         print(f"smoothing: residual MSE {_fmt(achieved)} (target {state})")
     kept = [entry for entry in result.strides if entry[2] is None]
+    # Cells by feature column: a column the result lacks and a timing NaN
+    # (no usable foot off) are empty, a NaN angle or moment feature is nan.
+    cells = []
+    for name in STRIDE_COLUMNS[4:]:
+        column = result.features.get(name)
+        if column is None:
+            cells.append([""] * len(kept))
+        else:
+            cells.append(["" if math.isnan(x) and name in _TIMING_COLUMNS
+                          else repr(x) for x in column.tolist()])
     with open(values["out_strides"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(STRIDE_COLUMNS)
-        for (index, stride, _), features, temporal in zip(
-                kept, result.features, result.temporal):
-            writer.writerow([
-                trial_id,
-                values["condition"],
-                stride.side.value,
-                str(index),
-                _fmt(features.rom),
-                _fmt(features.peak_dorsiflexion),
-                _fmt(features.peak_plantarflexion),
-                _fmt(features.peak_plantarflexion_moment),
-                _fmt(stride.end_time - stride.start_time),
-                _fmt(temporal.stance_duration if temporal else None),
-                _fmt(temporal.swing_duration if temporal else None),
-                _fmt(temporal.stance_pct if temporal else None),
-                _fmt(temporal.swing_pct if temporal else None),
-            ])
+        for (index, stride, _), *row in zip(kept, *cells):
+            writer.writerow([trial_id, values["condition"],
+                             stride.side.value, str(index), *row])
 
     curves = {"gc": np.arange(N_SAMPLES)}
     curves["angle_mean"], curves["angle_sd"] = result.angle_ensemble

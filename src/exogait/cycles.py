@@ -43,22 +43,6 @@ class Stride:
             )
 
 
-@dataclass(frozen=True)
-class TemporalFeatures:
-    stance_duration: float
-    swing_duration: float
-    stance_pct: float
-    swing_pct: float
-
-
-@dataclass
-class CycleFeatures:
-    rom: float
-    peak_dorsiflexion: float
-    peak_plantarflexion: float
-    peak_plantarflexion_moment: float | None = None
-
-
 def segment_strides(events: list[GaitEvent], side: Side) -> list[Stride]:
     """One Stride per consecutive pair of same-side foot strikes.
 
@@ -147,48 +131,45 @@ def _resample(y: np.ndarray, rate: float, start_time: float, starts,
     return np.interp(grid, t, y)
 
 
-def temporal_params(stride: Stride) -> TemporalFeatures | None:
-    """Durations and percentages of one stride, or None when the stride
-    has no usable foot off (its foot_off_time is None).
+def temporal_params(strides: list[Stride]) -> dict[str, np.ndarray]:
+    """Durations and percentages of the strides, one float64 array each by
+    strides CSV column, NaN in the stance and swing arrays for a stride
+    without a usable foot off (its foot_off_time is None).
 
     The dependent quantities are computed by subtraction (swing as cycle
     minus stance, swing percentage as 100 minus stance percentage) so the
     additive identities hold exactly, not just to rounding.
     """
-    if stride.foot_off_time is None:
-        return None
-    cycle = stride.end_time - stride.start_time
-    stance = stride.foot_off_time - stride.start_time
-    swing = cycle - stance
+    start = np.array([s.start_time for s in strides], dtype=float)
+    end = np.array([s.end_time for s in strides], dtype=float)
+    off = np.array([np.nan if s.foot_off_time is None else s.foot_off_time
+                    for s in strides], dtype=float)
+    cycle = end - start
+    stance = off - start
     stance_pct = 100.0 * stance / cycle
-    swing_pct = 100.0 - stance_pct
-    return TemporalFeatures(
-        stance_duration=stance,
-        swing_duration=swing,
-        stance_pct=stance_pct,
-        swing_pct=swing_pct,
-    )
+    return {"cycle_duration": cycle, "stance_duration": stance,
+            "swing_duration": cycle - stance, "stance_pct": stance_pct,
+            "swing_pct": 100.0 - stance_pct}
 
 
 def cycle_features(
     angle: np.ndarray,
     moment: np.ndarray | None = None,
-) -> CycleFeatures:
-    """Kinematic (and optionally kinetic) features of one normalized cycle.
+) -> dict[str, np.ndarray]:
+    """Kinematic (and optionally kinetic) features of normalized cycles, an
+    array by strides CSV column (peak_plantarflexion_moment with a moment).
 
-    angle and moment are 101-sample arrays as normalize_cycle returns them.
-    angle must be in degrees with dorsiflexion positive; peak plantarflexion
-    is the negated minimum, so a cycle that never plantarflexes reports a
-    negative peak. moment, when given, must have the plantarflexor moment
-    positive.
+    angle and moment are (k, 101) arrays, one cycle per row. angle must be
+    in degrees with dorsiflexion positive; peak plantarflexion is the
+    negated minimum, so a cycle that never plantarflexes reports a negative
+    peak. moment must have the plantarflexor moment positive. A NaN sample
+    makes its row's features NaN.
     """
-    features = CycleFeatures(
-        rom=float(angle.max() - angle.min()),
-        peak_dorsiflexion=float(angle.max()),
-        peak_plantarflexion=float(-angle.min()),
-    )
+    top, bottom = angle.max(axis=1), angle.min(axis=1)
+    features = {"rom": top - bottom, "peak_dorsiflexion": top,
+                "peak_plantarflexion": -bottom}
     if moment is not None:
-        features.peak_plantarflexion_moment = float(moment.max())
+        features["peak_plantarflexion_moment"] = moment.max(axis=1)
     return features
 
 
@@ -212,18 +193,18 @@ class AnalysisResult:
     side by side in the order asked for: index counts the strides of
     stride.side from 0, and excluded is None for a kept stride, "gap" when
     a series is invalid somewhere in the stride's window, or
-    "outside-series" when the window reaches past a series. features and
-    temporal have one entry per kept stride, in the same order; temporal
-    holds what temporal_params gives, None for a stride without a usable
-    foot off. Each ensemble is a (mean, sd) pair of 101-sample arrays over
-    0..100 GC% (the SD is zero with one kept stride), and moment_ensemble
-    is None without a moment series. smoothing is (achieved MSE, target
-    met), or None when smoothing was off.
+    "outside-series" when the window reaches past a series. features
+    holds what cycle_features and then temporal_params give over the kept
+    strides, in the order of strides: the strides CSV's number columns,
+    the moment's only with a moment series. Each ensemble is a (mean, sd)
+    pair of 101-sample arrays over 0..100 GC% (the SD is zero with one
+    kept stride), and moment_ensemble is None without a moment series.
+    smoothing is (achieved MSE, target met), or None when smoothing was
+    off.
     """
 
     strides: list[tuple[int, Stride, str | None]]
-    features: list[CycleFeatures]
-    temporal: list[TemporalFeatures | None]
+    features: dict[str, np.ndarray]
     angle_ensemble: tuple[np.ndarray, np.ndarray]
     moment_ensemble: tuple[np.ndarray, np.ndarray] | None
     smoothing: tuple[float, bool] | None
@@ -242,7 +223,8 @@ def _series(trial: Trial, name: str, max_gap: int):
     (see marker_axis); validity is None for an analog channel."""
     for ch in trial.analogs:
         if ch.label == name:
-            return np.asarray(ch.samples, float), float(ch.rate), None
+            return (np.asarray(ch.samples, float), float(trial.analog_rate),
+                    None)
     label, axis = marker_axis(name)
     for mk in trial.markers:
         if mk.label == label:
@@ -286,9 +268,10 @@ def analyze_trial(
     side), with event times in seconds from the trial's frame 1. Each
     stride is first classified (kept, "gap" or "outside-series", with
     normalize_cycle's 1e-9 s range check); then each series resamples all
-    kept strides in one call, with the bits of normalize_cycle per stride.
-    Raises EmptyResult when events is empty or no stride is kept; lookup,
-    fill and smoothing errors pass through.
+    kept strides in one call, with the bits of normalize_cycle per stride,
+    and cycle_features and temporal_params run once over them. Raises
+    EmptyResult when events is empty or no stride is kept; lookup, fill and
+    smoothing errors pass through.
     """
     if not events:
         raise EmptyResult("trial has no gait events; nothing to segment")
@@ -322,12 +305,10 @@ def analyze_trial(
     starts = [stride.start_time for stride in kept]
     ends = [stride.end_time for stride in kept]
     cycles = [_resample(y, r, origin, starts, ends) for y, r, _ in series]
-    features = [cycle_features(*rows) for rows in zip(*cycles)]
     ensembles = [ensemble(rows) for rows in cycles]
     return AnalysisResult(
         strides=strides,
-        features=features,
-        temporal=[temporal_params(stride) for stride in kept],
+        features={**cycle_features(*cycles), **temporal_params(kept)},
         angle_ensemble=ensembles[0],
         moment_ensemble=ensembles[1] if moment is not None else None,
         smoothing=smoothing,

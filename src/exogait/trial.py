@@ -115,7 +115,8 @@ class Trial:
     Invariants enforced at construction: marker labels are unique and every
     trajectory spans exactly ``last_frame - first_frame + 1`` frames; the
     analog rate is an integer multiple of the point rate and every channel
-    holds the matching sample count; events are kept sorted by time.
+    has that rate and holds the matching sample count; events are kept
+    sorted by time.
     """
 
     markers: list[MarkerTrajectory]
@@ -152,6 +153,9 @@ class Trial:
                 if ch.label in seen:
                     raise ValueError(f"duplicate analog label {ch.label!r}")
                 seen.add(ch.label)
+                if ch.rate != self.analog_rate:
+                    raise ValueError(f"analog {ch.label!r} has rate {ch.rate}, "
+                                     f"trial analog_rate is {self.analog_rate}")
                 if ch.samples.size != n * per_frame:
                     raise ValueError(
                         f"analog {ch.label!r} has {ch.samples.size} samples, "

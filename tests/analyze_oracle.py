@@ -4,18 +4,20 @@ This module keeps the `analyze` orchestration as the command line ran it
 before the pipeline became one library call: series lookup, gap filling,
 smoothing, the stride loop with its window-validity test, the stance and
 swing durations and percentages (empty without a foot off), the features
-and the ensembles, inline. The 101-sample resampling (np.linspace plus
-np.interp, with the 1e-9 range check), the ROM and peaks (max and min) and
-the ensemble (mean, and SD with ddof=1, zero for a single cycle) are
-computed here rather than by the library's leaf functions, so the property
-checks normalize_cycle, temporal_params, cycle_features and ensemble
-too. A C3D trial is read whole, every marker and channel converted, so the
-property also checks the C3D reader's column limit; a CSV trial goes
-through the CLI's column-limited loader, whose partial-read failures are
-the command's contract. The ensemble CSV is written through csv.writer.
-It is swapped in for cli._cmd_analyze as the handler in cli._COMMANDS;
-the CLI must exit with the same code, print the same stderr and stdout,
-and write byte-identical strides and ensemble CSVs.
+and the ensembles, inline, one stride at a time. The 101-sample
+resampling (np.linspace plus np.interp, with the 1e-9 range check), the
+ROM and peaks (max and min) and the ensemble (mean, and SD with ddof=1,
+zero for a single cycle) are computed here rather than by the library's
+leaf functions, so the property checks the leaves analyze_trial runs over
+all kept strides at once too: the batched resampling, cycle_features,
+temporal_params and ensemble. A C3D trial is read whole, every marker
+and channel converted, so the property also checks the C3D reader's
+column limit; a CSV trial goes through the CLI's column-limited loader,
+whose partial-read failures are the command's contract. The strides and
+ensemble cells are formatted here too, and the ensemble CSV is written
+through csv.writer. It is swapped in for cli._cmd_analyze as the handler
+in cli._COMMANDS; the CLI must exit with the same code, print the same
+stderr and stdout, and write byte-identical strides and ensemble CSVs.
 """
 
 import csv
@@ -29,7 +31,6 @@ from exogait.cli import (
     STRIDE_COLUMNS,
     _SIDES,
     _UsageError,
-    _fmt,
     _load_events,
     _load_trial,
     _require,
@@ -37,6 +38,12 @@ from exogait.cli import (
 from exogait.cycles import segment_strides
 from exogait.errors import EmptyResult, StrideOutsideSeries
 from exogait.preprocess import fill_gaps, smooth_to_mse
+
+
+def _fmt(x):
+    """A strides or ensemble CSV cell: empty for None, else the float's
+    repr."""
+    return "" if x is None else repr(float(x))
 
 
 def _marker_axis(name):

@@ -75,13 +75,15 @@ def test_criterion_02_temporal_arithmetic_fixture():
     with _criterion(2, "temporal parameter fixture", 1.0):
         stride = Stride(side=Side.LEFT, start_time=0.0, end_time=0.980,
                         foot_off_time=0.559)
-        t = temporal_params(stride)
-        assert t.stance_duration == pytest.approx(0.559, abs=1e-12)
-        assert t.swing_duration == pytest.approx(0.421, abs=1e-12)
+        t = {name: column[0]
+             for name, column in temporal_params([stride]).items()}
+        assert t["stance_duration"] == pytest.approx(0.559, abs=1e-12)
+        assert t["swing_duration"] == pytest.approx(0.421, abs=1e-12)
         # 100*0.559/0.980 = 57.0408...; 57.041 is its 3-decimal rounding
-        assert t.stance_pct == pytest.approx(100.0 * 0.559 / 0.980, abs=1e-9)
-        assert round(t.stance_pct, 3) == 57.041
-        assert t.stance_pct + t.swing_pct == 100.0
+        assert t["stance_pct"] == pytest.approx(100.0 * 0.559 / 0.980,
+                                                abs=1e-9)
+        assert round(t["stance_pct"], 3) == 57.041
+        assert t["stance_pct"] + t["swing_pct"] == 100.0
 
 
 def test_criterion_03_normalization_fixtures():

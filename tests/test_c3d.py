@@ -642,6 +642,19 @@ def test_frame_ratio_refuses_a_ratio_that_is_not_finite(analog_rate):
         frame_ratio(analog_rate, 100.0)
 
 
+@pytest.mark.parametrize("channel_rate, analog_rate", [(50.0, 100.0),
+                                                      (100.0, 50.0)])
+def test_trial_refuses_a_channel_at_another_rate(channel_rate, analog_rate):
+    # Four samples fill the frames at analog_rate, so only the rate is
+    # wrong.
+    channel = AnalogChannel("CH1", np.zeros(4), channel_rate)
+    with pytest.raises(ValueError, match=f"analog 'CH1' has rate "
+                       f"{channel_rate}, trial analog_rate is {analog_rate}"):
+        Trial(markers=[], analogs=[channel], events=[], point_rate=50.0,
+              analog_rate=analog_rate, first_frame=1,
+              last_frame=4 * 50 // int(analog_rate))
+
+
 # float32 rate words: common rates, 1 kHz and above among them, any
 # positive finite rate, and rates that are not positive or not finite.
 _RATE_WORDS = st.one_of(
@@ -658,12 +671,14 @@ def _rate_words(draw):
     of its own, or 1-8 times the point rate rounded to float32, or one
     float32 step either side of that."""
     point = draw(_RATE_WORDS)
+    # The multiple overflows to inf for a large point rate, and nextafter
+    # of inf overflows again.
     with np.errstate(over="ignore"):
         multiple = np.float32(float(point) * draw(st.integers(1, 8)))
-    analog = draw(st.sampled_from([
-        multiple, np.nextafter(multiple, np.float32(np.inf)),
-        np.nextafter(multiple, np.float32(-np.inf)),
-    ]) | _RATE_WORDS)
+        analog = draw(st.sampled_from([
+            multiple, np.nextafter(multiple, np.float32(np.inf)),
+            np.nextafter(multiple, np.float32(-np.inf)),
+        ]) | _RATE_WORDS)
     return point, analog
 
 

@@ -555,6 +555,40 @@ def test_analyze_writes_stride_and_ensemble_csv(tmp_path, capsys):
     assert ens_rows[-1].split(",")[0] == "100"
 
 
+def test_nan_feature_is_written_and_missing_timing_is_empty(tmp_path,
+                                                            capsys):
+    """A nan angle sample makes its stride's ROM and peaks nan in the
+    strides CSV, while a stride without a foot off leaves its timing cells
+    empty, as it leaves the moment cell of a run without a moment."""
+    trial = tmp_path / "walk01.csv"
+    _write_trial(trial)
+    lines = trial.read_text(encoding="utf-8").splitlines()
+    time, _, moment = lines[51].split(",")  # t = 0.50, inside stride 0
+    lines[51] = f"{time},nan,{moment}"
+    trial.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    events = tmp_path / "events.csv"
+    events.write_text("time,context,label\n" + "".join(
+        f"{t},Left,Foot Strike\n" for t in ("0.0", "1.0", "2.0", "3.0"))
+        + "0.6,Left,Foot Off\n2.6,Left,Foot Off\n", encoding="utf-8")
+    strides = tmp_path / "s.csv"
+    code = run(["analyze", str(trial), "--events", str(events),
+                "--signal", "angle", "--target-mse", "0",
+                "--out-strides", str(strides),
+                "--out-ensemble", str(tmp_path / "e.csv")])
+    assert code == 0
+    assert "strides: 3 kept, 0 excluded" in capsys.readouterr().out
+    rows = [dict(zip(STRIDE_COLUMNS, row.split(",")))
+            for row in strides.read_text(encoding="utf-8").splitlines()[1:]]
+    angles = ["rom", "peak_dorsiflexion", "peak_plantarflexion"]
+    timing = ["stance_duration", "swing_duration", "stance_pct", "swing_pct"]
+    assert [rows[0][name] for name in angles] == ["nan", "nan", "nan"]
+    assert all(rows[0][name] not in ("", "nan") for name in timing)
+    assert all(float(rows[1][name]) > 0 for name in ("rom", "cycle_duration"))
+    assert [rows[1][name] for name in timing] == ["", "", "", ""]
+    assert [row["peak_plantarflexion_moment"] for row in rows] == [""] * 3
+    assert all(rows[2][name] not in ("", "nan") for name in angles + timing)
+
+
 def test_analyze_rerun_is_byte_identical(tmp_path, capsys):
     trial = tmp_path / "walk01.csv"
     events = tmp_path / "events.csv"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exogait import cycles
+from exogait.cli import STRIDE_COLUMNS
 from exogait.cycles import (
     N_SAMPLES,
     Stride,
@@ -167,68 +168,75 @@ def test_temporal_fixture():
     stride = Stride(
         side=Side.LEFT, start_time=0.0, end_time=0.980, foot_off_time=0.559
     )
-    t = temporal_params(stride)
-    assert t.stance_duration == pytest.approx(0.559, abs=1e-12)
-    assert t.swing_duration == pytest.approx(0.421, abs=1e-12)
-    assert t.stance_pct == pytest.approx(100.0 * 0.559 / 0.980, abs=1e-9)
-    assert round(t.stance_pct, 3) == 57.041
+    t = temporal_params([stride])
+    assert t["stance_duration"][0] == pytest.approx(0.559, abs=1e-12)
+    assert t["swing_duration"][0] == pytest.approx(0.421, abs=1e-12)
+    assert t["stance_pct"][0] == pytest.approx(100.0 * 0.559 / 0.980,
+                                               abs=1e-9)
+    assert round(t["stance_pct"][0], 3) == 57.041
 
 
 def test_temporal_identities_exact():
     rng = np.random.default_rng(23)
+    strides = []
     for _ in range(100):
         start = float(rng.uniform(0.0, 10.0))
         cycle = float(rng.uniform(0.5, 2.0))
         off = start + cycle * float(rng.uniform(0.2, 0.8))
-        stride = Stride(
+        strides.append(Stride(
             side=Side.RIGHT, start_time=start, end_time=start + cycle,
             foot_off_time=off,
-        )
-        t = temporal_params(stride)
-        # Identities hold exactly because swing values are computed by
-        # subtraction, not independently.
-        assert t.stance_duration + t.swing_duration == \
-            stride.end_time - stride.start_time
-        assert t.stance_pct + t.swing_pct == 100.0
+        ))
+    t = temporal_params(strides)
+    # Identities hold exactly because swing values are computed by
+    # subtraction, not independently.
+    cycles = [stride.end_time - stride.start_time for stride in strides]
+    assert t["cycle_duration"].tolist() == cycles
+    assert (t["stance_duration"] + t["swing_duration"]).tolist() == cycles
+    assert (t["stance_pct"] + t["swing_pct"] == 100.0).all()
 
 
 def test_temporal_even_split():
     stride = Stride(
         side=Side.LEFT, start_time=0.0, end_time=1.0, foot_off_time=0.5
     )
-    t = temporal_params(stride)
-    assert t.stance_pct == 50.0
-    assert t.swing_pct == 50.0
+    t = temporal_params([stride])
+    assert t["stance_pct"].tolist() == [50.0]
+    assert t["swing_pct"].tolist() == [50.0]
 
 
 def test_temporal_requires_foot_off():
     stride = Stride(side=Side.LEFT, start_time=0.0, end_time=1.0)
-    assert temporal_params(stride) is None
+    t = temporal_params([stride])
+    assert t["cycle_duration"].tolist() == [1.0]
+    for name in ("stance_duration", "swing_duration", "stance_pct",
+                 "swing_pct"):
+        assert np.isnan(t[name]).all()
 
 
 def test_features_fixture():
     samples = np.linspace(-15.0, 14.785, N_SAMPLES)
-    f = cycle_features(samples)
-    assert f.rom == pytest.approx(29.785, abs=1e-12)
-    assert f.peak_dorsiflexion == pytest.approx(14.785)
-    assert f.peak_plantarflexion == pytest.approx(15.0)
+    f = cycle_features(samples[None])
+    assert f["rom"][0] == pytest.approx(29.785, abs=1e-12)
+    assert f["peak_dorsiflexion"][0] == pytest.approx(14.785)
+    assert f["peak_plantarflexion"][0] == pytest.approx(15.0)
 
 
 def test_features_constant_angle():
-    f = cycle_features(np.full(N_SAMPLES, 3.0))
-    assert f.rom == 0.0
-    assert f.peak_dorsiflexion == 3.0
+    f = cycle_features(np.full((1, N_SAMPLES), 3.0))
+    assert f["rom"].tolist() == [0.0]
+    assert f["peak_dorsiflexion"].tolist() == [3.0]
     # Negated minimum: a cycle that never plantarflexes reports a negative
     # peak rather than zero.
-    assert f.peak_plantarflexion == -3.0
+    assert f["peak_plantarflexion"].tolist() == [-3.0]
 
 
 def test_features_moment_optional():
-    f = cycle_features(np.zeros(N_SAMPLES))
-    assert f.peak_plantarflexion_moment is None
+    f = cycle_features(np.zeros((1, N_SAMPLES)))
+    assert "peak_plantarflexion_moment" not in f
     m = np.linspace(0.0, 1.6, N_SAMPLES)
-    f = cycle_features(np.zeros(N_SAMPLES), moment=m)
-    assert f.peak_plantarflexion_moment == pytest.approx(1.6)
+    f = cycle_features(np.zeros((1, N_SAMPLES)), moment=m[None])
+    assert f["peak_plantarflexion_moment"][0] == pytest.approx(1.6)
 
 
 def test_ensemble_single_cycle():
@@ -300,13 +308,26 @@ def test_analyze_trial_names_each_exclusion():
     ]
     assert [stride.start_time for _, stride, _ in result.strides] == \
         [0.0, 1.0, 2.0, 2.2]
-    assert len(result.features) == 2
-    assert result.features[0].peak_plantarflexion_moment is not None
-    assert result.temporal[0].stance_duration == pytest.approx(0.6)
-    assert result.temporal[1] is None  # no foot off in [2, 3]
+    assert len(result.features["rom"]) == 2
+    assert len(result.features["peak_plantarflexion_moment"]) == 2
+    assert result.features["stance_duration"][0] == pytest.approx(0.6)
+    # no foot off in [2, 3]
+    assert np.isnan(result.features["stance_duration"][1])
     assert result.smoothing is None
     mean, sd = result.angle_ensemble
     assert mean.shape == sd.shape == (N_SAMPLES,)
+
+
+def test_feature_keys_are_the_strides_columns():
+    """features holds the strides CSV's number columns, in its order, the
+    moment column only with a moment series."""
+    trial, events = _walk()
+    with_moment = analyze_trial(trial, events, "angle", moment="moment",
+                                target_mse=0)
+    assert list(with_moment.features) == STRIDE_COLUMNS[4:]
+    alone = analyze_trial(trial, events, "angle", target_mse=0)
+    assert list(alone.features) == [name for name in STRIDE_COLUMNS[4:]
+                                    if name != "peak_plantarflexion_moment"]
 
 
 @pytest.mark.parametrize("signal", ["ANK.z", "angle"])
@@ -475,5 +496,5 @@ def test_analyze_trial_keeps_strides_within_tolerance():
             for stride in kept]
     for got, want in zip(result.angle_ensemble, ensemble(rows)):
         assert got.tobytes() == want.tobytes()
-    assert [f.rom for f in result.features] == [
+    assert result.features["rom"].tolist() == [
         float(row.max() - row.min()) for row in rows]
